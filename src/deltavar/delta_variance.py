@@ -62,7 +62,7 @@ def delta_variance(delta: GradientDelta, sigma: CovarianceEstimate) -> float:
             f"gradient has dimension {v.size} but sigma has {sigma.dim}")
     if sigma.is_diagonal:
         return float(np.einsum("i,i,i->", v, sigma.values, v))
-    return float(np.einsum("i,ij,j->", v, sigma.values, v))
+    return float(v @ (sigma.values @ v))
 
 
 def _off_block_mask(dim: int, blocks) -> np.ndarray:
@@ -102,7 +102,7 @@ def block_decompose(delta: GradientDelta,
             out[name] = float(np.einsum("i,i,i->", v, s, v))
         else:
             m = sigma.values[start:start + length, start:start + length]
-            out[name] = float(np.einsum("i,ij,j->", v, m, v))
+            out[name] = float(v @ (m @ v))
     return out
 
 

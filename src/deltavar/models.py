@@ -8,8 +8,9 @@ means a negative log-likelihood and Fisher/Hessian quantities share one
 convention.
 
 Gradients come in two interchangeable forms: closed-form vectorized numpy
-(used for training and Fisher accumulation) and tape recordings (used for
-Hessians and as a cross-check). Tests verify the two routes agree.
+(used for training, Fisher accumulation and the output Jacobians behind the
+explicit quantities of interest) and tape recordings (used for Hessians and
+as a test reference). Tests verify the two routes agree.
 """
 from __future__ import annotations
 
@@ -309,6 +310,34 @@ def mlp_vjp(model: Model, h_ins: list[np.ndarray], layers, gout: np.ndarray,
     return gparams, g
 
 
+def output_jacobian(model: Model, X) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar outputs (n,) and their per-example parameter Jacobians (n, d).
+
+    Closed form for the generalized linear kinds (bernoulli-rate: 1,
+    linear-regression: x, logistic: p(1-p) x) and one batched reverse pass
+    for the mlp. Outputs equal predict() exactly.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if model.d_out != 1:
+        raise StructuralError("output Jacobians need a scalar-output model")
+    if X.shape[1] != model.d_in:
+        raise StructuralError(f"input has {X.shape[1]} features, expected {model.d_in}")
+    if model.kind == "mlp":
+        out, h_ins, layers = _mlp_forward_cache(model, X)
+        jac, _ = mlp_vjp(model, h_ins, layers, np.ones_like(out),
+                         per_example=True)
+        return out[:, 0], jac
+    if model.kind == "logistic":
+        s = X @ model.params.data
+        p = _sigmoid(s)
+        # 1 - p as sigmoid(-s) keeps its relative precision where p is near 1
+        return p, (p * _sigmoid(-s))[:, None] * X
+    out = predict(model, X)[:, 0]
+    if model.kind == "bernoulli-rate":
+        return out, np.ones((X.shape[0], 1))
+    return out, X.copy()
+
+
 def loglik_grad(model: Model, x, y) -> np.ndarray:
     """Gradient of a single example's log-likelihood wrt the parameters."""
     x = np.asarray(x, dtype=np.float64)
@@ -390,8 +419,16 @@ def record_predict(model: Model, tape: Tape, theta: Sequence[Var], x) -> list[Va
             acc = acc + theta[i] * float(x[i])
         one = tape.const(1.0)
         return [one / (one + ad.exp(-acc))]
+    return record_mlp_layers(model, theta, [tape.const(float(v)) for v in x])
+
+
+def record_mlp_layers(model: Model, theta: Sequence[Var], h: list) -> list[Var]:
+    """Record one mlp forward pass on a tape from input variables h.
+
+    The inputs may be constants (a single prediction) or variables produced
+    by an earlier step (a rollout).
+    """
     widths = model.hyper["widths"]
-    h: list = [tape.const(float(v)) for v in x]
     cursor = 0
     n_layers = len(widths) - 1
     for layer in range(n_layers):

@@ -1,9 +1,9 @@
 """Scalar quantities of interest sharing parameters with a trained model.
 
 Explicit kinds (power, set-product, rollout-functional) differentiate through
-the computation itself; implicit kinds (fixed points, eigenvalues) use the
-implicit function theorem and eigenvector sensitivity formulas instead of
-unrolling a solver.
+the computation itself, in one vectorized numpy pass over a batch of inputs;
+implicit kinds (fixed points, eigenvalues) use the implicit function theorem
+and eigenvector sensitivity formulas instead of unrolling a solver.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .exceptions import (
     NumericalError,
     StructuralError,
 )
-from .models import Model, _mlp_forward_cache, mlp_vjp, predict, record_predict
+from .models import (Model, _mlp_forward_cache, _sigmoid, mlp_vjp,
+                     output_jacobian, predict, record_mlp_layers,
+                     record_predict)
 
 ROLLOUT_FUNCTIONALS = ("power", "mean", "max")
 EIGEN_GAP_TOL = 1e-8
@@ -245,8 +247,8 @@ def _rollout_head(u: QuantityOfInterest, states):
     if cfg["functional"] == "power":
         c, p = cfg["component"], cfg["exponent"]
         base = states[horizon][:, c]
-        values = base ** p
-        inject[horizon][:, c] = p * base ** (p - 1.0)
+        values = _power(base, p)
+        inject[horizon][:, c] = p * _power(base, p - 1.0)
     elif cfg["functional"] == "mean":
         values = states[horizon].mean(axis=1)
         inject[horizon][:, :] = 1.0 / dim
@@ -276,11 +278,40 @@ def _rollout_values_and_deltas(u: QuantityOfInterest, z_batch: np.ndarray):
     return values, deltas
 
 
+def _power(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent, refusing negative bases under non-integer exponents
+    (the power has no real value there)."""
+    if not float(exponent).is_integer() and np.any(base < 0.0):
+        raise NumericalError(
+            f"a negative value has no real power {exponent!r}")
+    return base ** exponent
+
+
+def _power_values_and_deltas(u: QuantityOfInterest, xs: np.ndarray):
+    """out(x)^p and p out^(p-1) d out / d theta, one row per input."""
+    outs, jac = output_jacobian(u.model, xs)
+    p = u.config["exponent"]
+    return _power(outs, p), (p * _power(outs, p - 1.0))[:, None] * jac
+
+
+def _set_product_value_and_delta(u: QuantityOfInterest, xs: np.ndarray):
+    """prod_i out(x_i) over the whole set and its gradient.
+
+    d prod / d out_i = prod_{j != i} out_j comes from prefix and suffix
+    products, never by division, so zero outputs stay exact.
+    """
+    outs, jac = output_jacobian(u.model, xs)
+    prefix = np.concatenate([[1.0], np.cumprod(outs[:-1])])
+    suffix = np.concatenate([np.cumprod(outs[:0:-1])[::-1], [1.0]])
+    return float(np.prod(outs)), (prefix * suffix) @ jac
+
+
 def qoi_value(u: QuantityOfInterest, z=None) -> float:
     """The scalar value at the trained parameters (no gradient work)."""
     if u.kind == "power":
-        x = _as_input_matrix(u.model, z)[0]
-        return float(predict(u.model, x)[0] ** u.config["exponent"])
+        x = _as_input_matrix(u.model, z)[:1]
+        return float(_power(predict(u.model, x)[:, 0],
+                            u.config["exponent"])[0])
     if u.kind == "set-product":
         xs = _as_input_matrix(u.model, z)
         return float(np.prod(predict(u.model, xs)[:, 0]))
@@ -302,27 +333,8 @@ def qoi_value(u: QuantityOfInterest, z=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# explicit kinds: tape gradients
+# explicit kinds: tape recordings (the test reference for the gradients)
 # ---------------------------------------------------------------------------
-
-def _record_mlp_step(model: Model, theta, h):
-    """One mlp step on the tape with variable inputs (for rollouts)."""
-    widths = model.hyper["widths"]
-    cursor = 0
-    n_layers = len(widths) - 1
-    for layer in range(n_layers):
-        n_in, n_out = widths[layer], widths[layer + 1]
-        w_base, b_base = cursor, cursor + n_in * n_out
-        nxt = []
-        for j in range(n_out):
-            acc = theta[b_base + j]
-            for i in range(n_in):
-                acc = acc + theta[w_base + i * n_out + j] * h[i]
-            nxt.append(ad.tanh(acc) if layer < n_layers - 1 else acc)
-        h = nxt
-        cursor = b_base + n_out
-    return h
-
 
 def _record_qoi(u: QuantityOfInterest, tape: Tape, theta, z) -> Var:
     model = u.model
@@ -343,7 +355,7 @@ def _record_qoi(u: QuantityOfInterest, tape: Tape, theta, z) -> Var:
         h = [tape.const(float(v)) for v in x]
         trajectory = []
         for _ in range(cfg["horizon"]):
-            h = _record_mlp_step(model, theta, h)
+            h = record_mlp_layers(model, theta, h)
             trajectory.append(h)
         if cfg["functional"] == "power":
             return trajectory[-1][cfg["component"]] ** cfg["exponent"]
@@ -363,22 +375,22 @@ def _record_qoi(u: QuantityOfInterest, tape: Tape, theta, z) -> Var:
 def qoi_value_and_delta(u: QuantityOfInterest, z=None):
     """Value and parameter gradient at the model's trained parameters.
 
-    Explicit kinds run either a vectorized reverse pass (rollouts) or a tape
-    recording; implicit kinds use their dedicated formulas. Returns the value
-    and a GradientDelta labeled with the quantity id.
+    Explicit kinds run a vectorized reverse pass: power and rollouts on the
+    first row of z, set-product over all rows as one set. Implicit kinds use
+    their dedicated formulas. Returns the value and a GradientDelta labeled
+    with the quantity id.
     """
-    if u.kind == "rollout":
+    if u.kind in ("power", "set-product", "rollout"):
         zb = _as_input_matrix(u.model, z)
-        values, deltas = _rollout_values_and_deltas(u, zb)
-        return float(values[0]), GradientDelta(deltas[0], source=u.qoi_id,
-                                               input_id=_input_label(z))
-    if u.kind in ("power", "set-product"):
-        tape = Tape()
-        theta = tape.inputs(u.model.params.data)
-        root = _record_qoi(u, tape, theta, z)
-        grad = tape.grad(root, theta)
-        return root.value, GradientDelta(grad, source=u.qoi_id,
-                                         input_id=_input_label(z))
+        if u.kind == "set-product":
+            value, vector = _set_product_value_and_delta(u, zb)
+        else:
+            batched = (_power_values_and_deltas if u.kind == "power"
+                       else _rollout_values_and_deltas)
+            values, deltas = batched(u, zb[:1])
+            value, vector = float(values[0]), deltas[0]
+        return value, GradientDelta(vector, source=u.qoi_id,
+                                    input_id=_input_label(z))
     if u.kind == "fixed-point":
         problem = u.config["problem"]
         w_star, _ = solve_fixed_point(problem)
@@ -397,7 +409,7 @@ def _input_label(z) -> str:
     arr = np.asarray(z, dtype=np.float64).ravel()
     if arr.size == 1:
         return repr(float(arr[0]))
-    return ",".join(repr(float(v)) for v in arr[:4])
+    return ",".join(repr(float(v)) for v in arr)
 
 
 def qoi_tape_delta(u: QuantityOfInterest, z=None) -> np.ndarray:
@@ -411,11 +423,20 @@ def qoi_tape_delta(u: QuantityOfInterest, z=None) -> np.ndarray:
 def values_and_deltas(u: QuantityOfInterest, zs):
     """Batched values and gradients, one row per input.
 
-    Rollouts run a single vectorized forward/backward over the whole batch;
-    other kinds fall back to a per-input loop.
+    Explicit kinds run a single vectorized forward/backward over the whole
+    batch. A set-product treats each row as a one-element set here, so its
+    rows are the model outputs and their Jacobians. The implicit kinds loop
+    over qoi_value_and_delta.
     """
-    if u.kind == "rollout":
-        zb = _as_input_matrix(u.model, np.atleast_2d(np.asarray(zs)))
+    if u.kind in ("power", "set-product", "rollout"):
+        zb = np.asarray(zs, dtype=np.float64)
+        if zb.ndim == 1 and u.model.d_in == 1:
+            zb = zb[:, None]  # a flat list of scalar inputs
+        zb = _as_input_matrix(u.model, zb)
+        if u.kind == "power":
+            return _power_values_and_deltas(u, zb)
+        if u.kind == "set-product":
+            return output_jacobian(u.model, zb)
         return _rollout_values_and_deltas(u, zb)
     values = []
     deltas = []
@@ -430,8 +451,9 @@ def value_batch_params(u: QuantityOfInterest, thetas: np.ndarray,
                        z=None) -> np.ndarray:
     """Quantity values at many parameter points (posterior sampling support).
 
-    Vectorized for the closed-form model kinds and for eigenvalue chains;
-    anything else re-binds the model per draw.
+    Vectorized for power and set-product on the generalized linear model kinds
+    (bernoulli-rate, linear-regression, logistic) and for eigenvalue chains;
+    the mlp kinds and fixed points re-bind the model per draw.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     if u.kind == "eigenvalue":
@@ -448,8 +470,7 @@ def value_batch_params(u: QuantityOfInterest, thetas: np.ndarray,
             values[i] = qoi_value(
                 QuantityOfInterest(u.kind, None, {"problem": rebound}), z)
         return values
-    if u.kind in ("power", "set-product") and u.model.kind in (
-            "bernoulli-rate", "linear-regression"):
+    if u.kind in ("power", "set-product") and u.model.kind != "mlp":
         return _closed_form_value_batch(u, thetas, z)
     values = np.empty(thetas.shape[0])
     for i, theta in enumerate(thetas):
@@ -462,16 +483,17 @@ def value_batch_params(u: QuantityOfInterest, thetas: np.ndarray,
 
 def _closed_form_value_batch(u: QuantityOfInterest, thetas: np.ndarray,
                              z) -> np.ndarray:
-    """Vectorized power / set-product values for the linear model kinds."""
+    """Vectorized power / set-product values for the generalized linear kinds."""
     model = u.model
+    xs = _as_input_matrix(model, z)
     if model.kind == "bernoulli-rate":
-        outs = np.broadcast_to(thetas[:, 0][:, None],
-                               (thetas.shape[0], _as_input_matrix(model, z).shape[0]))
+        outs = np.broadcast_to(thetas[:, :1], (thetas.shape[0], xs.shape[0]))
     else:
-        xs = _as_input_matrix(model, z)
         outs = thetas @ xs.T  # (draws, inputs)
+        if model.kind == "logistic":
+            outs = _sigmoid(outs)
     if u.kind == "power":
-        return outs[:, 0] ** u.config["exponent"]
+        return _power(outs[:, 0], u.config["exponent"])
     return np.prod(outs, axis=1)
 
 

@@ -6,6 +6,14 @@ tape gradient; keeping them here makes each test's oracle route explicit.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
+
+# Property tests replay the same examples on every run (no example database,
+# no wall-clock deadline), so the suite stays deterministic and its time
+# bounded.
+settings.register_profile("deltavar", derandomize=True, database=None,
+                          deadline=None, max_examples=30)
+settings.load_profile("deltavar")
 
 
 def central_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:

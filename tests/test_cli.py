@@ -100,6 +100,24 @@ class TestDeltavarCommand:
                      "--input", "0.9"]) == 2
 
 
+def test_undefined_power_exits_1_with_a_message(tmp_path, capsys):
+    """A negative output has no real 2.5th power: exit 1, no traceback."""
+    x = np.linspace(0.5, 1.5, 20)[:, None]
+    np.savez(tmp_path / "line.npz", inputs=x, targets=-2.0 * x)
+    out = tmp_path / "line"
+    assert main(["train", "--set", "model.kind=linear-regression",
+                 "--set", "data.kind=file",
+                 "--set", f"data.path={tmp_path / 'line.npz'}",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["deltavar", "--model", str(out), "--sigma", "fisher-full",
+                 "--qoi", "power:exponent=2.5", "--input", "1.0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 class TestSigmaCommand:
     def test_saved_sigma_reloads_and_reuses(self, model_dir, tmp_path, capsys):
         out = tmp_path / "sig"

@@ -1,0 +1,215 @@
+"""Property tests: vectorized quantity gradients and the quadratic form.
+
+The scalar tape is the reference for every vectorized explicit-quantity
+gradient; numpy's dense products are the reference for the quadratic form.
+Strategies draw seeds and shapes, and numpy draws the floats from the seed.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from deltavar.covariance import CovarianceEstimate
+from deltavar.delta_variance import (GradientDelta, block_decompose,
+                                     delta_variance)
+from deltavar.exceptions import NumericalError
+from deltavar.models import MODEL_KINDS, make_model, predict
+from deltavar.qoi import (make_qoi, qoi_tape_delta, qoi_value,
+                          qoi_value_and_delta, value_batch_params,
+                          values_and_deltas)
+
+EXPONENTS = (1.0, 2.0, 3.0, -1.0, 0.5, 2.5)
+
+
+@st.composite
+def scalar_models(draw, kinds=MODEL_KINDS):
+    """A scalar-output model of any kind with seeded parameters."""
+    kind = draw(st.sampled_from(kinds))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    d_in = draw(st.integers(1, 3))
+    if kind == "mlp":
+        hidden = tuple(draw(st.lists(st.integers(1, 5), min_size=1,
+                                     max_size=2)))
+        return make_model("mlp", d_in=d_in, d_out=1, hidden=hidden,
+                          seed=seed)
+    model = make_model(kind, d_in=d_in)
+    if kind == "bernoulli-rate":
+        return model.with_params([rng.uniform(0.05, 0.95)])
+    return model.with_params(rng.standard_normal(model.params.dim))
+
+
+@st.composite
+def input_batches(draw, model):
+    batch = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return rng.uniform(-1.5, 1.5, size=(batch, model.d_in))
+
+
+def assert_close_to_tape(vector, reference):
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    np.testing.assert_allclose(vector, reference, rtol=1e-10,
+                               atol=1e-13 * scale)
+
+
+@given(st.data())
+def test_power_deltas_equal_tape(data):
+    model = data.draw(scalar_models())
+    zs = data.draw(input_batches(model))
+    exponent = data.draw(st.sampled_from(EXPONENTS))
+    u = make_qoi("power", model, exponent=exponent)
+    if not exponent.is_integer() and np.any(predict(model, zs) < 0.0):
+        with pytest.raises(NumericalError):
+            values_and_deltas(u, zs)
+        return
+    values, deltas = values_and_deltas(u, zs)
+    for row, z in enumerate(zs):
+        assert values[row] == pytest.approx(qoi_value(u, z), rel=1e-12)
+        assert_close_to_tape(deltas[row], qoi_tape_delta(u, z))
+
+
+@given(st.data())
+def test_set_product_delta_equals_tape(data):
+    model = data.draw(scalar_models())
+    zs = data.draw(input_batches(model))
+    u = make_qoi("set-product", model)
+    value, delta = qoi_value_and_delta(u, zs)
+    assert value == qoi_value(u, zs)
+    assert_close_to_tape(delta.vector, qoi_tape_delta(u, zs))
+
+
+@given(st.data())
+def test_set_product_rows_are_one_element_sets(data):
+    model = data.draw(scalar_models())
+    zs = data.draw(input_batches(model))
+    u = make_qoi("set-product", model)
+    values, deltas = values_and_deltas(u, zs)
+    for row, z in enumerate(zs):
+        assert_close_to_tape(deltas[row], qoi_tape_delta(u, z))
+        assert values[row] == pytest.approx(qoi_value(u, z), rel=1e-12)
+
+
+@given(st.data())
+def test_set_product_with_a_zero_output_stays_exact(data):
+    """A zero output leaves only its own term in the gradient, finite."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    d_in = data.draw(st.integers(2, 4))
+    batch = data.draw(st.integers(2, 6))
+    where = data.draw(st.integers(0, batch - 1))
+    theta = rng.standard_normal(d_in)
+    theta[1] = -theta[0]
+    zs = rng.standard_normal((batch, d_in))
+    zs[where] = 0.0
+    zs[where, :2] = 1.0  # output theta0 - theta0, exactly zero
+    model = make_model("linear-regression", d_in=d_in).with_params(theta)
+    u = make_qoi("set-product", model)
+    value, delta = qoi_value_and_delta(u, zs)
+    assert value == 0.0
+    others = np.prod(np.delete(zs @ theta, where))
+    np.testing.assert_allclose(delta.vector, others * zs[where], rtol=1e-13,
+                               atol=0.0)
+
+
+@given(st.data())
+def test_batched_rows_equal_single_calls(data):
+    model = data.draw(scalar_models())
+    zs = data.draw(input_batches(model))
+    exponent = data.draw(st.sampled_from((1.0, 2.0, 3.0)))
+    u = make_qoi("power", model, exponent=exponent)
+    values, deltas = values_and_deltas(u, zs)
+    for row, z in enumerate(zs):
+        value, delta = qoi_value_and_delta(u, z)
+        assert values[row] == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(deltas[row], delta.vector, rtol=1e-12,
+                                   atol=1e-15)
+
+
+@given(st.data())
+def test_logistic_batch_params_equal_per_draw_loop(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    d_in = data.draw(st.integers(1, 5))
+    draws = data.draw(st.integers(1, 20))
+    kind = data.draw(st.sampled_from(("power", "set-product")))
+    model = make_model("logistic", d_in=d_in)
+    config = {"exponent": data.draw(st.sampled_from(EXPONENTS))} \
+        if kind == "power" else {}
+    u = make_qoi(kind, model, **config)
+    zs = rng.standard_normal((data.draw(st.integers(1, 4)), d_in))
+    thetas = 2.0 * rng.standard_normal((draws, d_in))
+    loop = np.array([qoi_value(make_qoi(kind, model.with_params(th),
+                                        **config), zs) for th in thetas])
+    np.testing.assert_allclose(value_batch_params(u, thetas, zs), loop,
+                               rtol=1e-12)
+
+
+@given(st.data())
+def test_negative_output_with_fractional_exponent_is_refused(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    d_in = data.draw(st.integers(1, 3))
+    model = make_model("linear-regression", d_in=d_in).with_params(
+        rng.standard_normal(d_in))
+    z = rng.standard_normal(d_in)
+    assume(float(model.params.data @ z) < 0.0)
+    exponent = data.draw(st.sampled_from((0.5, 2.5, -1.5)))
+    u = make_qoi("power", model, exponent=exponent)
+    with pytest.raises(NumericalError):
+        qoi_value(u, z)
+    with pytest.raises(NumericalError):
+        qoi_value_and_delta(u, z)
+    with pytest.raises(NumericalError):
+        values_and_deltas(u, z[None, :])
+
+
+# ---------------------------------------------------------------------------
+# the quadratic form
+# ---------------------------------------------------------------------------
+
+@st.composite
+def psd_sigmas(draw, blocked=False):
+    """A PSD covariance, dense or diagonal, possibly rank deficient; with
+    `blocked`, dense ones are exactly block diagonal over random blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    dim = sum(sizes)
+    blocks, start = [], 0
+    for i, size in enumerate(sizes):
+        blocks.append((f"b{i}", start, size))
+        start += size
+    if draw(st.booleans()):
+        values = rng.uniform(0.0, 3.0, size=dim)
+        kind = "fisher-diag"
+    else:
+        rank = draw(st.integers(1, dim))
+        a = rng.standard_normal((dim, rank))
+        values = a @ a.T
+        if blocked:
+            mask = np.zeros((dim, dim), dtype=bool)
+            for _, s, n in blocks:
+                mask[s:s + n, s:s + n] = True
+            values = np.where(mask, values, 0.0)
+        kind = "fisher-full"
+    sigma = CovarianceEstimate(kind=kind, values=values, n_points=1,
+                               inverted=True, blocks=tuple(blocks))
+    v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+    return sigma, GradientDelta(v)
+
+
+@given(psd_sigmas())
+def test_quadratic_form_is_nonnegative_and_matches_dense(case):
+    sigma, delta = case
+    nu = delta_variance(delta, sigma)
+    dense = float(delta.vector @ sigma.matrix() @ delta.vector)
+    assert nu >= 0.0
+    assert math.isclose(nu, dense, rel_tol=1e-12, abs_tol=1e-300)
+
+
+@given(psd_sigmas(blocked=True))
+def test_block_decomposition_sums_to_the_form(case):
+    sigma, delta = case
+    parts = block_decompose(delta, sigma)
+    assert list(parts) == [name for name, _, _ in sigma.blocks]
+    assert all(part >= 0.0 for part in parts.values())
+    assert math.isclose(sum(parts.values()), delta_variance(delta, sigma),
+                        rel_tol=1e-12, abs_tol=1e-300)

@@ -64,6 +64,29 @@ class TestPowerQoi:
             make_qoi("power", None, exponent=2)
 
 
+    def test_negative_output_with_fractional_exponent_raises(self):
+        model = make_model("linear-regression", d_in=1).with_params([-2.0])
+        u = make_qoi("power", model, exponent=2.5)
+        for call in (qoi_value, qoi_value_and_delta):
+            with pytest.raises(NumericalError):
+                call(u, [1.0])
+        with pytest.raises(NumericalError):
+            values_and_deltas(u, [[1.0], [-1.0]])
+        values, _ = values_and_deltas(make_qoi("power", model, exponent=3),
+                                      [[1.0]])
+        assert values[0] == -8.0
+
+    def test_input_labels_keep_every_component(self):
+        model = make_model("linear-regression", d_in=5).with_params(np.ones(5))
+        u = make_qoi("power", model, exponent=1)
+        a = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        b = np.array([0.1, 0.2, 0.3, 0.4, 0.6])
+        label_a = qoi_value_and_delta(u, a)[1].input_id
+        label_b = qoi_value_and_delta(u, b)[1].input_id
+        assert label_a != label_b
+        assert label_a == "0.1,0.2,0.3,0.4,0.5"
+
+
 class TestSetProduct:
     def test_two_point_product_rule(self):
         theta = np.array([0.6, -1.3])
