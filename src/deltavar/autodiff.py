@@ -2,10 +2,11 @@
 
 The tape is a Wengert list: each node records its opcode, the indices of its
 arguments, and the local partial derivatives evaluated during the forward
-pass. A gradient is one reverse sweep over stored partials. Hessians are
-computed as gradient-of-gradient: the first backward pass is itself recorded
-on the tape (adjoints become nodes), then one numeric reverse sweep per
-parameter yields a Hessian row. Dense Hessians are capped at d = 2048.
+pass. A gradient is one reverse sweep over stored partials. A dense Hessian
+is one forward tangent sweep plus one reverse sweep of adjoints and their
+tangents (forward-over-reverse), capped at d = 2048. The package's own loss
+Hessians are closed-form numpy (models.nll_hessian); the tape serves
+user-supplied callables and is the test reference for the vectorized paths.
 
 The primitive set is deliberately small: +, -, *, /, pow, exp, log, tanh,
 sin, cos, max. Composite functions are built from these. The module-level
@@ -202,46 +203,6 @@ class Tape:
         self._check(var)
         return self._vals[var.idx]
 
-    def replay_values(self) -> np.ndarray:
-        """Re-run the forward pass from the recorded ops.
-
-        Leaves keep their stored values; everything else is recomputed with
-        the same scalar operations, so the result must match the stored
-        values bit-for-bit.
-        """
-        vals = [0.0] * len(self._ops)
-        for idx, op in enumerate(self._ops):
-            args = self._args[idx]
-            if op in (_CONST, _INPUT):
-                vals[idx] = self._vals[idx]
-            elif op == _ADD:
-                vals[idx] = vals[args[0]] + vals[args[1]]
-            elif op == _SUB:
-                vals[idx] = vals[args[0]] - vals[args[1]]
-            elif op == _MUL:
-                vals[idx] = vals[args[0]] * vals[args[1]]
-            elif op == _DIV:
-                vals[idx] = vals[args[0]] / vals[args[1]]
-            elif op == _POW:
-                vals[idx] = vals[args[0]] ** vals[args[1]]
-            elif op == _POWC:
-                vals[idx] = vals[args[0]] ** self._aux[idx]
-            elif op == _EXP:
-                vals[idx] = math.exp(vals[args[0]])
-            elif op == _LOG:
-                vals[idx] = math.log(vals[args[0]])
-            elif op == _TANH:
-                vals[idx] = math.tanh(vals[args[0]])
-            elif op == _SIN:
-                vals[idx] = math.sin(vals[args[0]])
-            elif op == _COS:
-                vals[idx] = math.cos(vals[args[0]])
-            elif op == _MAX:
-                vals[idx] = max(vals[args[0]], vals[args[1]])
-            else:
-                raise StructuralError(f"unknown op {op}")
-        return np.array(vals, dtype=np.float64)
-
     # ---- differentiation -----------------------------------------------
 
     def grad(self, root: Var, wrt: Sequence[Var]) -> np.ndarray:
@@ -277,90 +238,75 @@ class Tape:
             out[i] = adj[v.idx] if v.idx <= root.idx else 0.0
         return out
 
-    def _partial_items(self, idx: int):
-        """Local partials of node idx as symbolic items for grad-of-grad.
-
-        Each item is None (identity), a float multiplier, or a Var. The max
-        and sub-gradient branches are frozen as the constants chosen on the
-        forward pass.
-        """
-        op = self._ops[idx]
-        args = self._args[idx]
-        out = Var(self, idx)
-        if op == _ADD:
-            return (None, None)
-        if op == _SUB:
-            return (None, -1.0)
+    def _second_partials(self, idx: int):
+        """Rows h[k][m] = d2 node / d arg_k d arg_m of node idx, or None where
+        all vanish (add, sub, and max with its branch frozen as recorded)."""
+        op, args, out = self._ops[idx], self._args[idx], self._vals[idx]
+        a = self._vals[args[0]] if args else 0.0
         if op == _MUL:
-            return (Var(self, args[1]), Var(self, args[0]))
+            return ((0.0, 1.0), (1.0, 0.0))
         if op == _DIV:
-            b = Var(self, args[1])
-            return (self.const(1.0) / b, -(out / b))
+            b2 = self._vals[args[1]] ** 2
+            return ((0.0, -1.0 / b2), (-1.0 / b2, 2.0 * out / b2))
         if op == _POW:
-            a, b = Var(self, args[0]), Var(self, args[1])
-            return (out * b / a, out * log(a))
+            b, log_a = self._vals[args[1]], math.log(a)
+            cross = out * (1.0 + b * log_a) / a
+            return ((out * b * (b - 1.0) / (a * a), cross),
+                    (cross, out * log_a * log_a))
         if op == _POWC:
-            a = Var(self, args[0])
             c = self._aux[idx]
-            return ((a ** (c - 1.0)) * c,)
+            return ((c * (c - 1.0) * a ** (c - 2.0),),)
         if op == _EXP:
-            return (out,)
+            return ((out,),)
         if op == _LOG:
-            return (self.const(1.0) / Var(self, args[0]),)
+            return ((-1.0 / (a * a),),)
         if op == _TANH:
-            return (self.const(1.0) - out * out,)
+            return ((-2.0 * out * (1.0 - out * out),),)
         if op == _SIN:
-            return (cos(Var(self, args[0])),)
+            return ((-math.sin(a),),)
         if op == _COS:
-            return (-sin(Var(self, args[0])),)
-        if op == _MAX:
-            return self._partials[idx]  # frozen 0/1 branch constants
-        raise StructuralError(f"unknown op {op}")
-
-    def grad_vars(self, root: Var, wrt: Sequence[Var]) -> list[Var]:
-        """Gradient components as tape variables (the differentiable backward).
-
-        Appends the adjoint computation to the tape so the result can itself
-        be differentiated.
-        """
-        self._check(root)
-        for v in wrt:
-            self._check(v)
-        stop = root.idx
-        adj: dict[int, Var] = {root.idx: self.const(1.0)}
-        for idx in range(stop, -1, -1):
-            upstream = adj.get(idx)
-            if upstream is None:
-                continue
-            op = self._ops[idx]
-            if op == _CONST or op == _INPUT:
-                continue
-            items = self._partial_items(idx)
-            for arg_idx, item in zip(self._args[idx], items):
-                if item is None:
-                    contrib = upstream
-                elif isinstance(item, Var):
-                    contrib = upstream * item
-                else:
-                    if item == 0.0:
-                        continue
-                    contrib = upstream if item == 1.0 else upstream * item
-                prev = adj.get(arg_idx)
-                adj[arg_idx] = contrib if prev is None else prev + contrib
-        zero = self.const(0.0)
-        return [adj.get(v.idx, zero) for v in wrt]
+            return ((-math.cos(a),),)
+        return None
 
     def hessian(self, root: Var, wrt: Sequence[Var]) -> np.ndarray:
-        """Dense Hessian via len(wrt) reverse passes over the recorded backward."""
+        """Dense Hessian of root by forward-over-reverse differentiation.
+
+        One forward sweep carries tangents along all len(wrt) input
+        directions at once; one reverse sweep then carries each adjoint with
+        its tangent (Pearlmutter's R-op), and the adjoint tangents at the
+        inputs are the Hessian rows. `wrt` must be input leaves; memory is
+        two (tape length, len(wrt)) float arrays.
+        """
+        self._check(root)
         d = len(wrt)
         if d > HESSIAN_DIM_CAP:
             raise ResourceError(
                 f"dense Hessian of dimension {d} exceeds the cap of {HESSIAN_DIM_CAP}")
-        gvars = self.grad_vars(root, wrt)
-        hess = np.empty((d, d), dtype=np.float64)
-        for i, gv in enumerate(gvars):
-            hess[i, :] = self.grad(gv, wrt)
-        return hess
+        ops, args, partials = self._ops, self._args, self._partials
+        dot, adj_dot = np.zeros((len(ops), d)), np.zeros((len(ops), d))
+        adj = np.zeros(len(ops))
+        for j, v in enumerate(wrt):
+            self._check(v)
+            if ops[v.idx] != _INPUT:
+                raise StructuralError("Hessians are taken with respect to input leaves")
+            dot[v.idx, j] = 1.0
+        for idx in range(root.idx + 1):
+            if ops[idx] != _CONST and ops[idx] != _INPUT:
+                dot[idx] = sum(p * dot[a] for a, p in zip(args[idx], partials[idx]))
+        adj[root.idx] = 1.0
+        for idx in range(root.idx, -1, -1):
+            a, a_dot = adj[idx], adj_dot[idx]
+            if ops[idx] == _CONST or ops[idx] == _INPUT or (
+                    a == 0.0 and not a_dot.any()):
+                continue
+            second = self._second_partials(idx)
+            for k, arg in enumerate(args[idx]):
+                adj[arg] += a * partials[idx][k]
+                adj_dot[arg] += partials[idx][k] * a_dot
+                if second is not None:
+                    adj_dot[arg] += a * sum(
+                        h * dot[m] for h, m in zip(second[k], args[idx]))
+        return adj_dot[[v.idx for v in wrt]].reshape(d, d)
 
 
 # ---- generic scalar math: works on floats and on tape variables ---------

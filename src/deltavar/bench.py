@@ -32,7 +32,7 @@ from .evaluation import (LaplaceCalibration, error_correlation,
 from .exceptions import ConfigError, StructuralError
 from .models import Dataset, Model, TrainConfig, make_model, train
 from .oracles import variance_standard_error
-from .qoi import (EigenProblem, _eigen_value_batch, eigenvalue_delta,
+from .qoi import (EigenProblem, eigen_spectra, eigenvalue_delta,
                   make_qoi, qoi_value_and_delta, values_and_deltas)
 from .util import (format_float, ordered_parallel_map, spawn_seeds,
                    stable_json_dumps)
@@ -304,6 +304,7 @@ def _run_eigen(scenario: Scenario):
     rng = np.random.default_rng(spawn_seeds(scenario.seed, 1)[0])
     thetas = base + math.sqrt(var) * rng.standard_normal((samples, dim))
 
+    spectra = eigen_spectra(masses.size, thetas)
     rows = []
     per_index = {}
     for index in range(masses.size):
@@ -313,7 +314,7 @@ def _run_eigen(scenario: Scenario):
             kind="learned", values=np.full(dim, var), n_points=1,
             inverted=True, blocks=problem.parameter_vector().blocks)
         nu = delta_variance(delta, sigma)
-        draws = _eigen_value_batch(problem, thetas)
+        draws = spectra[:, index]
         mc = float(np.var(draws, ddof=1))
         mc_se = variance_standard_error(draws)
         input_id = f"lambda{index}"

@@ -18,6 +18,7 @@ import os
 import re
 import shutil
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -152,19 +153,25 @@ def load_model_dir(path):
     data_file = directory / "data.npz"
     if not model_file.exists():
         raise ConfigError(f"{directory} has no model.json (run `train` first)")
-    obj = json.loads(model_file.read_text())
-    hyper = obj["hyper"]
-    if "widths" in hyper:
-        hyper["widths"] = tuple(int(w) for w in hyper["widths"])
-    params = ParameterVector(
-        np.asarray(obj["params"], dtype=np.float64),
-        tuple((str(n), int(s), int(l)) for n, s, l in obj["blocks"]))
-    model = Model(kind=obj["kind"], params=params, hyper=hyper,
-                  diagnostics=obj.get("diagnostics"))
     if not data_file.exists():
         raise ConfigError(f"{directory} has no data.npz (run `train` first)")
-    with np.load(data_file) as npz:
-        data = Dataset(npz["inputs"], npz["targets"])
+    try:
+        obj = json.loads(model_file.read_text())
+        hyper = obj["hyper"]
+        if "widths" in hyper or obj["kind"] == "mlp":
+            hyper["widths"] = tuple(int(w) for w in hyper["widths"])
+        params = ParameterVector(
+            np.asarray(obj["params"], dtype=np.float64),
+            tuple((str(n), int(s), int(l)) for n, s, l in obj["blocks"]))
+        model = Model(kind=obj["kind"], params=params, hyper=hyper,
+                      diagnostics=obj.get("diagnostics"))
+        model.d_in, model.d_out  # every kind needs both sizes
+        with np.load(data_file) as npz:
+            data = Dataset(npz["inputs"], npz["targets"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            zipfile.BadZipFile) as exc:
+        raise StructuralError(f"{directory} holds a corrupt model: "
+                              f"{type(exc).__name__}: {exc}") from exc
     return model, data
 
 
@@ -173,22 +180,23 @@ def _build_dataset(spec) -> Dataset:
         raise ConfigError('config needs a data object with a "kind"')
     spec = dict(spec)
     kind = spec.pop("kind")
-    if kind == "dynamics":
-        opts = _take(spec, {"seed": 0, "n": 1500, "noise": 0.01}, "data")
-        return gen_dynamics(int(opts["seed"]), int(opts["n"]),
-                            float(opts["noise"]))
-    if kind == "survival":
-        opts = _take(spec, {"n": 1000, "rate": 0.9}, "data")
-        return survival_dataset(int(opts["n"]), float(opts["rate"]))
-    if kind == "file":
-        opts = _take(spec, {"path": None}, "data")
-        if not opts["path"]:
-            raise ConfigError('file datasets need a "path"')
-        try:
+    try:  # a generator's argument error is a configuration problem
+        if kind == "dynamics":
+            opts = _take(spec, {"seed": 0, "n": 1500, "noise": 0.01}, "data")
+            return gen_dynamics(int(opts["seed"]), int(opts["n"]),
+                                float(opts["noise"]))
+        if kind == "survival":
+            opts = _take(spec, {"n": 1000, "rate": 0.9}, "data")
+            return survival_dataset(int(opts["n"]), float(opts["rate"]))
+        if kind == "file":
+            opts = _take(spec, {"path": None}, "data")
+            if not opts["path"]:
+                raise ConfigError('file datasets need a "path"')
             with np.load(opts["path"]) as npz:
                 return Dataset(npz["inputs"], npz["targets"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read dataset: {exc}") from exc
+    except (StructuralError, OSError, ValueError, KeyError, TypeError,
+            zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot build the {kind} dataset: {exc}") from exc
     raise ConfigError(f"unknown data kind {kind!r}; "
                       "choose dynamics, survival or file")
 

@@ -15,9 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .autodiff import HESSIAN_DIM_CAP, Tape
+from .autodiff import HESSIAN_DIM_CAP
 from .exceptions import NumericalError, ResourceError, StructuralError
-from .models import Dataset, Model, loglik_grad_batch, record_nll
+from .models import Dataset, Model, loglik_grad_batch, nll_hessian
 from .util import stable_json_dumps
 
 KINDS = ("fisher-full", "fisher-diag", "fisher-ema-diag", "hessian",
@@ -78,11 +78,11 @@ class CovarianceEstimate:
         return np.diag(self.values) if self.is_diagonal else self.values
 
 
-def _grad_chunks(model: Model, data: Dataset) -> Iterable[np.ndarray]:
+def _chunks(fn, model: Model, data: Dataset) -> Iterable[np.ndarray]:
+    """fn(model, inputs, targets) over consecutive fixed-size example chunks."""
     for start in range(0, data.n, _CHUNK):
         stop = min(start + _CHUNK, data.n)
-        yield loglik_grad_batch(model, data.inputs[start:stop],
-                                data.targets[start:stop])
+        yield fn(model, data.inputs[start:stop], data.targets[start:stop])
 
 
 def empirical_fisher(model: Model, data: Dataset,
@@ -101,11 +101,11 @@ def empirical_fisher(model: Model, data: Dataset,
             f"{HESSIAN_DIM_CAP}; use a diagonal mode")
     if mode == "full":
         acc = np.zeros((d, d))
-        for g in _grad_chunks(model, data):
+        for g in _chunks(loglik_grad_batch, model, data):
             acc += np.einsum("ni,nj->ij", g, g)
     else:
         acc = np.zeros(d)
-        for g in _grad_chunks(model, data):
+        for g in _chunks(loglik_grad_batch, model, data):
             acc += np.einsum("ni,ni->i", g, g)
     return CovarianceEstimate(kind=f"fisher-{mode}", values=acc / data.n,
                               n_points=data.n, blocks=model.params.blocks)
@@ -144,17 +144,16 @@ def ema_diag_fisher(model: Model, batches, decay: float = 1e-3,
 def loss_hessian(model: Model, data: Dataset) -> CovarianceEstimate:
     """Hessian of the total (summed) negative log-likelihood at the parameters.
 
-    Recorded on a scalar tape one example at a time and differentiated twice,
-    so it works for every model kind; the result is symmetrized to remove
-    round-off asymmetry from the two passes.
+    Exact and batched (models.nll_hessian: closed forms for the generalized
+    linear kinds, a forward-over-reverse R-op for the mlp), summed over the
+    same fixed-size example chunks as the Fisher so memory stays bounded;
+    the result is made exactly symmetric.
     """
-    tape = Tape()
-    theta = tape.inputs(model.params.data)
-    total = None
-    for i in range(data.n):
-        term = record_nll(model, tape, theta, data.inputs[i], data.targets[i])
-        total = term if total is None else total + term
-    h = tape.hessian(total, theta)
+    d = model.params.dim
+    if d > HESSIAN_DIM_CAP:
+        raise ResourceError(
+            f"dense Hessian of dimension {d} exceeds the cap of {HESSIAN_DIM_CAP}")
+    h = sum(_chunks(nll_hessian, model, data))
     h = (h + h.T) / 2.0
     return CovarianceEstimate(kind="hessian", values=h, n_points=data.n,
                               blocks=model.params.blocks)
@@ -274,6 +273,11 @@ def save_covariance(path, sigma: CovarianceEstimate) -> None:
         fh.write(payload)
 
 
+_HEADER_TYPES = {"kind": (str,), "layout": (str,), "dim": (int,),
+                 "n_points": (int,), "reg": (int, float), "inverted": (bool,),
+                 "blocks": (list,), "block_scales": (dict, type(None))}
+
+
 def load_covariance(path) -> CovarianceEstimate:
     """Inverse of save_covariance; validates the payload length."""
     with open(path, "rb") as fh:
@@ -285,7 +289,15 @@ def load_covariance(path) -> CovarianceEstimate:
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StructuralError(f"covariance header is not valid JSON: {exc}") from exc
-    dim = int(header["dim"])
+    for key, types in _HEADER_TYPES.items():
+        value = header.get(key) if isinstance(header, dict) else None
+        if not isinstance(value, types) or (bool not in types
+                                            and isinstance(value, bool)):
+            raise StructuralError(
+                f"covariance header field {key!r} is missing or mistyped")
+    if header["layout"] not in ("diag", "full"):
+        raise StructuralError(f"unknown covariance layout {header['layout']!r}")
+    dim = header["dim"]
     shape = (dim,) if header["layout"] == "diag" else (dim, dim)
     expected = int(np.prod(shape)) * 8
     payload = raw[newline + 1:]
@@ -293,8 +305,11 @@ def load_covariance(path) -> CovarianceEstimate:
         raise StructuralError(
             f"covariance payload holds {len(payload)} bytes, expected {expected}")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+    try:
+        blocks = tuple((str(n), int(s), int(l)) for n, s, l in header["blocks"])
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"covariance header blocks are malformed: {exc}") from exc
     return CovarianceEstimate(
-        kind=header["kind"], values=values, n_points=int(header["n_points"]),
-        reg=float(header["reg"]), inverted=bool(header["inverted"]),
-        blocks=tuple((str(n), int(s), int(l)) for n, s, l in header["blocks"]),
-        block_scales=header.get("block_scales"))
+        kind=header["kind"], values=values, n_points=header["n_points"],
+        reg=float(header["reg"]), inverted=header["inverted"], blocks=blocks,
+        block_scales=header["block_scales"])

@@ -7,10 +7,11 @@ treated as a unit-variance Gaussian likelihood throughout, so "loss" always
 means a negative log-likelihood and Fisher/Hessian quantities share one
 convention.
 
-Gradients come in two interchangeable forms: closed-form vectorized numpy
-(used for training, Fisher accumulation and the output Jacobians behind the
-explicit quantities of interest) and tape recordings (used for Hessians and
-as a test reference). Tests verify the two routes agree.
+Gradients and loss Hessians are closed-form vectorized numpy (training,
+Fisher and Hessian accumulation, and the output Jacobians behind the
+explicit quantities of interest). Tape recordings of the forward pass are
+the test reference for the quantity gradients; tests verify the two routes
+agree.
 """
 from __future__ import annotations
 
@@ -172,14 +173,21 @@ def make_model(kind: str, d_in: int = 1, d_out: int = 1,
     return Model(kind=kind, params=params, hyper=hyper)
 
 
-def _mlp_layers(model: Model) -> list[tuple[np.ndarray, np.ndarray]]:
+def _mlp_layers(model: Model, theta: np.ndarray | None = None
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (W, b) views of theta (default: the model's parameters).
+
+    Leading axes of theta are kept, so a stack of parameter directions
+    (k, d) splits into (k, n_in, n_out) weights and (k, n_out) biases.
+    """
     widths = model.hyper["widths"]
-    theta = model.params.data
+    theta = model.params.data if theta is None else theta
+    lead = theta.shape[:-1]
     layers, cursor = [], 0
     for n_in, n_out in zip(widths[:-1], widths[1:]):
-        w = theta[cursor:cursor + n_in * n_out].reshape(n_in, n_out)
+        w = theta[..., cursor:cursor + n_in * n_out].reshape(*lead, n_in, n_out)
         cursor += n_in * n_out
-        b = theta[cursor:cursor + n_out]
+        b = theta[..., cursor:cursor + n_out]
         cursor += n_out
         layers.append((w, b))
     return layers
@@ -391,6 +399,61 @@ def mean_loglik_grad(model: Model, X, Y, weights: np.ndarray | None = None) -> n
     return np.einsum("n,nd->d", weights, grads) / wsum
 
 
+_HESSIAN_CHUNK = 32  # parameter directions per batch of the mlp R-op
+
+
+def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Exact Hessian (d, d) of the summed negative log-likelihood of the
+    examples X (n, d_in), Y (n, d_out), as a Dataset holds them.
+
+    Closed form for bernoulli-rate (sum y/t^2 + (1-y)/(1-t)^2),
+    linear-regression (kron(X'X, I_{d_out})) and logistic (X' diag(p(1-p)) X,
+    1 - p as sigmoid(-s)). The mlp pushes a chunk of unit parameter
+    directions through the forward pass and the mlp_vjp backward pass at a
+    time (forward-over-reverse, Pearlmutter's R-op); row j is the tangent of
+    the gradient along direction j.
+    """
+    if model.kind == "bernoulli-rate":
+        t = model.params.data[0]
+        return np.array([[np.sum(Y[:, 0] / t ** 2
+                                 + (1.0 - Y[:, 0]) / (1.0 - t) ** 2)]])
+    if model.kind == "linear-regression":
+        return np.kron(np.einsum("ni,nj->ij", X, X), np.eye(model.d_out))
+    if model.kind == "logistic":
+        s = X @ model.params.data
+        curv = _sigmoid(s) * _sigmoid(-s)
+        return np.einsum("ni,nj->ij", curv[:, None] * X, X)
+    out, h_ins, layers = _mlp_forward_cache(model, X)
+    d = model.params.dim
+    bounds = np.cumsum([0] + [a.size for layer in layers for a in layer])
+    hess = np.empty((d, d))
+    for start in range(0, d, _HESSIAN_CHUNK):
+        rows = slice(start, min(start + _HESSIAN_CHUNK, d))
+        dlayers = _mlp_layers(model, np.eye(d)[rows])
+        # forward: r is the tangent of each layer's input, zero at the data
+        r, r_ins = np.zeros((rows.stop - start, *X.shape)), []
+        for layer, ((w, _), (dw, db)) in enumerate(zip(layers, dlayers)):
+            r_ins.append(r)
+            r = r @ w + h_ins[layer] @ dw + db[:, None, :]
+            if layer + 1 < len(layers):
+                r = r * (1.0 - h_ins[layer + 1] ** 2)
+        # backward: g = d NLL / d out = out - Y, r its tangent
+        g = out - Y
+        for layer in range(len(layers) - 1, -1, -1):
+            (w, _), (dw, _) = layers[layer], dlayers[layer]
+            h, r_h = h_ins[layer], r_ins[layer]
+            s0, s1, s2 = bounds[2 * layer:2 * layer + 3]
+            gw = h.T @ r + np.swapaxes(r_h, 1, 2) @ g
+            hess[rows, s0:s1] = gw.reshape(gw.shape[0], -1)
+            hess[rows, s1:s2] = r.sum(axis=1)
+            if layer > 0:
+                back, slope = g @ w.T, 1.0 - h * h
+                r = ((r @ w.T + g @ np.swapaxes(dw, 1, 2)) * slope
+                     - 2.0 * back * h * r_h)
+                g = back * slope
+    return hess
+
+
 # ---------------------------------------------------------------------------
 # tape recordings
 # ---------------------------------------------------------------------------
@@ -443,27 +506,6 @@ def record_mlp_layers(model: Model, theta: Sequence[Var], h: list) -> list[Var]:
         h = nxt
         cursor = b_base + n_out
     return h
-
-
-def record_nll(model: Model, tape: Tape, theta: Sequence[Var], x, y) -> Var:
-    """Record one example's negative log-likelihood on a tape."""
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if model.kind == "bernoulli-rate":
-        t = theta[0]
-        yv = float(y[0])
-        one = tape.const(1.0)
-        return -(yv * ad.log(t) + (1.0 - yv) * ad.log(one - t))
-    if model.kind == "logistic":
-        p = record_predict(model, tape, theta, x)[0]
-        yv = float(y[0])
-        one = tape.const(1.0)
-        return -(yv * ad.log(p) + (1.0 - yv) * ad.log(one - p))
-    preds = record_predict(model, tape, theta, x)
-    acc = tape.const(float(model.d_out) * _HALF_LOG_2PI)
-    for j, pj in enumerate(preds):
-        diff = pj - float(y[j])
-        acc = acc + 0.5 * (diff * diff)
-    return acc
 
 
 # ---------------------------------------------------------------------------

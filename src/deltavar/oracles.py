@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covariance import CovarianceEstimate
+from .covariance import CovarianceEstimate, loss_hessian
 from .exceptions import (ConvergenceError, NumericalError, ResourceError,
                          StructuralError)
-from .models import (Dataset, Model, TrainConfig, loglik, loglik_grad_batch,
-                     mean_loglik_grad, train)
+from .models import (Dataset, Model, TrainConfig, _objective,
+                     loglik_grad_batch, mean_loglik_grad, train)
 from .qoi import QuantityOfInterest, qoi_value_and_delta, value_batch_params
 
 LOO_POINT_GUARD = 500
@@ -230,62 +230,54 @@ def _linear_identity_qoi(model: Model, u: QuantityOfInterest) -> bool:
 
 
 def _augmented_descent(model: Model, data: Dataset, u: QuantityOfInterest,
-                       z, y_adv: float, eps: float, steps: int = 5000,
+                       z, y_adv: float, eps: float, steps: int = 100,
                        grad_tol: float = 1e-10) -> np.ndarray:
-    """Minimize total NLL + (eps/2)(u(z) - y_adv)^2 from a warm start."""
-    theta = model.params.data.copy()
-    n = data.n
+    """Minimize total NLL + (eps/2)(u(z) - y_adv)^2 from a warm start.
 
-    def grad_and_value(th):
+    Damped Newton: the step matrix is the loss Hessian plus the Gauss-Newton
+    term eps * delta delta' of the penalty, ridged just enough for Cholesky
+    (an mlp Hessian may be indefinite). A step is accepted on a lower
+    objective or, once that no longer resolves, a lower gradient norm;
+    points outside the model's domain count as +inf and never pass.
+    """
+    ones = np.ones(data.n)
+
+    def evaluate(th):
+        nll = _objective(model, data, ones, 1.0, th)
+        if not math.isfinite(nll):
+            return math.inf, None, None
         bound = model.with_params(th)
-        data_grad = -n * mean_loglik_grad(bound, data.inputs, data.targets)
         value, delta = qoi_value_and_delta(
             QuantityOfInterest(u.kind, bound, u.config), z)
-        return data_grad + eps * (value - y_adv) * delta.vector, value
+        grad = (-data.n * mean_loglik_grad(bound, data.inputs, data.targets)
+                + eps * (value - y_adv) * delta.vector)
+        return nll + 0.5 * eps * (value - y_adv) ** 2, grad, delta.vector
 
-    def objective(th):
-        bound = model.with_params(th)
-        nll = -float(np.sum(loglik(bound, data.inputs, data.targets)))
-        value, _ = qoi_value_and_delta(
-            QuantityOfInterest(u.kind, bound, u.config), z)
-        return nll + 0.5 * eps * (value - y_adv) ** 2
-
-    loss = objective(theta)
-    lr = 1.0 / max(n, 1)
+    theta = model.params.data.copy()
+    loss, g, dvec = evaluate(theta)
+    if g is None:
+        raise NumericalError("the model's parameters lie outside its domain")
     for _ in range(steps):
-        g, _ = grad_and_value(theta)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol:
-            return theta
-        accepted = False
-        step_lr = lr
-        for _ in range(60):
-            trial = theta - step_lr * g
-            trial_loss = objective(trial)
-            if math.isfinite(trial_loss) and trial_loss < loss:
-                theta, loss = trial, trial_loss
-                lr = min(step_lr * 2.0, 1e3)
-                accepted = True
-                break
-            step_lr *= 0.5
-        if not accepted:
-            # loss differences fell below float resolution; accept steps
-            # that still shrink the gradient norm
-            step_lr = lr
-            for _ in range(60):
-                trial = theta - step_lr * g
-                trial_g, _ = grad_and_value(trial)
-                if (np.all(np.isfinite(trial_g))
-                        and float(np.linalg.norm(trial_g)) < gnorm):
-                    theta = trial
-                    loss = objective(trial)
-                    lr = min(step_lr * 2.0, 1e3)
-                    accepted = True
-                    break
-                step_lr *= 0.5
-        if not accepted:
             break
-    g, _ = grad_and_value(theta)
+        curvature = (loss_hessian(model.with_params(theta), data).values
+                     + eps * np.outer(dvec, dvec))
+        chol, _ = _ridged_cholesky(curvature, "the Newton step matrix")
+        direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+        # the objective test runs first where it can resolve the decrease
+        resolves = loss + 0.5 * float(g @ direction) < loss
+        modes = (False, True) if resolves else (True,)
+        for by_grad, t in ((m, 0.5 ** k) for m in modes for k in range(60)):
+            trial = theta + t * direction
+            t_loss, t_g, t_dvec = evaluate(trial)
+            if math.isfinite(t_loss) and np.all(np.isfinite(t_g)) and (
+                    float(np.linalg.norm(t_g)) < gnorm if by_grad
+                    else t_loss < loss):
+                theta, loss, g, dvec = trial, t_loss, t_g, t_dvec
+                break
+        else:
+            break  # no step makes progress: at the achievable optimum
     if float(np.linalg.norm(g)) > 1e-6:
         raise ConvergenceError(
             "adversarial retraining did not converge; gradient norm "
@@ -367,6 +359,20 @@ def _adversarial_value(model: Model, data: Dataset, u: QuantityOfInterest,
     return value
 
 
+def _ridged_cholesky(matrix: np.ndarray, what: str):
+    """Cholesky factor of matrix + reg * I and the reg used: 0 first, then
+    1e-12 * |trace| / d, growing tenfold per retry."""
+    scale = abs(float(np.trace(matrix))) / max(matrix.shape[0], 1)
+    reg = 0.0
+    for _ in range(16):
+        try:
+            return np.linalg.cholesky(matrix + reg * np.eye(matrix.shape[0])), reg
+        except np.linalg.LinAlgError:
+            reg = 1e-12 * scale if reg == 0.0 else reg * 10.0
+    raise NumericalError(f"{what} cannot be regularized into a positive "
+                         "definite matrix")
+
+
 # ---------------------------------------------------------------------------
 # out-of-distribution oracle: Mahalanobis distance in gradient space
 # ---------------------------------------------------------------------------
@@ -388,17 +394,7 @@ def mahalanobis_gradient_distance(model: Model, data: Dataset,
     cov = centered.T @ centered / data.n
     _, delta = qoi_value_and_delta(u, z)
     direction = delta.vector - mu
-    scale = float(np.trace(cov)) / max(cov.shape[0], 1)
-    reg = 0.0
-    for attempt in range(16):
-        try:
-            chol = np.linalg.cholesky(cov + reg * np.eye(cov.shape[0]))
-            break
-        except np.linalg.LinAlgError:
-            reg = 1e-12 * scale if reg == 0.0 else reg * 10.0
-    else:
-        raise NumericalError("gradient covariance cannot be regularized "
-                             "into a positive definite matrix")
+    chol, reg = _ridged_cholesky(cov, "gradient covariance")
     half = np.linalg.solve(chol, direction)
     estimate = float(half @ half)
     return OracleReport(kind="mahalanobis", estimate=estimate, spread=0.0,

@@ -665,7 +665,12 @@ def eigenvalue_delta(problem: EigenProblem, theta: np.ndarray | None = None):
 
 def _eigen_value_batch(problem: EigenProblem, thetas: np.ndarray) -> np.ndarray:
     """Selected eigenvalue at many (masses, stiffnesses) points, vectorized."""
-    n = problem.n
+    return eigen_spectra(problem.n, thetas)[:, problem.index]
+
+
+def eigen_spectra(n: int, thetas: np.ndarray) -> np.ndarray:
+    """Ascending real eigenvalues (draws, n) of n-mass chains at many
+    (masses, stiffnesses) points; column i is the index-i quantity."""
     if thetas.shape[1] != 2 * n + 1:
         raise StructuralError(
             "parameter vectors must hold n masses then n+1 stiffnesses")
@@ -679,6 +684,4 @@ def _eigen_value_batch(problem: EigenProblem, thetas: np.ndarray) -> np.ndarray:
         k[:, idx[:-1], idx[1:]] = -stiff[:, 1:-1]
         k[:, idx[1:], idx[:-1]] = -stiff[:, 1:-1]
     a = k / masses[:, :, None]
-    values = np.linalg.eigvals(a)
-    values = np.sort(values.real, axis=1)
-    return values[:, problem.index]
+    return np.sort(np.linalg.eigvals(a).real, axis=1)

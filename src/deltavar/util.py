@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -64,16 +64,3 @@ def as_float_array(x, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
-
-
-def sequential_sum(chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """Sum arrays strictly in iteration order (fixed deterministic reduction)."""
-    total = None
-    for chunk in chunks:
-        if total is None:
-            total = chunk.copy()
-        else:
-            total += chunk
-    if total is None:
-        raise ValueError("sequential_sum of no chunks")
-    return total

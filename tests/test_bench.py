@@ -1,5 +1,6 @@
 """Benchmark scenario tests: generators, runners, deterministic reports."""
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -246,6 +247,16 @@ class TestEigenScenario:
         a = run_scenario(sc)["metrics"]
         b = run_scenario(sc)["metrics"]
         assert a == b
+
+    def test_report_digest_is_pinned(self, tmp_path):
+        """The report bytes at seed 5 with the default 1e5 draws, as they
+        were when every index recomputed the spectra of the draws."""
+        run_scenario(make_scenario("eigen", seed=5), out_dir=tmp_path)
+        digest = hashlib.sha256()
+        for name in ("report.csv", "metrics.json", "provenance.json"):
+            digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == (
+            "599087c413b8137721fa81aedbf44355716a44eaa63df1a9c48d71a8fdb1f5c9")
 
     def test_sample_count_validation(self):
         with pytest.raises(ConfigError):

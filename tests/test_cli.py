@@ -51,6 +51,16 @@ class TestTrain:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_data_generator_argument_error_exits_2(self, tmp_path, capsys):
+        """A pair count that is not whole trajectories is a config problem."""
+        out = tmp_path / "never"
+        code = main(["train", "--set", "model.kind=mlp", "--set", "model.d_in=3",
+                     "--set", "model.d_out=3", "--set", "data.kind=dynamics",
+                     "--set", "data.n=105", "--out", str(out)])
+        assert code == 2
+        assert not out.exists() and not (tmp_path / "never.partial").exists()
+        assert "multiple of 10" in capsys.readouterr().err
+
     def test_unknown_config_section_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"model": {"kind": "bernoulli-rate"},
@@ -98,6 +108,38 @@ class TestDeltavarCommand:
         assert main(["deltavar", "--model", str(model_dir),
                      "--sigma", "frobnicate", "--qoi", "power10",
                      "--input", "0.9"]) == 2
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"kind": "mlp"}',
+                                  "no d_in"])
+def test_corrupt_model_json_exits_1_with_a_message(model_dir, tmp_path,
+                                                   capsys, text):
+    if text == "no d_in":
+        obj = json.loads((model_dir / "model.json").read_text())
+        del obj["hyper"]["d_in"]
+        text = json.dumps(obj)
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "model.json").write_text(text)
+    (broken / "data.npz").write_bytes((model_dir / "data.npz").read_bytes())
+    code = main(["deltavar", "--model", str(broken), "--sigma", "fisher-diag",
+                 "--qoi", "power2", "--input", "0.9"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "corrupt model" in captured.err
+
+
+def test_malformed_sigma_header_exits_1_with_a_message(model_dir, tmp_path,
+                                                       capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"{}\n")
+    code = main(["deltavar", "--model", str(model_dir), "--sigma", str(bad),
+                 "--qoi", "power2", "--input", "0.9"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "header" in captured.err
 
 
 def test_undefined_power_exits_1_with_a_message(tmp_path, capsys):

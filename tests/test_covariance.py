@@ -407,6 +407,23 @@ class TestSerialization:
         with pytest.raises(StructuralError):
             load_covariance(path)
 
+    @pytest.mark.parametrize("header", [
+        b"{}", b"[]", b'"text"',
+        b'{"kind": "fisher-diag", "layout": "diag", "dim": "2", '
+        b'"n_points": 2, "reg": 0.0, "inverted": false, "blocks": []}',
+        b'{"kind": "fisher-diag", "layout": "diag", "dim": 2, '
+        b'"n_points": 2, "reg": 0.0, "inverted": 0, "blocks": []}',
+        b'{"kind": "fisher-diag", "layout": "ring", "dim": 2, '
+        b'"n_points": 2, "reg": 0.0, "inverted": false, "blocks": []}',
+        b'{"kind": "fisher-diag", "layout": "diag", "dim": 2, '
+        b'"n_points": 2, "reg": 0.0, "inverted": false, "blocks": [7]}',
+    ])
+    def test_malformed_header_is_a_structural_error(self, tmp_path, header):
+        path = tmp_path / "sigma.bin"
+        path.write_bytes(header + b"\n" + np.ones(2).tobytes())
+        with pytest.raises(StructuralError):
+            load_covariance(path)
+
 
 class TestEstimateValidation:
     def test_rejects_bad_shapes_and_kinds(self):

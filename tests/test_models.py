@@ -8,7 +8,7 @@ from conftest import central_diff_grad, rel_err
 from deltavar import (Dataset, StructuralError, Tape, TrainConfig, TrainingError,
                       make_model, predict, train)
 from deltavar.models import (loglik, loglik_grad, loglik_grad_batch,
-                             mean_loglik_grad, read_dataset_csv, record_nll,
+                             mean_loglik_grad, read_dataset_csv,
                              record_predict, write_dataset_csv)
 
 
@@ -205,28 +205,6 @@ class TestTapeRecordings:
         outs = record_predict(model, tape, theta, x)
         np.testing.assert_allclose([o.value for o in outs], predict(model, x),
                                    rtol=1e-12, atol=1e-14)
-
-    @pytest.mark.parametrize("kind,d_in", [
-        ("bernoulli-rate", 1), ("linear-regression", 2),
-        ("logistic", 2), ("mlp", 2),
-    ])
-    def test_recorded_nll_gradient_matches_analytic(self, kind, d_in):
-        rng = np.random.default_rng(13)
-        model = make_model(kind, d_in=d_in, d_out=1, hidden=(3,), seed=6)
-        if kind == "bernoulli-rate":
-            model = model.with_params([0.7])
-        elif kind != "mlp":
-            model = model.with_params(rng.standard_normal(model.params.dim) * 0.5)
-        x = rng.uniform(-1, 1, size=d_in)
-        y = np.array([1.0]) if kind in ("bernoulli-rate", "logistic") else \
-            rng.standard_normal(1)
-        tape = Tape()
-        theta = tape.inputs(model.params.data)
-        nll = record_nll(model, tape, theta, x, y)
-        tape_grad = tape.grad(nll, theta)
-        np.testing.assert_allclose(tape_grad, -loglik_grad(model, x, y),
-                                   rtol=1e-10, atol=1e-12)
-        assert abs(nll.value - (-float(loglik(model, x[None, :], y[None, :])[0]))) < 1e-12
 
 
 class TestCsvRoundTrip:

@@ -313,6 +313,14 @@ class TestAdversarialShift:
         expected = abs(0.5 * (lo + hi) - 0.7)
         assert report.estimate == pytest.approx(expected, rel=1e-5)
 
+    def test_out_of_domain_parameters_are_refused(self):
+        data = bernoulli_dataset(n=20, k=12)
+        model = make_model("bernoulli-rate").with_params([1.5])
+        u = make_qoi("power", model, exponent=1)
+        with pytest.raises(NumericalError, match="outside its domain"):
+            adversarial_shift(model, data, u, z=[0.0], eps=1e-2,
+                              mode="offset", delta=0.1)
+
     def test_mode_and_parameter_validation(self):
         data = linear_dataset(seed=1, n=10, d=2)
         model = trained_linear(data)

@@ -1,21 +1,30 @@
-"""Property tests: vectorized quantity gradients and the quadratic form.
+"""Property tests: vectorized quantity gradients, the quadratic form, loss
+curvature, covariance files and the adversarial retraining.
 
 The scalar tape is the reference for every vectorized explicit-quantity
-gradient; numpy's dense products are the reference for the quadratic form.
-Strategies draw seeds and shapes, and numpy draws the floats from the seed.
+gradient; numpy's dense products are the reference for the quadratic form;
+central differences of the analytic gradient are the reference for the
+loss Hessian. Strategies draw seeds and shapes, and numpy draws the floats
+from the seed.
 """
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import central_diff_hessian
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from deltavar.covariance import CovarianceEstimate
+from deltavar.covariance import (KINDS, CovarianceEstimate, load_covariance,
+                                 loss_hessian, save_covariance)
 from deltavar.delta_variance import (GradientDelta, block_decompose,
                                      delta_variance)
 from deltavar.exceptions import NumericalError
-from deltavar.models import MODEL_KINDS, make_model, predict
+from deltavar.models import (MODEL_KINDS, Dataset, loglik_grad_batch,
+                             make_model, mean_loglik_grad, predict, train)
+from deltavar.oracles import _augmented_descent, adversarial_shift
 from deltavar.qoi import (make_qoi, qoi_tape_delta, qoi_value,
                           qoi_value_and_delta, value_batch_params,
                           values_and_deltas)
@@ -213,3 +222,105 @@ def test_block_decomposition_sums_to_the_form(case):
     assert all(part >= 0.0 for part in parts.values())
     assert math.isclose(sum(parts.values()), delta_variance(delta, sigma),
                         rel_tol=1e-12, abs_tol=1e-300)
+
+
+@given(psd_sigmas(), st.data())
+def test_covariance_files_round_trip_bit_exactly(case, data):
+    sigma, _ = case
+    kind = data.draw(st.sampled_from(KINDS))
+    scales = None
+    if data.draw(st.booleans()):
+        scales = {name: data.draw(st.floats(1e-3, 1e3))
+                  for name, _, _ in sigma.blocks}
+    sigma = CovarianceEstimate(
+        kind=kind, values=sigma.values,
+        n_points=data.draw(st.integers(1, 10**6)),
+        reg=data.draw(st.floats(0.0, 1e3)), inverted=data.draw(st.booleans()),
+        blocks=sigma.blocks, block_scales=scales)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sigma.bin"
+        save_covariance(path, sigma)
+        back = load_covariance(path)
+    assert back.values.tobytes() == sigma.values.tobytes()
+    assert back.values.shape == sigma.values.shape
+    for field in ("kind", "n_points", "reg", "inverted", "blocks",
+                  "block_scales"):
+        assert getattr(back, field) == getattr(sigma, field)
+
+
+# ---------------------------------------------------------------------------
+# loss curvature and the adversarial retraining
+# ---------------------------------------------------------------------------
+
+@st.composite
+def curvature_problems(draw):
+    """A model of any kind (mlp of random widths, depth and d_out) with
+    seeded parameters and a small dataset it can score."""
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    n, d_in = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    d_out = draw(st.integers(1, 3)) if kind in ("mlp", "linear-regression") \
+        else 1
+    x = rng.uniform(-1.5, 1.5, size=(n, d_in))
+    if kind == "mlp":
+        hidden = tuple(draw(st.lists(st.integers(1, 4), min_size=1,
+                                     max_size=3)))
+        model = make_model("mlp", d_in=d_in, d_out=d_out, hidden=hidden,
+                           seed=seed)
+    else:
+        model = make_model(kind, d_in=d_in, d_out=d_out)
+        model = model.with_params(
+            [rng.uniform(0.05, 0.95)] if kind == "bernoulli-rate"
+            else rng.standard_normal(model.params.dim))
+    y = (rng.standard_normal((n, d_out)) if kind in ("mlp", "linear-regression")
+         else rng.random((n, 1)) < 0.5)
+    return model, Dataset(x, y)
+
+
+@given(curvature_problems())
+def test_loss_hessian_matches_central_differences(case):
+    model, data = case
+    h = loss_hessian(model, data).values
+    assert np.array_equal(h, h.T)
+
+    def total_nll_grad(theta):
+        return -loglik_grad_batch(model.with_params(theta), data.inputs,
+                                  data.targets).sum(axis=0)
+
+    fd = central_diff_hessian(total_nll_grad, model.params.data)
+    assert np.max(np.abs(h - fd)) <= 1e-6 * max(1.0, np.max(np.abs(h)))
+
+
+@given(st.data())
+def test_adversarial_offset_retraining_reaches_grad_tol(data):
+    kind = data.draw(st.sampled_from(("logistic", "bernoulli-rate")))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    n = data.draw(st.integers(20, 80))
+    if kind == "logistic":
+        d = data.draw(st.integers(1, 3))
+        x = rng.standard_normal((n, d))
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x @ rng.standard_normal(d))))
+        # each unit vector with both labels rules out separable data
+        x = np.vstack([x, np.eye(d), np.eye(d)])
+        y = np.concatenate([y, np.ones(d), np.zeros(d)])
+        z = rng.standard_normal(d)
+    else:
+        d, k = 1, data.draw(st.integers(1, n - 1))
+        x, y, z = np.zeros((n, 1)), (np.arange(n) < k) * 1.0, np.zeros(1)
+    problem = Dataset(x, y)
+    model = train(make_model(kind, d_in=d), problem)
+    u = make_qoi("power", model, exponent=data.draw(st.sampled_from((1, 2))))
+    eps = data.draw(st.sampled_from((1e-4, 1e-3, 1e-2)))
+    offset = data.draw(st.floats(-1.0, 1.0))
+    base, _ = qoi_value_and_delta(u, z)
+    theta = _augmented_descent(model, problem, u, z, base + offset, eps)
+    bound = make_qoi("power", model.with_params(theta), **u.config)
+    value, delta = qoi_value_and_delta(bound, z)
+    grad = (-problem.n * mean_loglik_grad(bound.model, problem.inputs,
+                                          problem.targets)
+            + eps * (value - base - offset) * delta.vector)
+    assert float(np.linalg.norm(grad)) <= 1e-10
+    report = adversarial_shift(model, problem, u, z, eps=eps, mode="offset",
+                               delta=offset)
+    assert report.estimate == abs(value - base)
