@@ -22,7 +22,6 @@ from .qoi import (QuantityOfInterest, _as_input_matrix, _rollout_head,
 
 ENSEMBLE_MODES = ("init-only", "bootstrap-resample")
 DEFAULT_MEMBERS = 10
-DROPOUT_RATE_GRID = tuple(np.geomspace(5e-3, 0.8, 14))
 
 
 @dataclass(frozen=True)
@@ -121,10 +120,6 @@ def ensemble_variance_batch(ens: EnsembleState, u: QuantityOfInterest,
     return np.var(values, axis=0, ddof=1)
 
 
-def ensemble_variance(ens: EnsembleState, u: QuantityOfInterest, z) -> float:
-    return float(ensemble_variance_batch(ens, u, z)[0])
-
-
 def _dropout_passes(model: Model, u: QuantityOfInterest, zs: np.ndarray,
                     k: int, rate: float,
                     rng: np.random.Generator) -> np.ndarray:
@@ -172,12 +167,6 @@ def dropout_variance_batch(model: Model, u: QuantityOfInterest, zs,
     rng = np.random.default_rng(seed)
     values = _dropout_passes(model, u, zs, k, rate, rng)
     return np.var(values, axis=0, ddof=1)
-
-
-def dropout_variance(model: Model, u: QuantityOfInterest, z,
-                     k: int = DEFAULT_MEMBERS, rate: float = 0.1,
-                     seed: int = 0) -> float:
-    return float(dropout_variance_batch(model, u, z, k, rate, seed)[0])
 
 
 # ---------------------------------------------------------------------------

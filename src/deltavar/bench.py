@@ -24,10 +24,9 @@ from . import __version__
 from .baselines import (cost_accounting, dropout_variance_batch,
                         ensemble_variance_batch, train_ensemble)
 from .covariance import CovarianceEstimate, canonical_sigma, empirical_fisher
-from .delta_variance import (GradientDelta, block_decompose, delta_variance,
-                             finetune_scales)
-from .evaluation import (LaplaceCalibration, error_correlation,
-                         fit_laplace_calibration, improvement, retention_auc,
+from .delta_variance import delta_variance, finetune_scales
+from .evaluation import (error_correlation, fit_laplace_calibration,
+                         improvement, laplace_logp, retention_auc,
                          standard_error)
 from .exceptions import ConfigError, StructuralError
 from .models import Dataset, Model, TrainConfig, make_model, train
@@ -370,14 +369,6 @@ def true_functional(u, zs: np.ndarray) -> np.ndarray:
     return window_vals[best, np.arange(window_vals.shape[1])]
 
 
-def _laplace_logp_points(abs_err: np.ndarray, nu: np.ndarray,
-                         calib: LaplaceCalibration) -> np.ndarray:
-    """Per-point Laplace log density; mean equals laplace_loglik."""
-    v = calib.alpha + calib.beta * nu
-    b = np.sqrt(v / 2.0)
-    return -np.log(2.0 * b) - abs_err / b
-
-
 def _jackknife_se(metric, errors: np.ndarray, variances: np.ndarray) -> float:
     """Leave-one-point-out standard error of a (errors, variances) metric."""
     n = errors.size
@@ -404,21 +395,21 @@ def _select_regularizer(fisher_diag: np.ndarray, n_train: int,
     """Pick the ridge term by total validation log-likelihood.
 
     For each grid point the diagonal posterior surrogate is
-    1 / ((fisher + reg) * N); a quick calibration is fit per quantity and the
-    summed validation score decides. Ties keep the smallest ridge.
+    1 / ((fisher + reg) * N); a calibration is fit per quantity (at most
+    `steps` iterations) and the summed validation score decides. Ties keep
+    the smallest ridge. Returns the chosen ridge and the score curve, one
+    [reg, score] pair per grid point.
     """
-    best_reg, best_score = None, -math.inf
+    curve = []
     for reg in REG_GRID:
         sigma_diag = 1.0 / ((fisher_diag + reg) * n_train)
         total = 0.0
         for deltas, y, mu in zip(val_deltas, val_targets, val_values):
             nu = np.einsum("bi,i,bi->b", deltas, sigma_diag, deltas)
             calib = fit_laplace_calibration(y, mu, nu, steps=steps)
-            err = np.abs(y - mu)
-            total += float(np.mean(_laplace_logp_points(err, nu, calib)))
-        if total > best_score:
-            best_reg, best_score = reg, total
-    return best_reg, best_score
+            total += float(np.mean(laplace_logp(np.abs(y - mu), nu, calib)))
+        curve.append([reg, total])
+    return max(curve, key=lambda pair: pair[1])[0], curve
 
 
 @dataclass(frozen=True)
@@ -434,6 +425,7 @@ class _DynamicsHead:
     y_eval: list
     sigma: CovarianceEstimate
     reg: float
+    reg_curve: list
     ensemble_seed: int
     dropout_seed: int
 
@@ -462,14 +454,15 @@ def _dynamics_head(scenario: Scenario) -> _DynamicsHead:
     y_eval = [true_functional(u, z_eval) for u in qois]
 
     fisher = empirical_fisher(model, splits.train, mode="diag")
-    reg, _ = _select_regularizer(
+    reg, reg_curve = _select_regularizer(
         fisher.values, splits.train.n,
         [s[1] for s in sides], y_val, [s[0] for s in sides],
         steps=int(p["selection_steps"]))
     sigma = canonical_sigma(model, splits.train, mode="diag", reg=reg)
     return _DynamicsHead(splits=splits, model=model, train_cfg=cfg,
                          qois=qois, sides=sides, y_val=y_val, y_eval=y_eval,
-                         sigma=sigma, reg=reg, ensemble_seed=ens_seed,
+                         sigma=sigma, reg=reg, reg_curve=reg_curve,
+                         ensemble_seed=ens_seed,
                          dropout_seed=drop_seed)
 
 
@@ -483,22 +476,25 @@ def finetune_report(scenario: Scenario) -> dict:
     if scenario.kind != "dynamics":
         raise ConfigError("finetune reports exist for the dynamics scenario")
     head = _dynamics_head(scenario)
-    sigma = head.sigma
-    out = {}
-    for qi, u in enumerate(head.qois):
-        v_val, d_val = head.sides[qi][0], head.sides[qi][1]
-        err_val = np.abs(head.y_val[qi] - v_val)
-        contrib = _block_contributions(d_val, sigma.values, sigma.blocks)
-        cached = [dict(zip([b[0] for b in sigma.blocks], row))
-                  for row in contrib]
-        scales = finetune_scales(cached, err_val, objective="loglik")
-        out[u.qoi_id] = {
-            "scales": scales.as_dict(),
-            "objective_value": scales.objective_value,
-            "objective_at_init": scales.objective_at_init,
-            "sigma_reg": head.reg,
-        }
-    return out
+    return {u.qoi_id: {**_finetune(head, qi)[2], "sigma_reg": head.reg}
+            for qi, u in enumerate(head.qois)}
+
+
+def _finetune(head: _DynamicsHead, qi: int):
+    """Log-likelihood block scales of quantity qi on the validation split:
+    the per-block contributions, the scales and their report entry."""
+    v_val, d_val = head.sides[qi][0], head.sides[qi][1]
+    blocks = head.sigma.blocks
+    contrib = _block_contributions(d_val, head.sigma.values, blocks)
+    cached = [dict(zip([b[0] for b in blocks], row)) for row in contrib]
+    scales = finetune_scales(cached, np.abs(head.y_val[qi] - v_val))
+    return contrib, scales, {
+        "scales": scales.as_dict(),
+        "objective_value": scales.objective_value,
+        "objective_at_init": scales.objective_at_init,
+        "steps_taken": scales.steps_taken,
+        "converged": scales.converged,
+    }
 
 
 def _run_dynamics(scenario: Scenario):
@@ -524,16 +520,13 @@ def _run_dynamics(scenario: Scenario):
     def per_qoi(qi: int):
         u = qois[qi]
         v_val, d_val, v_eval, d_eval = sides[qi]
-        err_val = np.abs(y_val[qi] - v_val)
         err_eval = np.abs(y_eval[qi] - v_eval)
         variances = {}
         variances["delta"] = (
             np.einsum("bi,i,bi->b", d_val, sigma.values, d_val),
             np.einsum("bi,i,bi->b", d_eval, sigma.values, d_eval))
-        contrib_val = _block_contributions(d_val, sigma.values, blocks)
+        contrib_val, scales, finetune_info = _finetune(head, qi)
         contrib_eval = _block_contributions(d_eval, sigma.values, blocks)
-        cached = [dict(zip([b[0] for b in blocks], row)) for row in contrib_val]
-        scales = finetune_scales(cached, err_val, objective="loglik")
         scale_vec = np.array([scales.as_dict()[b[0]] for b in blocks])
         variances["delta-finetuned"] = (contrib_val @ scale_vec,
                                         contrib_eval @ scale_vec)
@@ -551,11 +544,14 @@ def _run_dynamics(scenario: Scenario):
 
         scores = {}
         logp = {}
+        calibration = {}
         for method in methods:
             nu_val, nu_eval = variances[method]
             calib = fit_laplace_calibration(y_val[qi], v_val, nu_val,
                                             steps=calib_steps)
-            pts = _laplace_logp_points(err_eval, nu_eval, calib)
+            calibration[method] = {"iterations": calib.iterations,
+                                   "cap_hit": not calib.converged}
+            pts = laplace_logp(err_eval, nu_eval, calib)
             logp[method] = pts
             scores[method] = {
                 "auc": retention_auc(err_eval, nu_eval),
@@ -576,22 +572,19 @@ def _run_dynamics(scenario: Scenario):
             s["improvement_loglik"] = improvement(s["loglik"], ref["loglik"])
             s["loglik_gap_se"] = (0.0 if method == "ensemble"
                                   else standard_error(diff))
-        finetune_info = {
-            "objective_value": scales.objective_value,
-            "objective_at_init": scales.objective_at_init,
-            "scales": scales.as_dict(),
-        }
-        return variances, err_eval, scores, finetune_info
+        return variances, err_eval, scores, finetune_info, calibration
 
     results = ordered_parallel_map(per_qoi, range(n_qois))
 
     rows = []
     per_qoi_metrics = {}
     finetune_metrics = {}
+    calibration_metrics = {}
     for qi, u in enumerate(qois):
-        variances, err_eval, scores, finetune_info = results[qi]
+        variances, err_eval, scores, finetune_info, calibration = results[qi]
         per_qoi_metrics[u.qoi_id] = scores
         finetune_metrics[u.qoi_id] = finetune_info
+        calibration_metrics[u.qoi_id] = calibration
         for method in methods:
             nu_eval = variances[method][1]
             s_kind = sigma.kind if method.startswith("delta") else ""
@@ -620,7 +613,10 @@ def _run_dynamics(scenario: Scenario):
         aggregate[method] = entry
 
     metrics = {"per_qoi": per_qoi_metrics, "aggregate": aggregate,
-               "finetune": finetune_metrics}
+               "finetune": finetune_metrics,
+               "calibration": calibration_metrics,
+               "regularizer": {"selected": reg,
+                               "score_curve": head.reg_curve}}
     extra = {"sigma_kind": sigma.kind, "sigma_reg": reg,
              "train_diagnostics": {k: float(v) if isinstance(v, float)
                                    else v

@@ -32,6 +32,7 @@ from .covariance import (canonical_sigma, laplace_sigma, load_covariance,
                          sandwich, save_covariance)
 from .autodiff import ParameterVector
 from .delta_variance import GradientDelta, delta_variance
+from .evaluation import retention_curve
 from .exceptions import ConfigError, DeltaVarError, StructuralError
 from .models import Dataset, Model, TrainConfig, make_model, train
 from .oracles import (adversarial_shift, eps_loo_variance,
@@ -495,11 +496,8 @@ def emit_plotdata(report_dir) -> list:
         rows = []
         for qoi_id, method in sorted(groups):
             pairs = groups[(qoi_id, method)]
-            variances = np.array([pair[0] for pair in pairs])
-            errors = np.array([pair[1] for pair in pairs])
-            order = np.argsort(-variances, kind="stable")
-            tail_means = np.cumsum(errors[order][::-1])[::-1] \
-                / np.arange(len(pairs), 0, -1)
+            tail_means = retention_curve([pair[1] for pair in pairs],
+                                         [pair[0] for pair in pairs])
             for i in range(len(pairs)):
                 rows.append((qoi_id, method, i / len(pairs),
                              float(tail_means[i])))

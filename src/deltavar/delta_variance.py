@@ -10,13 +10,13 @@ without touching the model again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .covariance import CovarianceEstimate
-from .evaluation import LaplaceCalibration, error_correlation, laplace_loglik
+from .evaluation import fit_log_weights, laplace_scale_nll
 from .exceptions import NumericalError, StructuralError
 from .util import as_float_array
 
@@ -108,7 +108,11 @@ def block_decompose(delta: GradientDelta,
 
 @dataclass(frozen=True)
 class BlockScales:
-    """Positive per-block factors, stored as exponentials of free parameters."""
+    """Positive per-block factors, stored as exponentials of free parameters.
+
+    `steps_taken` counts the solver's iterations and `converged` says
+    whether it stopped before its iteration cap.
+    """
 
     names: tuple
     log_scales: np.ndarray
@@ -116,6 +120,7 @@ class BlockScales:
     objective_value: float = math.nan
     objective_at_init: float = math.nan
     steps_taken: int = 0
+    converged: bool = True
 
     def __post_init__(self):
         ls = as_float_array(self.log_scales)
@@ -131,9 +136,9 @@ class BlockScales:
 
 @dataclass(frozen=True)
 class FinetuneConfig:
+    """Iteration cap of the block scale fit."""
+
     steps: int = 500
-    step_size: float = 1e-2
-    fd_step: float = 1e-5
 
 
 def _stack_cached(cached: Sequence[Mapping[str, float]]):
@@ -157,10 +162,11 @@ def finetune_scales(cached: Sequence[Mapping[str, float]], targets,
 
     `cached` holds one block_decompose mapping per validation point and
     `targets` the matching prediction errors. The objective is either the
-    Laplace log-likelihood (with its aleatoric constant fit jointly) or the
-    error correlation. Optimization is hill climbing along finite-difference
-    gradients in log space; a step is kept only if it improves the objective,
-    so the result is never worse than the all-ones initialization.
+    Laplace log-likelihood (with its aleatoric constant fit jointly, on the
+    exact Hessian) or the error correlation (analytic gradient, identity
+    step matrix). Both run the accept-only damped Newton solver in log
+    space for at most cfg.steps iterations, so the result is never worse
+    than the all-ones initialization (with alpha fit alone for loglik).
     """
     cfg = cfg or FinetuneConfig()
     if objective not in ("loglik", "correlation"):
@@ -176,71 +182,43 @@ def finetune_scales(cached: Sequence[Mapping[str, float]], targets,
             "scales; the fit is under-determined")
 
     abs_err = np.abs(errors)
-    zeros = np.zeros_like(abs_err)
-
     if objective == "loglik":
-        # free parameters: per-block log scales, then log alpha
-        def score(params):
-            nu = matrix @ np.exp(params[:-1])
-            calib = LaplaceCalibration(alpha=math.exp(params[-1]), beta=1.0)
-            try:
-                return laplace_loglik(abs_err, zeros, nu, calib)
-            except NumericalError:
-                return -math.inf
-
-        alpha0 = max(2.0 * float(abs_err.mean()) ** 2, 1e-12)
-        params = np.concatenate([np.zeros(n_blocks), [math.log(alpha0)]])
-        # settle alpha alone before touching the scales
-        params = _hill_climb(lambda p: score(p), params, cfg,
-                             frozen=np.arange(n_blocks))[0]
+        # the joint fit (log scales, then log alpha) starts from the
+        # homoscedastic alpha, not the settled one: an alpha settled near
+        # zero has a vanishing log-space gradient and would stay there
+        log_alpha0 = [math.log(max(2.0 * float(abs_err.mean()) ** 2, 1e-12))]
+        unit_nu, ones = matrix.sum(axis=1), np.ones((n_points, 1))
+        settled, _ = fit_log_weights(
+            lambda x: laplace_scale_nll(abs_err, ones, x, unit_nu),
+            log_alpha0, cfg.steps)
+        columns = np.hstack([matrix, ones])
+        zeros = np.zeros(n_blocks)
+        fit, start = fit_log_weights(
+            lambda x: laplace_scale_nll(abs_err, columns, x),
+            np.concatenate([zeros, log_alpha0]), cfg.steps,
+            baseline=np.concatenate([zeros, settled.x]))
     else:
-        def score(params):
-            nu = matrix @ np.exp(params)
-            try:
-                return error_correlation(abs_err, np.sqrt(nu))
-            except NumericalError:
-                return -math.inf
-
-        params = np.zeros(n_blocks)
-
-    value_at_init = score(params)
-    params, value, steps = _hill_climb(score, params, cfg)
-    log_scales = params[:n_blocks] if objective == "loglik" else params
-    return BlockScales(names=names, log_scales=log_scales, objective=objective,
-                       objective_value=value, objective_at_init=value_at_init,
-                       steps_taken=steps)
+        fit, start = fit_log_weights(
+            lambda x: _neg_correlation(abs_err, matrix, x),
+            np.zeros(n_blocks), cfg.steps)
+    return BlockScales(names=names, log_scales=fit.x[:n_blocks],
+                       objective=objective, objective_value=-fit.value,
+                       objective_at_init=-start, steps_taken=fit.iterations,
+                       converged=fit.converged)
 
 
-def _hill_climb(score, params, cfg: FinetuneConfig, frozen=()):
-    """Accept-only ascent along central-difference gradients in log space."""
-    frozen = np.asarray(frozen, dtype=int)
-    best = score(params)
-    lr = cfg.step_size
-    taken = 0
-    for _ in range(cfg.steps):
-        grad = np.zeros_like(params)
-        for i in range(params.size):
-            if i in frozen:
-                continue
-            bumped = params.copy()
-            bumped[i] += cfg.fd_step
-            hi = score(bumped)
-            bumped[i] -= 2.0 * cfg.fd_step
-            lo = score(bumped)
-            grad[i] = (hi - lo) / (2.0 * cfg.fd_step)
-        if not np.all(np.isfinite(grad)):
-            break
-        norm = float(np.linalg.norm(grad))
-        if norm == 0.0:
-            break
-        cand = params + lr * grad / max(norm, 1.0)
-        value = score(cand)
-        taken += 1
-        if math.isfinite(value) and value > best:
-            params, best = cand, value
-            lr = min(lr * 1.5, 1.0)
-        else:
-            lr *= 0.5
-            if lr < 1e-12:
-                break
-    return params, best, taken
+def _neg_correlation(abs_err: np.ndarray, matrix: np.ndarray,
+                     log_scales: np.ndarray):
+    """Minus the error_correlation of sqrt(matrix @ exp(log_scales)), its
+    gradient and an identity step matrix; +inf where undefined."""
+    parts = matrix * np.exp(log_scales)
+    sd = np.sqrt(parts.sum(axis=1))
+    ec, sc = abs_err - abs_err.mean(), sd - sd.mean()
+    denom = math.sqrt(float(ec @ ec) * float(sc @ sc))
+    if denom == 0.0:
+        return math.inf, None, None
+    corr = float(ec @ sc) / denom
+    d_sd = ec / denom - corr * sc / float(sc @ sc)
+    # d sd_i / d log s_k = parts_ik / (2 sd_i); rows with sd_i = 0 never move
+    d_rows = d_sd / (2.0 * np.where(sd > 0.0, sd, np.inf))
+    return -corr, -(d_rows @ parts), np.eye(log_scales.size)

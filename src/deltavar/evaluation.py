@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, StructuralError
-from .util import as_float_array
+from .util import as_float_array, damped_newton
 
 
 @dataclass(frozen=True)
@@ -18,11 +18,13 @@ class LaplaceCalibration:
 
     alpha absorbs input-independent (aleatoric) error, beta scales the
     predicted epistemic variance. Fit on a validation split, never on the
-    split being scored.
+    split being scored. `iterations` and `converged` describe the fit.
     """
 
     alpha: float
     beta: float
+    iterations: int = 0
+    converged: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
@@ -31,29 +33,31 @@ class LaplaceCalibration:
             raise StructuralError("beta must be finite and nonnegative")
 
 
-def retention_auc(errors, variances) -> float:
-    """Area under the mean-error curve as high-variance points are removed.
-
-    Points leave in decreasing-variance order (ties broken by index). The
-    curve starts at the full mean error with nothing removed and is integrated
-    by the trapezoidal rule over the removed fraction k/N for k = 0..N-1.
-    Lower is better when the variances rank the errors well.
-    """
+def retention_curve(errors, variances) -> np.ndarray:
+    """Mean error of the points left after removing the k highest-variance
+    points (ties broken by index), for k = 0..N-1."""
     e = as_float_array(errors)
     v = as_float_array(variances)
     if e.shape != v.shape or e.ndim != 1:
         raise StructuralError("errors and variances must be equal-length vectors")
-    n = e.size
-    if n < 2:
+    if e.size < 2:
         raise StructuralError("retention curve needs at least two points")
     order = np.argsort(-v, kind="stable")
-    removed_first = e[order]
-    suffix_sums = np.cumsum(removed_first[::-1])[::-1]
-    counts = np.arange(n, 0, -1, dtype=np.float64)
-    means = suffix_sums / counts
+    suffix_sums = np.cumsum(e[order][::-1])[::-1]
+    return suffix_sums / np.arange(e.size, 0, -1, dtype=np.float64)
+
+
+def retention_auc(errors, variances) -> float:
+    """Area under the retention curve as high-variance points are removed.
+
+    The curve starts at the full mean error with nothing removed and is
+    integrated by the trapezoidal rule over the removed fraction k/N for
+    k = 0..N-1. Lower is better when the variances rank the errors well.
+    """
+    means = retention_curve(errors, variances)
     # uniform spacing 1/n over fractions removed 0 .. (n-1)/n
     inner = float(np.sum(means[1:-1]))
-    return (inner + 0.5 * (means[0] + means[-1])) / n
+    return (inner + 0.5 * (means[0] + means[-1])) / means.size
 
 
 def error_correlation(errors, stddevs) -> float:
@@ -70,6 +74,15 @@ def error_correlation(errors, stddevs) -> float:
     return float(ec @ sc) / denom
 
 
+def laplace_logp(abs_err, nu, calib: LaplaceCalibration) -> np.ndarray:
+    """Per-point log densities of laplace_loglik, from |y - mu|."""
+    two_b_sq = calib.alpha + calib.beta * nu
+    if np.any(two_b_sq <= 0.0):
+        raise NumericalError("alpha + beta*nu must be positive everywhere")
+    b = np.sqrt(two_b_sq / 2.0)
+    return -np.log(2.0 * b) - abs_err / b
+
+
 def laplace_loglik(y, mu, nu, calib: LaplaceCalibration) -> float:
     """Mean log density of y under Laplace(mu, b) with 2b^2 = alpha + beta*nu."""
     yv = as_float_array(y)
@@ -77,33 +90,52 @@ def laplace_loglik(y, mu, nu, calib: LaplaceCalibration) -> float:
     nv = as_float_array(nu)
     if not (yv.shape == mv.shape == nv.shape):
         raise StructuralError("y, mu and nu must share a shape")
-    two_b_sq = calib.alpha + calib.beta * nv
-    if np.any(two_b_sq <= 0.0):
-        raise NumericalError("alpha + beta*nu must be positive everywhere")
-    b = np.sqrt(two_b_sq / 2.0)
-    return float(np.mean(-np.log(2.0 * b) - np.abs(yv - mv) / b))
+    return float(np.mean(laplace_logp(np.abs(yv - mv), nv, calib)))
 
 
-def _loglik_and_grads(abs_err, nu, alpha, beta):
-    """Value plus d/dalpha and d/dbeta of the mean Laplace log density."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = alpha + beta * nu
-        b = np.sqrt(v / 2.0)
-        value = float(np.mean(-np.log(2.0 * b) - abs_err / b))
-        dv = -0.5 / v + abs_err / (math.sqrt(2.0) * v ** 1.5)
-        grads = float(np.mean(dv)), float(np.mean(dv * nu))
-    return value, grads[0], grads[1]
+def laplace_scale_nll(abs_err: np.ndarray, columns: np.ndarray,
+                      log_weights: np.ndarray, offset=0.0):
+    """Mean Laplace negative log density with 2b^2 = offset + columns @ w,
+    w = exp(log_weights): value, gradient and exact Hessian in log_weights
+    (value +inf where undefined). The calibration uses columns [1, nu], the
+    block scale fit [per-block variances, 1]."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        parts = columns * np.exp(log_weights)          # (n, k): dv / dlog w
+        v = offset + parts.sum(axis=1)
+        # per point: 0.5 log(2v) + 2q with q = |err| / (2b) = |err| / sqrt(2v)
+        inv_v = 1.0 / v
+        q = abs_err * np.sqrt(0.5 * inv_v)
+        value = float(np.mean(0.5 * np.log(2.0 * v) + 2.0 * q))
+        if not math.isfinite(value):
+            return math.inf, None, None
+        grad = (inv_v * (0.5 - q)) @ parts / v.size     # d value_i / dv_i
+        d2 = inv_v * inv_v * (1.5 * q - 0.5) / v.size
+        hess = parts.T @ (d2[:, None] * parts) + np.diag(grad)
+    return value, grad, hess
 
 
-def fit_laplace_calibration(y, mu, nu, fit_beta: bool = True, beta0=None,
-                            alpha0=None, steps: int = 2000,
-                            step_size: float = 1e-2) -> LaplaceCalibration:
-    """Fit (alpha, beta) by log-space gradient ascent with accept-only steps.
+def fit_log_weights(evaluate, x0, max_iter: int, baseline=None):
+    """damped_newton from x0 with a 1e-10 relative-decrease stop; returns
+    the result and the value at the baseline (default x0), which replaces
+    a result that scores worse."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    base = x0 if baseline is None else np.asarray(baseline, dtype=np.float64)
+    start = evaluate(base)[0]
+    result = damped_newton(evaluate, x0, max_iter, rel_tol=1e-10)
+    if not result.value <= start:
+        result = result._replace(x=base, value=start)
+    return result, start
+
+
+def fit_laplace_calibration(y, mu, nu, fit_beta: bool = True, alpha0=None,
+                            steps: int = 2000) -> LaplaceCalibration:
+    """Fit (alpha, beta) by damped Newton in log space (at most `steps`
+    iterations) on the exact Hessian of the mean Laplace log density.
 
     Starts from the homoscedastic scale estimate for alpha (unless alpha0
-    overrides it) and, when beta is fitted, a tiny positive beta. The returned
-    calibration never scores worse than its own starting point on the data it
-    was fit to.
+    overrides it) and, when beta is fitted, a tiny positive beta (else
+    beta = 0). The returned calibration never scores worse than its own
+    starting point on the data it was fit to.
     """
     yv = as_float_array(y)
     abs_err = np.abs(yv - as_float_array(mu))
@@ -113,50 +145,21 @@ def fit_laplace_calibration(y, mu, nu, fit_beta: bool = True, beta0=None,
     if np.any(nv < 0.0):
         raise StructuralError("variances must be nonnegative")
 
-    mean_abs = float(abs_err.mean())
-    alpha = max(2.0 * mean_abs ** 2, 1e-12)
+    alpha = max(2.0 * float(abs_err.mean()) ** 2, 1e-12)
     if alpha0 is not None:
         if alpha0 <= 0.0:
             raise StructuralError("alpha0 must be positive")
         alpha = float(alpha0)
-    if beta0 is not None:
-        beta = float(beta0)
-        if beta < 0.0:
-            raise StructuralError("beta0 must be nonnegative")
-    elif fit_beta:
-        nu_scale = float(nv.mean()) + 1e-30
-        beta = 1e-6 * alpha / nu_scale
-    else:
-        beta = 0.0
-
-    free_beta = fit_beta and beta > 0.0
-    log_a = math.log(alpha)
-    log_b = math.log(beta) if beta > 0.0 else None
-    best, ga, gb = _loglik_and_grads(
-        abs_err, nv, math.exp(log_a), math.exp(log_b) if log_b is not None else beta)
-    lr = step_size
-    for _ in range(steps):
-        cur_b = math.exp(log_b) if log_b is not None else beta
-        step_a = lr * ga * math.exp(log_a)
-        step_b = lr * gb * cur_b if free_beta else 0.0
-        cand_a = log_a + step_a
-        cand_b = (log_b + step_b) if log_b is not None else None
-        try:
-            value, cga, cgb = _loglik_and_grads(
-                abs_err, nv, math.exp(cand_a),
-                math.exp(cand_b) if cand_b is not None else beta)
-        except (OverflowError, FloatingPointError):
-            value = -math.inf
-        if math.isfinite(value) and value > best:
-            log_a, log_b = cand_a, cand_b
-            best, ga, gb = value, cga, cgb
-            lr = min(lr * 1.5, 1.0)
-        else:
-            lr *= 0.5
-            if lr < 1e-14:
-                break
-    return LaplaceCalibration(alpha=math.exp(log_a),
-                              beta=math.exp(log_b) if log_b is not None else beta)
+    columns, x0 = np.ones((nv.size, 1)), [math.log(alpha)]
+    if fit_beta:
+        columns = np.column_stack([columns, nv])
+        x0.append(math.log(1e-6 * alpha / (float(nv.mean()) + 1e-30)))
+    fit, _ = fit_log_weights(lambda x: laplace_scale_nll(abs_err, columns, x),
+                             x0, steps)
+    return LaplaceCalibration(alpha=math.exp(fit.x[0]),
+                              beta=math.exp(fit.x[1]) if fit_beta else 0.0,
+                              iterations=fit.iterations,
+                              converged=fit.converged)
 
 
 def improvement(score: float, reference_score: float,

@@ -15,7 +15,6 @@ agree.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -76,29 +75,6 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(self.inputs[idx], self.targets[idx])
-
-
-def read_dataset_csv(path) -> Dataset:
-    """Read a dataset from CSV with header columns x0..x{k},y0..y{m}."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-    y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
-    if not x_cols or not y_cols:
-        raise StructuralError(f"CSV header must name x*/y* columns, got {header}")
-    data = np.array([[float(cell) for cell in row] for row in rows], dtype=np.float64)
-    return Dataset(data[:, x_cols], data[:, y_cols])
-
-
-def write_dataset_csv(path, data: Dataset) -> None:
-    header = [f"x{i}" for i in range(data.d_in)] + [f"y{i}" for i in range(data.d_out)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for xi, yi in zip(data.inputs, data.targets):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(v)) for v in yi])
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +183,9 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
 
 
 def predict(model: Model, x, rng: np.random.Generator | None = None,
-            dropout_rate: float | None = None) -> np.ndarray:
-    """Model outputs for x of shape (d_in,) or (n, d_in).
+            dropout_rate: float | None = None, theta=None) -> np.ndarray:
+    """Model outputs for x of shape (d_in,) or (n, d_in); a raw parameter
+    vector theta, if given, stands in for the model's (unvalidated).
 
     If rng is given and the effective dropout rate is positive, hidden
     activations of the mlp are masked with fresh inverted-dropout samples
@@ -219,17 +196,18 @@ def predict(model: Model, x, rng: np.random.Generator | None = None,
     xb = x[None, :] if single else x
     if xb.shape[1] != model.d_in:
         raise StructuralError(f"input has {xb.shape[1]} features, expected {model.d_in}")
+    theta = model.params.data if theta is None else theta
     if model.kind == "bernoulli-rate":
-        out = np.full((xb.shape[0], 1), model.params.data[0])
+        out = np.full((xb.shape[0], 1), theta[0])
     elif model.kind == "linear-regression":
-        w = model.params.data.reshape(model.d_in, model.d_out)
+        w = theta.reshape(model.d_in, model.d_out)
         out = xb @ w
     elif model.kind == "logistic":
-        out = _sigmoid(xb @ model.params.data)[:, None]
+        out = _sigmoid(xb @ theta)[:, None]
     else:
         rate = model.hyper.get("dropout_rate", 0.0) if dropout_rate is None else dropout_rate
         h = xb
-        layers = _mlp_layers(model)
+        layers = _mlp_layers(model, theta)
         for w, b in layers[:-1]:
             h = np.tanh(h @ w + b)
             if rng is not None and rate > 0.0:
@@ -244,27 +222,28 @@ def predict(model: Model, x, rng: np.random.Generator | None = None,
 # log-likelihoods and their gradients (closed-form / batched numpy)
 # ---------------------------------------------------------------------------
 
-def loglik(model: Model, x, y) -> np.ndarray:
+def loglik(model: Model, x, y, theta=None) -> np.ndarray:
     """Per-example log-likelihoods log f_theta(x, y); shape (n,)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
+    theta = model.params.data if theta is None else theta
     if model.kind == "bernoulli-rate":
-        t = model.params.data[0]
+        t = theta[0]
         return (y[:, 0] * math.log(t) + (1.0 - y[:, 0]) * math.log(1.0 - t))
     if model.kind == "logistic":
-        s = x @ model.params.data
+        s = x @ theta
         # log sigma(s) = -log(1+e^-s), computed stably via logaddexp
         return -(np.logaddexp(0.0, -s) * y[:, 0] + np.logaddexp(0.0, s) * (1.0 - y[:, 0]))
-    pred = predict(model, x)
+    pred = predict(model, x, theta=theta)
     resid = y - pred
     return -0.5 * np.einsum("nj,nj->n", resid, resid) - model.d_out * _HALF_LOG_2PI
 
 
-def _mlp_forward_cache(model: Model, xb: np.ndarray):
+def _mlp_forward_cache(model: Model, xb: np.ndarray, theta=None):
     """Forward pass keeping per-layer inputs; no dropout (training path)."""
-    layers = _mlp_layers(model)
+    layers = _mlp_layers(model, theta)
     h_ins = [xb]
     h = xb
     for w, b in layers[:-1]:
@@ -356,30 +335,32 @@ def loglik_grad(model: Model, x, y) -> np.ndarray:
     return loglik_grad_batch(model, x[None, :], y[None, :])[0]
 
 
-def loglik_grad_batch(model: Model, X, Y) -> np.ndarray:
+def loglik_grad_batch(model: Model, X, Y, theta=None) -> np.ndarray:
     """Per-example log-likelihood gradients, shape (n, d)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
     n = X.shape[0]
+    theta = model.params.data if theta is None else theta
     if model.kind == "bernoulli-rate":
-        t = model.params.data[0]
+        t = theta[0]
         return (Y[:, 0] / t - (1.0 - Y[:, 0]) / (1.0 - t))[:, None]
     if model.kind == "linear-regression":
-        w = model.params.data.reshape(model.d_in, model.d_out)
+        w = theta.reshape(model.d_in, model.d_out)
         resid = Y - X @ w
         return np.einsum("ni,nj->nij", X, resid).reshape(n, -1)
     if model.kind == "logistic":
-        p = _sigmoid(X @ model.params.data)
+        p = _sigmoid(X @ theta)
         return (Y[:, 0] - p)[:, None] * X
-    out, h_ins, layers = _mlp_forward_cache(model, X)
+    out, h_ins, layers = _mlp_forward_cache(model, X, theta)
     gout = Y - out  # d loglik / d out for the unit-variance Gaussian
     gparams, _ = mlp_vjp(model, h_ins, layers, gout, per_example=True)
     return gparams
 
 
-def mean_loglik_grad(model: Model, X, Y, weights: np.ndarray | None = None) -> np.ndarray:
+def mean_loglik_grad(model: Model, X, Y, weights: np.ndarray | None = None,
+                     theta=None) -> np.ndarray:
     """Weighted mean of per-example log-likelihood gradients (fast path)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.asarray(Y, dtype=np.float64)
@@ -391,11 +372,11 @@ def mean_loglik_grad(model: Model, X, Y, weights: np.ndarray | None = None) -> n
     if wsum <= 0.0:
         raise StructuralError("example weights sum to zero")
     if model.kind == "mlp":
-        out, h_ins, layers = _mlp_forward_cache(model, X)
+        out, h_ins, layers = _mlp_forward_cache(model, X, theta)
         gout = (Y - out) * weights[:, None]
         gparams, _ = mlp_vjp(model, h_ins, layers, gout, per_example=False)
         return gparams / wsum
-    grads = loglik_grad_batch(model, X, Y)
+    grads = loglik_grad_batch(model, X, Y, theta)
     return np.einsum("n,nd->d", weights, grads) / wsum
 
 
@@ -532,9 +513,8 @@ def _objective(model: Model, data: Dataset, weights: np.ndarray, wsum: float,
         return math.inf
     if not np.all(np.isfinite(theta)):
         return math.inf
-    m = model.with_params(theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        ll = loglik(m, data.inputs, data.targets)
+        ll = loglik(model, data.inputs, data.targets, theta)
         value = float(-np.einsum("n,n->", weights, ll) / wsum)
     return value if math.isfinite(value) else math.inf
 
@@ -553,8 +533,8 @@ def _full_batch_gd(model: Model, data: Dataset, weights: np.ndarray,
 
     def grad_at(th: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return -mean_loglik_grad(model.with_params(th), data.inputs,
-                                     data.targets, weights)
+            return -mean_loglik_grad(model, data.inputs, data.targets,
+                                     weights, theta=th)
 
     lr = lr0
     grad_norm = math.inf
@@ -655,8 +635,8 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
             w_batch = weights[idx]
             if float(w_batch.sum()) > 0.0:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    g = -mean_loglik_grad(model.with_params(theta), X[idx],
-                                          Y[idx], w_batch)
+                    g = -mean_loglik_grad(model, X[idx], Y[idx], w_batch,
+                                          theta=theta)
                 if not np.all(np.isfinite(g)):
                     raise TrainingError("training diverged (non-finite gradient)",
                                         step=step)

@@ -10,7 +10,7 @@ a warm start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,9 @@ from .covariance import CovarianceEstimate, loss_hessian
 from .exceptions import (ConvergenceError, NumericalError, ResourceError,
                          StructuralError)
 from .models import (Dataset, Model, TrainConfig, _objective,
-                     loglik_grad_batch, mean_loglik_grad, train)
+                     loglik_grad_batch, mean_loglik_grad, nll_hessian)
 from .qoi import QuantityOfInterest, qoi_value_and_delta, value_batch_params
+from .util import damped_newton, ridged_cholesky
 
 LOO_POINT_GUARD = 500
 RICHARDSON_BASE_EPS = 1e-2
@@ -129,7 +130,14 @@ def _linear_normal_pieces(model: Model, data: Dataset):
 
 def _downweighted_thetas(model: Model, data: Dataset, eps: float,
                          train_cfg: TrainConfig | None) -> np.ndarray:
-    """Parameters after reducing example i's weight to 1 - eps, for each i."""
+    """Parameters after reducing example i's weight to 1 - eps, for each i.
+
+    Closed forms for single-output linear regression and the bernoulli
+    rate. Other kinds retrain from the model's parameters by damped Newton
+    (train_cfg.steps iterations at most, train()'s gradient tolerance) with
+    step matrix (H - eps H_i) / (N - eps), the summed and example-i NLL
+    Hessians at the model's parameters; the fit moves only O(eps / N).
+    """
     n = data.n
     if model.kind == "linear-regression" and model.d_out == 1:
         rows, leverages, residuals = _linear_normal_pieces(model, data)
@@ -144,24 +152,29 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
         y = data.targets[:, 0]
         total = float(y.sum())
         return ((total - eps * y) / (n - eps))[:, None]
+    cfg = train_cfg or TrainConfig(steps=2000)
+    grad_tol = (cfg.grad_tol if cfg.grad_tol is not None
+                else 1e-3 if model.kind == "mlp" else 1e-10)
+    X, Y = data.inputs, data.targets
+    hess = nll_hessian(model, X, Y)
     thetas = np.empty((n, model.params.dim))
-    base_cfg = train_cfg or TrainConfig(steps=2000)
     for i in range(n):
         weights = np.ones(n)
         weights[i] = 1.0 - eps
-        cfg = replace(base_cfg, example_weights=weights)
-        thetas[i] = train(model, data, cfg).params.data
+        wsum = float(np.einsum("n->", weights))
+        step_matrix = (hess - eps * nll_hessian(model, X[i:i + 1],
+                                                Y[i:i + 1])) / wsum
+
+        def evaluate(th):
+            value = _objective(model, data, weights, wsum, th)
+            if not math.isfinite(value):
+                return math.inf, None, None
+            return (value, -mean_loglik_grad(model, X, Y, weights, th),
+                    step_matrix)
+
+        thetas[i] = damped_newton(evaluate, model.params.data, cfg.steps,
+                                  grad_tol=grad_tol).x
     return thetas
-
-
-def downweighted_params(model: Model, data: Dataset, index: int, eps: float,
-                        train_cfg: TrainConfig | None = None) -> np.ndarray:
-    """Parameters after down-weighting a single example to weight 1 - eps."""
-    if not 0 <= index < data.n:
-        raise StructuralError("example index outside the dataset")
-    if not 0.0 < eps <= 1.0:
-        raise StructuralError("eps must lie in (0, 1]")
-    return _downweighted_thetas(model, data, eps, train_cfg)[index]
 
 
 def loo_variance(model: Model, data: Dataset, u: QuantityOfInterest, z=None,
@@ -234,11 +247,9 @@ def _augmented_descent(model: Model, data: Dataset, u: QuantityOfInterest,
                        grad_tol: float = 1e-10) -> np.ndarray:
     """Minimize total NLL + (eps/2)(u(z) - y_adv)^2 from a warm start.
 
-    Damped Newton: the step matrix is the loss Hessian plus the Gauss-Newton
-    term eps * delta delta' of the penalty, ridged just enough for Cholesky
-    (an mlp Hessian may be indefinite). A step is accepted on a lower
-    objective or, once that no longer resolves, a lower gradient norm;
-    points outside the model's domain count as +inf and never pass.
+    Damped Newton (util.damped_newton): the step matrix is the loss Hessian
+    plus the Gauss-Newton term eps * delta delta' of the penalty; points
+    outside the model's domain count as +inf and never pass.
     """
     ones = np.ones(data.n)
 
@@ -251,38 +262,17 @@ def _augmented_descent(model: Model, data: Dataset, u: QuantityOfInterest,
             QuantityOfInterest(u.kind, bound, u.config), z)
         grad = (-data.n * mean_loglik_grad(bound, data.inputs, data.targets)
                 + eps * (value - y_adv) * delta.vector)
-        return nll + 0.5 * eps * (value - y_adv) ** 2, grad, delta.vector
+        curvature = (loss_hessian(bound, data).values
+                     + eps * np.outer(delta.vector, delta.vector))
+        return nll + 0.5 * eps * (value - y_adv) ** 2, grad, curvature
 
-    theta = model.params.data.copy()
-    loss, g, dvec = evaluate(theta)
-    if g is None:
-        raise NumericalError("the model's parameters lie outside its domain")
-    for _ in range(steps):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol:
-            break
-        curvature = (loss_hessian(model.with_params(theta), data).values
-                     + eps * np.outer(dvec, dvec))
-        chol, _ = _ridged_cholesky(curvature, "the Newton step matrix")
-        direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-        # the objective test runs first where it can resolve the decrease
-        resolves = loss + 0.5 * float(g @ direction) < loss
-        modes = (False, True) if resolves else (True,)
-        for by_grad, t in ((m, 0.5 ** k) for m in modes for k in range(60)):
-            trial = theta + t * direction
-            t_loss, t_g, t_dvec = evaluate(trial)
-            if math.isfinite(t_loss) and np.all(np.isfinite(t_g)) and (
-                    float(np.linalg.norm(t_g)) < gnorm if by_grad
-                    else t_loss < loss):
-                theta, loss, g, dvec = trial, t_loss, t_g, t_dvec
-                break
-        else:
-            break  # no step makes progress: at the achievable optimum
-    if float(np.linalg.norm(g)) > 1e-6:
+    result = damped_newton(evaluate, model.params.data, steps,
+                           grad_tol=grad_tol)
+    if result.grad_norm > 1e-6:
         raise ConvergenceError(
             "adversarial retraining did not converge; gradient norm "
-            f"{float(np.linalg.norm(g)):.3e}")
-    return theta
+            f"{result.grad_norm:.3e}")
+    return result.x
 
 
 def adversarial_shift(model: Model, data: Dataset, u: QuantityOfInterest,
@@ -359,20 +349,6 @@ def _adversarial_value(model: Model, data: Dataset, u: QuantityOfInterest,
     return value
 
 
-def _ridged_cholesky(matrix: np.ndarray, what: str):
-    """Cholesky factor of matrix + reg * I and the reg used: 0 first, then
-    1e-12 * |trace| / d, growing tenfold per retry."""
-    scale = abs(float(np.trace(matrix))) / max(matrix.shape[0], 1)
-    reg = 0.0
-    for _ in range(16):
-        try:
-            return np.linalg.cholesky(matrix + reg * np.eye(matrix.shape[0])), reg
-        except np.linalg.LinAlgError:
-            reg = 1e-12 * scale if reg == 0.0 else reg * 10.0
-    raise NumericalError(f"{what} cannot be regularized into a positive "
-                         "definite matrix")
-
-
 # ---------------------------------------------------------------------------
 # out-of-distribution oracle: Mahalanobis distance in gradient space
 # ---------------------------------------------------------------------------
@@ -394,7 +370,7 @@ def mahalanobis_gradient_distance(model: Model, data: Dataset,
     cov = centered.T @ centered / data.n
     _, delta = qoi_value_and_delta(u, z)
     direction = delta.vector - mu
-    chol, reg = _ridged_cholesky(cov, "gradient covariance")
+    chol, reg = ridged_cholesky(cov, "gradient covariance")
     half = np.linalg.solve(chol, direction)
     estimate = float(half @ half)
     return OracleReport(kind="mahalanobis", estimate=estimate, spread=0.0,

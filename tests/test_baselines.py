@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from deltavar.baselines import (DROPOUT_RATE_GRID, EnsembleState,
-                                cost_accounting, dropout_variance,
-                                dropout_variance_batch, ensemble_variance,
+from deltavar.baselines import (EnsembleState, cost_accounting,
+                                dropout_variance_batch,
                                 ensemble_variance_batch, train_ensemble)
 from deltavar.exceptions import StructuralError
 from deltavar.models import Dataset, TrainConfig, make_model, train
@@ -33,8 +32,8 @@ class TestTrainEnsemble:
         model = make_model("bernoulli-rate")
         ens = train_ensemble(model, data, k=3, mode="init-only", seed=1)
         u = make_qoi("power", model, exponent=10)
-        assert ensemble_variance(ens, u, [0.0]) == pytest.approx(0.0,
-                                                                 abs=1e-20)
+        assert ensemble_variance_batch(ens, u, [0.0])[0] == pytest.approx(
+            0.0, abs=1e-20)
 
     def test_bootstrap_members_differ(self):
         data = bernoulli_dataset()
@@ -51,7 +50,7 @@ class TestTrainEnsemble:
         ens = train_ensemble(model, data, k=10, mode="bootstrap-resample",
                              seed=3)
         u = make_qoi("power", model, exponent=10)
-        var = ensemble_variance(ens, u, [0.0])
+        var = ensemble_variance_batch(ens, u, [0.0])[0]
         analytic = 0.9 * 0.1 / 100 * (10 * 0.9 ** 9) ** 2
         assert analytic / 3.0 <= var <= 3.0 * analytic
 
@@ -85,7 +84,7 @@ class TestTrainEnsemble:
         with pytest.raises(StructuralError):
             EnsembleState(members=(trained,), seeds=(1,), mode="init-only")
         with pytest.raises(StructuralError):
-            ensemble_variance(
+            ensemble_variance_batch(
                 EnsembleState(members=(model, model), seeds=(1, 2),
                               mode="init-only"),
                 make_qoi("power", model, exponent=1), [0.0])
@@ -116,8 +115,8 @@ class TestEnsembleVariance:
         shuffled = EnsembleState(members=ens.members[::-1],
                                  seeds=ens.seeds[::-1], mode=ens.mode)
         u = make_qoi("power", model, exponent=3)
-        a = ensemble_variance(ens, u, [0.0])
-        b = ensemble_variance(shuffled, u, [0.0])
+        a = ensemble_variance_batch(ens, u, [0.0])[0]
+        b = ensemble_variance_batch(shuffled, u, [0.0])[0]
         assert a == pytest.approx(b, rel=1e-12)
         assert a >= 0.0
 
@@ -131,10 +130,10 @@ class TestDropoutVariance:
     def test_vanishing_rate_gives_vanishing_variance(self):
         model = self.trained_mlp()
         u = make_qoi("rollout", model, functional="mean", horizon=2)
-        tiny = dropout_variance(model, u, [0.3, -0.1], k=10, rate=1e-6,
-                                seed=0)
-        moderate = dropout_variance(model, u, [0.3, -0.1], k=10, rate=0.3,
-                                    seed=0)
+        tiny = dropout_variance_batch(model, u, [0.3, -0.1], k=10,
+                                      rate=1e-6, seed=0)[0]
+        moderate = dropout_variance_batch(model, u, [0.3, -0.1], k=10,
+                                          rate=0.3, seed=0)[0]
         assert tiny < 1e-8
         assert moderate > tiny
 
@@ -150,24 +149,19 @@ class TestDropoutVariance:
         assert not np.array_equal(a, c)
         assert np.all(a >= 0.0)
 
-    def test_rate_grid_spans_paper_range(self):
-        assert len(DROPOUT_RATE_GRID) == 14
-        assert DROPOUT_RATE_GRID[0] == pytest.approx(5e-3)
-        assert DROPOUT_RATE_GRID[-1] == pytest.approx(0.8)
-
     def test_validation(self):
         model = self.trained_mlp()
         u = make_qoi("rollout", model, functional="mean", horizon=1)
         z = [0.0, 0.0]
         for bad_rate in (0.0, 1.0, -0.2):
             with pytest.raises(StructuralError):
-                dropout_variance(model, u, z, rate=bad_rate)
+                dropout_variance_batch(model, u, z, rate=bad_rate)
         with pytest.raises(StructuralError):
-            dropout_variance(model, u, z, k=1, rate=0.1)
+            dropout_variance_batch(model, u, z, k=1, rate=0.1)
         linear = make_model("linear-regression", d_in=2)
         u_lin = make_qoi("power", linear, exponent=1)
         with pytest.raises(StructuralError):
-            dropout_variance(linear, u_lin, z, rate=0.1)
+            dropout_variance_batch(linear, u_lin, z, rate=0.1)
 
 
 class TestCostAccounting:

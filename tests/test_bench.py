@@ -18,6 +18,7 @@ from deltavar.bench import (REG_GRID, REPORT_COLUMNS, TRAJ_STEPS,
 from deltavar.exceptions import ConfigError, StructuralError
 from deltavar.qoi import make_qoi
 from deltavar.models import make_model
+from deltavar.util import stable_json_dumps
 
 
 class TestTrueSystem:
@@ -323,3 +324,35 @@ class TestDynamicsScenario:
         run_scenario(sc, out_dir=again)
         for name in ("report.csv", "metrics.json", "provenance.json"):
             assert (Path(out) / name).read_bytes() == (again / name).read_bytes()
+
+
+def test_solver_diagnostics_are_reported_and_thread_independent(monkeypatch):
+    """metrics.json carries the calibration iteration counts and cap hits,
+    each fine-tune's steps and convergence and the whole ridge score curve,
+    and none of it depends on the worker pool size."""
+    texts = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("DELTAVAR_THREADS", threads)
+        metrics = run_scenario(make_scenario(
+            "dynamics", seed=3, n_pairs=100, horizons=(1,), train_steps=40,
+            members=2, dropout_passes=2, selection_steps=20,
+            calibration_steps=50))["metrics"]
+        curve = metrics["regularizer"]["score_curve"]
+        assert [reg for reg, _ in curve] == list(REG_GRID)
+        best = max(score for _, score in curve)
+        assert metrics["regularizer"]["selected"] == next(
+            reg for reg, score in curve if score == best)
+        assert set(metrics["calibration"]) == set(metrics["per_qoi"])
+        for per_method in metrics["calibration"].values():
+            assert set(per_method) == {"delta", "delta-finetuned",
+                                       "ensemble", "dropout"}
+            for diag in per_method.values():
+                assert 0 <= diag["iterations"] <= 50
+                assert diag["cap_hit"] == (diag["iterations"] == 50)
+        for entry in metrics["finetune"].values():
+            assert entry["steps_taken"] >= 1
+            assert isinstance(entry["converged"], bool)
+        texts.append(stable_json_dumps(
+            {key: metrics[key]
+             for key in ("calibration", "finetune", "regularizer")}))
+    assert texts[0] == texts[1]

@@ -1,6 +1,8 @@
 """Command line tests: subcommands, exit codes, files and determinism."""
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -322,3 +324,20 @@ class TestPlotdata:
             == pytest.approx(np.mean(errors), rel=1e-12)
         fractions = [float(r["fraction_removed"]) for r in ret]
         assert fractions == sorted(fractions)
+
+
+def test_dynamics_run_never_imports_scipy_optimize():
+    """scipy.optimize costs about 0.1 s of import time and 18 MB of memory;
+    the package's solvers are numpy only."""
+    script = (
+        "import sys\n"
+        "import deltavar.cli\n"
+        "from deltavar.bench import make_scenario, run_scenario\n"
+        "run_scenario(make_scenario('dynamics', seed=1, n_pairs=100,\n"
+        "    horizons=(1,), train_steps=40, members=2, dropout_passes=2,\n"
+        "    selection_steps=5, calibration_steps=20))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -249,3 +249,11 @@ class TestFinetuneScales:
         cfg = FinetuneConfig(steps=3)
         scales = finetune_scales(cached, targets, cfg=cfg)
         assert scales.steps_taken <= 3
+
+    def test_cap_hit_is_reported_as_not_converged(self):
+        cached, targets = noisy_block_synthetic(seed=4)
+        capped = finetune_scales(cached, targets, cfg=FinetuneConfig(steps=1))
+        assert capped.steps_taken == 1 and not capped.converged
+        full = finetune_scales(cached, targets)
+        assert full.converged and 1 < full.steps_taken < 500
+        assert full.objective_value >= capped.objective_value

@@ -167,6 +167,22 @@ class TestFitCalibration:
         with pytest.raises(StructuralError):
             fit_laplace_calibration([1.0, 2.0], [0.0, 0.0], [1.0, -1.0])
 
+    def test_reports_iterations_and_the_cap(self):
+        rng = np.random.default_rng(11)
+        nu = rng.exponential(scale=2.0, size=500)
+        y = rng.laplace(scale=np.sqrt((0.3 + 1.5 * nu) / 2.0))
+        mu = np.zeros(500)
+        full = fit_laplace_calibration(y, mu, nu)
+        assert full.converged and 1 < full.iterations <= 100
+        capped = fit_laplace_calibration(y, mu, nu, steps=1)
+        assert capped.iterations == 1 and not capped.converged
+        start = LaplaceCalibration(alpha=2.0 * np.abs(y).mean() ** 2,
+                                   beta=1e-6 * 2.0 * np.abs(y).mean() ** 2
+                                   / nu.mean())
+        assert (laplace_loglik(y, mu, nu, start)
+                < laplace_loglik(y, mu, nu, capped)
+                <= laplace_loglik(y, mu, nu, full))
+
 
 class TestImprovement:
     def test_reference_against_itself_is_zero(self):

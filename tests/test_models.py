@@ -1,4 +1,5 @@
 """Model contracts: closed-form fits, gradient routes, training behavior."""
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,7 @@ from conftest import central_diff_grad, rel_err
 from deltavar import (Dataset, StructuralError, Tape, TrainConfig, TrainingError,
                       make_model, predict, train)
 from deltavar.models import (loglik, loglik_grad, loglik_grad_batch,
-                             mean_loglik_grad, read_dataset_csv,
-                             record_predict, write_dataset_csv)
+                             mean_loglik_grad, record_predict)
 
 
 def bernoulli_data(n_ones: int, n_zeros: int) -> Dataset:
@@ -98,6 +98,52 @@ class TestTraining:
         data = Dataset(np.zeros((5, 3)), np.zeros(5))
         with pytest.raises(StructuralError):
             train(make_model("linear-regression", d_in=2), data)
+
+
+def _pinned_training_cases():
+    from deltavar.bench import gen_dynamics
+    dyn = gen_dynamics(3, 200)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((60, 3))
+    y_logit = (rng.random(60) < 1.0 / (1.0 + np.exp(-x @ np.array([1.0, -0.5, 0.3])))) * 1.0
+    y_lin = (x @ np.array([[0.4, -1.0], [0.2, 0.1], [1.5, 0.0]])
+             + 0.1 * rng.standard_normal((60, 2)))
+    weights = rng.uniform(0.2, 1.0, 60)
+    return {
+        "mlp": (make_model("mlp", d_in=3, d_out=3, hidden=(8,), seed=1), dyn,
+                TrainConfig(steps=500, seed=2)),
+        "mlp-weighted": (make_model("mlp", d_in=3, d_out=3, hidden=(6, 5),
+                                    seed=3), dyn,
+                         TrainConfig(steps=300, seed=5,
+                                     example_weights=np.linspace(0.0, 1.0, 200))),
+        "logistic": (make_model("logistic", d_in=3), Dataset(x, y_logit),
+                     TrainConfig(steps=2000)),
+        "linear": (make_model("linear-regression", d_in=3, d_out=2),
+                   Dataset(x, y_lin),
+                   TrainConfig(steps=2000, example_weights=weights)),
+        "bernoulli": (make_model("bernoulli-rate"),
+                      Dataset(np.zeros((60, 1)), (np.arange(60) < 41) * 1.0),
+                      TrainConfig(steps=2000, grad_tol=1e-12)),
+    }
+
+
+# sha256 of the trained parameter bytes, recorded before the training loop
+# evaluated raw parameter vectors instead of building a Model per call
+PINNED_TRAINING = {
+    "mlp": "05288bf385aec25e77e17ccf9aacd16f6d09e164666ed4a7c9a51dbea4ec813c",
+    "mlp-weighted": "eb08521cdbe7a62b135d4c1acb4d80ad4f3535e0259f0cd0ef0fb0a85fef791c",
+    "logistic": "b2df6609cebb5d0aa8fccc04b41b65a721ef7037e1159ce7bbd79cbfbe151232",
+    "linear": "61291da0f65c5d8711c729e8144c447594733c271d0bc15df894ce7e24303293",
+    "bernoulli": "22e1af4cf67055821db33b25b7d92cd01ce430d52d3a46abefa5b416e3b3856d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRAINING))
+def test_trained_parameters_are_bit_identical_to_the_pinned_digest(name):
+    model, data, cfg = _pinned_training_cases()[name]
+    trained = train(model, data, cfg)
+    digest = hashlib.sha256(trained.params.data.tobytes()).hexdigest()
+    assert digest == PINNED_TRAINING[name]
 
 
 class TestPredict:
@@ -208,15 +254,6 @@ class TestTapeRecordings:
 
 
 class TestCsvRoundTrip:
-    def test_write_then_read_is_exact(self, tmp_path):
-        rng = np.random.default_rng(14)
-        data = Dataset(rng.standard_normal((7, 3)), rng.standard_normal((7, 2)))
-        path = tmp_path / "data.csv"
-        write_dataset_csv(path, data)
-        back = read_dataset_csv(path)
-        np.testing.assert_array_equal(back.inputs, data.inputs)
-        np.testing.assert_array_equal(back.targets, data.targets)
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(StructuralError):
             Dataset(np.zeros((0, 2)), np.zeros((0, 1)))

@@ -12,8 +12,8 @@ from deltavar.delta_variance import delta_variance
 from deltavar.exceptions import (NumericalError, ResourceError,
                                  StructuralError)
 from deltavar.models import Dataset, TrainConfig, make_model, train
-from deltavar.oracles import (OracleReport, adversarial_shift,
-                              downweighted_params, eps_loo_variance,
+from deltavar.oracles import (OracleReport, _downweighted_thetas,
+                              adversarial_shift, eps_loo_variance,
                               gaussian_posterior_mc, loo_variance,
                               mahalanobis_gradient_distance,
                               richardson_eps_loo, variance_standard_error)
@@ -234,7 +234,7 @@ class TestEpsLoo:
         eps_grid = np.array([1e-1, 5e-2, 2.5e-2, 1.25e-2])
         remainders = []
         for e in eps_grid:
-            step = downweighted_params(model, data, index, e) \
+            step = _downweighted_thetas(model, data, e, None)[index] \
                 - model.params.data
             remainders.append(np.linalg.norm(step - e * linear_term))
         slope = np.polyfit(np.log(eps_grid), np.log(remainders), 1)[0]
@@ -247,8 +247,6 @@ class TestEpsLoo:
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(StructuralError):
                 eps_loo_variance(model, data, u, z=[1.0, 0.0], eps=bad)
-        with pytest.raises(StructuralError):
-            downweighted_params(model, data, index=99, eps=0.5)
 
 
 class TestAdversarialShift:

@@ -1,33 +1,40 @@
 """Property tests: vectorized quantity gradients, the quadratic form, loss
-curvature, covariance files and the adversarial retraining.
+curvature, covariance files, the retraining oracles, the Laplace fits and
+quantity ids.
 
 The scalar tape is the reference for every vectorized explicit-quantity
 gradient; numpy's dense products are the reference for the quadratic form;
 central differences of the analytic gradient are the reference for the
-loss Hessian. Strategies draw seeds and shapes, and numpy draws the floats
-from the seed.
+loss Hessian and the Laplace objective; train() is the reference for the
+Newton eps-LOO retraining. Strategies draw seeds and shapes, and numpy draws
+the floats from the seed.
 """
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import central_diff_hessian
+from conftest import central_diff_grad, central_diff_hessian
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from deltavar.covariance import (KINDS, CovarianceEstimate, load_covariance,
                                  loss_hessian, save_covariance)
 from deltavar.delta_variance import (GradientDelta, block_decompose,
-                                     delta_variance)
+                                     delta_variance, finetune_scales)
+from deltavar.evaluation import (LaplaceCalibration, fit_laplace_calibration,
+                                 laplace_loglik, laplace_scale_nll)
 from deltavar.exceptions import NumericalError
-from deltavar.models import (MODEL_KINDS, Dataset, loglik_grad_batch,
-                             make_model, mean_loglik_grad, predict, train)
-from deltavar.oracles import _augmented_descent, adversarial_shift
-from deltavar.qoi import (make_qoi, qoi_tape_delta, qoi_value,
-                          qoi_value_and_delta, value_batch_params,
-                          values_and_deltas)
+from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
+                             loglik_grad_batch, make_model, mean_loglik_grad,
+                             predict, train)
+from deltavar.oracles import (_augmented_descent, _downweighted_thetas,
+                              adversarial_shift)
+from deltavar.qoi import (ROLLOUT_FUNCTIONALS, make_qoi, parse_qoi,
+                          qoi_tape_delta, qoi_value, qoi_value_and_delta,
+                          value_batch_params, values_and_deltas)
 
 EXPONENTS = (1.0, 2.0, 3.0, -1.0, 0.5, 2.5)
 
@@ -324,3 +331,129 @@ def test_adversarial_offset_retraining_reaches_grad_tol(data):
     report = adversarial_shift(model, problem, u, z, eps=eps, mode="offset",
                                delta=offset)
     assert report.estimate == abs(value - base)
+
+
+def nonseparable_logistic(rng, n, d):
+    """A logistic problem with each unit vector under both labels, so the
+    maximum-likelihood fit is finite."""
+    x = rng.standard_normal((n, d))
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x @ rng.standard_normal(d))))
+    x = np.vstack([x, np.eye(d), np.eye(d)])
+    y = np.concatenate([y, np.ones(d), np.zeros(d)])
+    return Dataset(x, y)
+
+
+@given(st.data())
+def test_newton_eps_loo_matches_train_retrains(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    problem = nonseparable_logistic(rng, data.draw(st.integers(15, 60)),
+                                      data.draw(st.integers(1, 3)))
+    cfg = TrainConfig(steps=20000, grad_tol=1e-12)
+    model = train(make_model("logistic", d_in=problem.d_in), problem, cfg)
+    eps = data.draw(st.sampled_from((1e-3, 1e-2, 0.5, 1.0)))
+    thetas = _downweighted_thetas(model, problem, eps, cfg)
+    for i in data.draw(st.lists(st.integers(0, problem.n - 1), min_size=1,
+                                max_size=3, unique=True)):
+        weights = np.ones(problem.n)
+        weights[i] = 1.0 - eps
+        ref = train(model, problem, replace(cfg, example_weights=weights))
+        gap = np.linalg.norm(thetas[i] - ref.params.data)
+        assert gap <= 1e-9 * np.linalg.norm(ref.params.data)
+
+
+@st.composite
+def laplace_problems(draw):
+    """Absolute errors and per-column variances for the Laplace fits: random
+    scales, some or all columns identically zero, and errors explained
+    entirely by the variances (an optimum with alpha -> 0) or by alpha."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(2, 120))
+    k = draw(st.integers(1, 3))
+    columns = rng.exponential(size=(n, k)) * 10.0 ** rng.uniform(-4, 4, k)
+    zeroed = draw(st.sampled_from(("none", "some", "all")))
+    if zeroed != "none":
+        columns[:, (rng.random(k) < 0.5) | (zeroed == "all")] = 0.0
+    alpha = draw(st.sampled_from((0.0, 1e-3, 1.0)))
+    truth = alpha + columns @ rng.exponential(size=k)
+    if not np.all(truth > 0.0):
+        truth = truth + 1.0
+    errors = np.abs(rng.laplace(scale=np.sqrt(truth / 2.0)))
+    return errors, columns
+
+
+@given(laplace_problems(), st.data())
+def test_laplace_objective_derivatives_match_central_differences(case, data):
+    errors, columns = case
+    x = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(
+        -2.0, 2.0, columns.shape[1] + 1)
+    columns = np.column_stack([columns, np.ones(errors.size)])
+    offset = data.draw(st.sampled_from((0.0, 0.5)))
+    value, grad, hess = laplace_scale_nll(errors, columns, x, offset)
+    calib = LaplaceCalibration(alpha=offset + math.exp(x[-1]), beta=1.0)
+    nu = columns[:, :-1] @ np.exp(x[:-1])
+    assert value == pytest.approx(
+        -laplace_loglik(errors, np.zeros_like(errors), nu, calib), rel=1e-12)
+
+    def value_at(t):
+        return laplace_scale_nll(errors, columns, t, offset)[0]
+
+    def grad_at(t):
+        return laplace_scale_nll(errors, columns, t, offset)[1]
+
+    scale = max(1.0, float(np.max(np.abs(hess))))
+    assert np.max(np.abs(grad - central_diff_grad(value_at, x))) <= 1e-6 * scale
+    assert np.max(np.abs(hess - central_diff_hessian(grad_at, x))) <= 1e-6 * scale
+
+
+@given(laplace_problems())
+def test_calibration_never_ends_below_its_start(case):
+    errors, columns = case
+    nu = columns[:, 0]
+    alpha0 = max(2.0 * float(errors.mean()) ** 2, 1e-12)
+    zeros = np.zeros_like(errors)
+    for fit_beta in (True, False):
+        beta0 = 1e-6 * alpha0 / (float(nu.mean()) + 1e-30) if fit_beta else 0.0
+        start = laplace_loglik(errors, zeros, nu,
+                               LaplaceCalibration(alpha0, beta0))
+        fit = fit_laplace_calibration(errors, zeros, nu, fit_beta=fit_beta)
+        # boundary optima (alpha -> 0) included: a few Newton iterations
+        assert fit.converged and fit.iterations <= 30
+        # alpha and beta round-trip through log space
+        assert laplace_loglik(errors, zeros, nu, fit) >= start - 1e-12 * abs(start)
+
+
+@given(laplace_problems(), st.sampled_from(("loglik", "correlation")))
+def test_finetune_never_ends_below_its_start(case, objective):
+    errors, columns = case
+    assume(errors.size >= columns.shape[1])
+    if objective == "correlation":
+        assume(np.ptp(errors) > 0.0 and np.ptp(np.sqrt(columns.sum(axis=1))) > 0.0)
+    cached = [{f"b{j}": float(c) for j, c in enumerate(row)} for row in columns]
+    scales = finetune_scales(cached, errors, objective=objective)
+    assert scales.objective_value >= scales.objective_at_init
+    assert scales.steps_taken <= 500
+    if objective == "loglik":  # exact Hessian: a few Newton iterations
+        assert scales.converged and scales.steps_taken <= 30
+    assert all(v >= 0.0 for v in scales.as_dict().values())
+
+
+@given(st.data())
+def test_quantity_ids_round_trip_through_the_parser(data):
+    kind = data.draw(st.sampled_from(("power", "set-product", "rollout")))
+    if kind == "rollout":
+        model = make_model("mlp", d_in=3, d_out=3, hidden=(4,))
+        functional = data.draw(st.sampled_from(ROLLOUT_FUNCTIONALS))
+        horizon = data.draw(st.integers(1, 6))
+        config = {"functional": functional, "horizon": horizon,
+                  "component": data.draw(st.integers(0, 2)),
+                  "window": data.draw(st.integers(1, horizon)),
+                  "exponent": data.draw(st.floats(-5.0, 5.0,
+                                                  allow_subnormal=False))}
+    else:
+        model = make_model("logistic", d_in=2)
+        config = ({"exponent": data.draw(st.floats(-1e6, 1e6))}
+                  if kind == "power" else {})
+    u = make_qoi(kind, model, **config)
+    again = parse_qoi(u.qoi_id, model)
+    assert again.qoi_id == u.qoi_id
+    assert again.kind == u.kind and dict(again.config) == dict(u.config)
