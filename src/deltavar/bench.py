@@ -221,7 +221,7 @@ class Scenario:
 
 def make_scenario(kind: str, seed: int = 0, **overrides) -> Scenario:
     """Resolve a scenario from defaults plus keyword overrides."""
-    if kind not in _DEFAULTS:
+    if not isinstance(kind, str) or kind not in _DEFAULTS:
         raise ConfigError(f"unknown scenario kind {kind!r}; "
                           f"choose one of {SCENARIO_KINDS}")
     params = dict(_DEFAULTS[kind])
@@ -230,6 +230,18 @@ def make_scenario(kind: str, seed: int = 0, **overrides) -> Scenario:
         raise ConfigError(
             f"unknown {kind} parameters {sorted(unknown)}; "
             f"valid keys are {sorted(params)}")
+    for key, value in overrides.items():
+        # the runners convert each value like its default; one that does not
+        # convert is a configuration problem, found before anything runs
+        default = params[key]
+        many = isinstance(default, tuple)
+        convert = type(default[0] if many else default)
+        try:
+            for v in (value if many else (value,)):
+                convert(v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{kind} parameter {key}={value!r} is not "
+                              f"valid: {exc}") from exc
     params.update(overrides)
     for key in ("n_grid", "horizons", "hidden", "masses", "stiffnesses"):
         if key in params:

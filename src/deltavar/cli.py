@@ -88,6 +88,14 @@ def _pop_section(cfg: dict, name: str) -> dict:
     return dict(section)
 
 
+def _as(convert, value, key: str):
+    """convert(value); a value that does not convert is a config problem."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"setting {key}={value!r} is not valid: {exc}") from exc
+
+
 def _take(section: dict, allowed: dict, where: str) -> dict:
     unknown = set(section) - set(allowed)
     if unknown:
@@ -130,6 +138,12 @@ class _OutputDir:
 # model and dataset files
 # ---------------------------------------------------------------------------
 
+# what json, np.load and zipfile raise on a damaged file (RuntimeError and
+# NotImplementedError for a flipped encryption flag or compression method)
+_FILE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError,
+                EOFError, RuntimeError, NotImplementedError, zipfile.BadZipFile)
+
+
 def save_model_dir(directory, model: Model, data: Dataset) -> None:
     """Write model.json (exact float params) and data.npz into a directory."""
     directory = Path(directory)
@@ -141,7 +155,10 @@ def save_model_dir(directory, model: Model, data: Dataset) -> None:
         "hyper": hyper,
         "blocks": [[n, s, l] for n, s, l in model.params.blocks],
         "params": [float(x) for x in model.params.data],
-        "diagnostics": model.diagnostics,
+        # JSON has no infinity: a norm never measured (no step ran) is null
+        "diagnostics": None if model.diagnostics is None else {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in model.diagnostics.items()},
     }
     (directory / "model.json").write_text(stable_json_dumps(payload) + "\n")
     np.savez(directory / "data.npz", inputs=data.inputs, targets=data.targets)
@@ -169,8 +186,7 @@ def load_model_dir(path):
         model.d_in, model.d_out  # every kind needs both sizes
         with np.load(data_file) as npz:
             data = Dataset(npz["inputs"], npz["targets"])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            zipfile.BadZipFile) as exc:
+    except _FILE_ERRORS as exc:
         raise StructuralError(f"{directory} holds a corrupt model: "
                               f"{type(exc).__name__}: {exc}") from exc
     return model, data
@@ -195,8 +211,7 @@ def _build_dataset(spec) -> Dataset:
                 raise ConfigError('file datasets need a "path"')
             with np.load(opts["path"]) as npz:
                 return Dataset(npz["inputs"], npz["targets"])
-    except (StructuralError, OSError, ValueError, KeyError, TypeError,
-            zipfile.BadZipFile) as exc:
+    except (StructuralError, OverflowError, *_FILE_ERRORS) as exc:
         raise ConfigError(f"cannot build the {kind} dataset: {exc}") from exc
     raise ConfigError(f"unknown data kind {kind!r}; "
                       "choose dynamics, survival or file")
@@ -209,10 +224,16 @@ def _build_model(spec) -> Model:
     kind = spec.pop("kind")
     opts = _take(spec, {"d_in": 1, "d_out": 1, "hidden": [32, 32],
                         "seed": 0, "dropout_rate": 0.0}, "model")
-    return make_model(kind, d_in=int(opts["d_in"]), d_out=int(opts["d_out"]),
-                      hidden=tuple(int(w) for w in opts["hidden"]),
-                      seed=int(opts["seed"]),
-                      dropout_rate=float(opts["dropout_rate"]))
+    try:  # an unknown kind or a bad width is a configuration problem
+        return make_model(
+            kind, d_in=_as(int, opts["d_in"], "model.d_in"),
+            d_out=_as(int, opts["d_out"], "model.d_out"),
+            hidden=_as(lambda ws: tuple(int(w) for w in ws), opts["hidden"],
+                       "model.hidden"),
+            seed=_as(int, opts["seed"], "model.seed"),
+            dropout_rate=_as(float, opts["dropout_rate"], "model.dropout_rate"))
+    except (StructuralError, ValueError) as exc:
+        raise ConfigError(f"cannot build the {kind} model: {exc}") from exc
 
 
 def _train_config(section: dict, seed_override) -> TrainConfig:
@@ -221,15 +242,21 @@ def _train_config(section: dict, seed_override) -> TrainConfig:
                            "polish_steps": None}, "train")
     if seed_override is not None:
         opts["seed"] = seed_override
-    return TrainConfig(
-        steps=int(opts["steps"]),
-        learning_rate=None if opts["learning_rate"] is None
-        else float(opts["learning_rate"]),
-        batch=None if opts["batch"] is None else int(opts["batch"]),
-        seed=int(opts["seed"]),
-        grad_tol=None if opts["grad_tol"] is None else float(opts["grad_tol"]),
-        polish_steps=None if opts["polish_steps"] is None
-        else int(opts["polish_steps"]))
+
+    def optional(key, convert):
+        value = opts[key]
+        return None if value is None else _as(convert, value, f"train.{key}")
+
+    try:
+        return TrainConfig(
+            steps=_as(int, opts["steps"], "train.steps"),
+            learning_rate=optional("learning_rate", float),
+            batch=optional("batch", int),
+            seed=_as(int, opts["seed"], "train.seed"),
+            grad_tol=optional("grad_tol", float),
+            polish_steps=optional("polish_steps", int))
+    except StructuralError as exc:
+        raise ConfigError(f"bad train settings: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +301,7 @@ def _resolve_sigma(spec: str, model: Model, data: Dataset, reg: float):
 def _scenario_from(cfg: dict, args) -> Scenario:
     kind = cfg.get("scenario", "dynamics")
     params = _pop_section(cfg, "params")
-    seed = int(cfg.get("seed", 0))
+    seed = _as(int, cfg.get("seed", 0), "seed")
     if args.seed is not None:
         seed = args.seed
     return make_scenario(kind, seed=seed, **params)
@@ -337,30 +364,32 @@ def _cmd_oracle(args, cfg) -> int:
     if kind == "posterior-mc":
         opts = _take(cfg, {"samples": 100_000, "sigma": "fisher-full",
                            "reg": 0.0}, "posterior-mc")
+        samples = _as(int, opts["samples"], "samples")
         cov = _resolve_sigma(str(opts["sigma"]), model, data,
-                             float(opts["reg"]))
+                             _as(float, opts["reg"], "reg"))
         report = gaussian_posterior_mc(u, model.params.data, cov, z,
-                                       samples=int(opts["samples"]),
-                                       seed=seed)
+                                       samples=samples, seed=seed)
     elif kind in ("loo", "eps-loo", "richardson"):
         opts = _take(cfg, {"eps": 1e-2, "max_points": 500}, kind)
-        common = dict(max_points=int(opts["max_points"]))
+        common = dict(max_points=_as(int, opts["max_points"], "max_points"))
+        eps = _as(float, opts["eps"], "eps")
         if kind == "loo":
             report = loo_variance(model, data, u, z, **common)
         elif kind == "eps-loo":
-            report = eps_loo_variance(model, data, u, z,
-                                      eps=float(opts["eps"]), **common)
+            report = eps_loo_variance(model, data, u, z, eps=eps, **common)
         else:
-            report = richardson_eps_loo(model, data, u, z,
-                                        eps=float(opts["eps"]), **common)
+            report = richardson_eps_loo(model, data, u, z, eps=eps, **common)
     elif kind == "adversarial":
         opts = _take(cfg, {"eps": 1e-2, "mode": "offset", "delta": None,
                            "noise": None, "draws": 1000}, "adversarial")
+        delta = (None if opts["delta"] is None
+                 else _as(float, opts["delta"], "delta"))
+        noise = (None if opts["noise"] is None
+                 else _as(float, opts["noise"], "noise"))
         report = adversarial_shift(
-            model, data, u, z, eps=float(opts["eps"]), mode=str(opts["mode"]),
-            delta=None if opts["delta"] is None else float(opts["delta"]),
-            sigma=None if opts["noise"] is None else float(opts["noise"]),
-            draws=int(opts["draws"]), seed=seed)
+            model, data, u, z, eps=_as(float, opts["eps"], "eps"),
+            mode=str(opts["mode"]), delta=delta, sigma=noise,
+            draws=_as(int, opts["draws"], "draws"), seed=seed)
     elif kind == "mahalanobis":
         if cfg:
             raise ConfigError("mahalanobis takes no options")

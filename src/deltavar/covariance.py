@@ -290,7 +290,9 @@ def load_covariance(path) -> CovarianceEstimate:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StructuralError(f"covariance header is not valid JSON: {exc}") from exc
     for key, types in _HEADER_TYPES.items():
-        value = header.get(key) if isinstance(header, dict) else None
+        if not isinstance(header, dict) or key not in header:
+            raise StructuralError(f"covariance header field {key!r} is missing")
+        value = header[key]
         if not isinstance(value, types) or (bool not in types
                                             and isinstance(value, bool)):
             raise StructuralError(

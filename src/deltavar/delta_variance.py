@@ -134,6 +134,12 @@ class BlockScales:
                 for name, ls in zip(self.names, self.log_scales)}
 
 
+# weight of the quadratic penalty (penalty/2)|log scales|^2 in the correlation
+# fine-tune: the correlation is scale-free, so without it a pure-noise
+# block's scale runs to 0 and the others' to ~1e16
+CORRELATION_PENALTY = 1e-3
+
+
 @dataclass(frozen=True)
 class FinetuneConfig:
     """Iteration cap of the block scale fit."""
@@ -167,6 +173,9 @@ def finetune_scales(cached: Sequence[Mapping[str, float]], targets,
     step matrix). Both run the accept-only damped Newton solver in log
     space for at most cfg.steps iterations, so the result is never worse
     than the all-ones initialization (with alpha fit alone for loglik).
+    The correlation fit adds CORRELATION_PENALTY/2 |log scales|^2 to the
+    solved objective, which keeps its scale-free optimum finite;
+    objective_value reports the plain correlation.
     """
     cfg = cfg or FinetuneConfig()
     if objective not in ("loglik", "correlation"):
@@ -199,8 +208,11 @@ def finetune_scales(cached: Sequence[Mapping[str, float]], targets,
             baseline=np.concatenate([zeros, settled.x]))
     else:
         fit, start = fit_log_weights(
-            lambda x: _neg_correlation(abs_err, matrix, x),
+            lambda x: _neg_correlation(abs_err, matrix, x, CORRELATION_PENALTY),
             np.zeros(n_blocks), cfg.steps)
+        # the penalty is 0 at the start and >= 0 elsewhere, so the plain
+        # correlation at an accepted point never falls below the start's
+        fit = fit._replace(value=_neg_correlation(abs_err, matrix, fit.x)[0])
     return BlockScales(names=names, log_scales=fit.x[:n_blocks],
                        objective=objective, objective_value=-fit.value,
                        objective_at_init=-start, steps_taken=fit.iterations,
@@ -208,9 +220,10 @@ def finetune_scales(cached: Sequence[Mapping[str, float]], targets,
 
 
 def _neg_correlation(abs_err: np.ndarray, matrix: np.ndarray,
-                     log_scales: np.ndarray):
-    """Minus the error_correlation of sqrt(matrix @ exp(log_scales)), its
-    gradient and an identity step matrix; +inf where undefined."""
+                     log_scales: np.ndarray, penalty: float = 0.0):
+    """Minus the error_correlation of sqrt(matrix @ exp(log_scales)) plus
+    (penalty/2)|log_scales|^2, its gradient and the step matrix
+    (1 + penalty) I; +inf where undefined."""
     parts = matrix * np.exp(log_scales)
     sd = np.sqrt(parts.sum(axis=1))
     ec, sc = abs_err - abs_err.mean(), sd - sd.mean()
@@ -221,4 +234,6 @@ def _neg_correlation(abs_err: np.ndarray, matrix: np.ndarray,
     d_sd = ec / denom - corr * sc / float(sc @ sc)
     # d sd_i / d log s_k = parts_ik / (2 sd_i); rows with sd_i = 0 never move
     d_rows = d_sd / (2.0 * np.where(sd > 0.0, sd, np.inf))
-    return -corr, -(d_rows @ parts), np.eye(log_scales.size)
+    return (0.5 * penalty * float(log_scales @ log_scales) - corr,
+            penalty * log_scales - d_rows @ parts,
+            (1.0 + penalty) * np.eye(log_scales.size))

@@ -18,7 +18,8 @@ from .covariance import CovarianceEstimate, loss_hessian
 from .exceptions import (ConvergenceError, NumericalError, ResourceError,
                          StructuralError)
 from .models import (Dataset, Model, TrainConfig, _objective,
-                     loglik_grad_batch, mean_loglik_grad, nll_hessian)
+                     _objective_grad, loglik_grad_batch, mean_loglik_grad,
+                     nll_hessian)
 from .qoi import QuantityOfInterest, qoi_value_and_delta, value_batch_params
 from .util import damped_newton, ridged_cholesky
 
@@ -166,11 +167,12 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
                                                 Y[i:i + 1])) / wsum
 
         def evaluate(th):
-            value = _objective(model, data, weights, wsum, th)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, forward = _objective(model, data, weights, wsum, th)
             if not math.isfinite(value):
                 return math.inf, None, None
-            return (value, -mean_loglik_grad(model, X, Y, weights, th),
-                    step_matrix)
+            return (value, -_objective_grad(model, data, weights, wsum, th,
+                                            forward), step_matrix)
 
         thetas[i] = damped_newton(evaluate, model.params.data, cfg.steps,
                                   grad_tol=grad_tol).x
@@ -254,7 +256,8 @@ def _augmented_descent(model: Model, data: Dataset, u: QuantityOfInterest,
     ones = np.ones(data.n)
 
     def evaluate(th):
-        nll = _objective(model, data, ones, 1.0, th)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nll, _ = _objective(model, data, ones, 1.0, th)
         if not math.isfinite(nll):
             return math.inf, None, None
         bound = model.with_params(th)

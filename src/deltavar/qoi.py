@@ -9,12 +9,12 @@ and eigenvector sensitivity formulas instead of unrolling a solver.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 from .autodiff import ParameterVector, Tape, Var
@@ -116,9 +116,10 @@ class QuantityOfInterest:
     model: Model | None
     config: Mapping = field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def qoi_id(self) -> str:
-        """Canonical registry string: kind plus sorted scalar settings."""
+        """Canonical registry string: kind plus sorted scalar settings.
+        Computed once per quantity (the instance is frozen)."""
         shown = {k: v for k, v in self.config.items()
                  if isinstance(v, (int, float, str))}
         if not shown:
@@ -612,6 +613,10 @@ def eigen_gradient(a: np.ndarray, das, index: int,
     part; complex pairs and near-degenerate values are refused because the
     derivative formula breaks down there.
     """
+    # imported here: scipy.linalg pulls in numpy.f2py, numpy.testing and
+    # numpy.ma, about 0.4 s and 20 MB that no other path needs
+    import scipy.linalg
+
     values, left, right = scipy.linalg.eig(a, left=True, right=True)
     order = np.argsort(values.real, kind="stable")
     values = values[order]

@@ -266,6 +266,21 @@ class TestEigenScenario:
             run_scenario(make_scenario("eigen", perturb_var=0.0))
 
 
+def test_dynamics_report_digest_is_pinned(tmp_path):
+    """The report bytes of a benchmark-size dynamics scenario at seed 0, as
+    they were before training reused its objective's forward pass. Every
+    mlp training (model, ensemble members) and every fit behind the report
+    feeds these bytes."""
+    run_scenario(make_scenario("dynamics", seed=0, n_pairs=300,
+                               horizons=(1,), train_steps=500, members=5),
+                 out_dir=tmp_path)
+    digest = hashlib.sha256()
+    for name in ("report.csv", "metrics.json", "provenance.json"):
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == (
+        "82a7bace136c4c0dfb8a23448f009054c6a3792d848f8e8acc11268ec57ce504")
+
+
 @pytest.fixture(scope="module")
 def dynamics_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("dynamics")

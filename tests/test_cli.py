@@ -162,6 +162,71 @@ def test_undefined_power_exits_1_with_a_message(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+MLP_TRAIN = ["train", "--set", "model.kind=mlp", "--set", "model.d_in=3",
+             "--set", "model.d_out=3", "--set", "model.hidden=[3]",
+             "--set", "data.kind=dynamics", "--set", "data.n=100",
+             "--set", "train.steps=5"]
+
+
+@pytest.mark.parametrize("argv", [
+    MLP_TRAIN + ["--set", "train.steps=many"],
+    MLP_TRAIN + ["--set", "train.batch=0"],
+    MLP_TRAIN + ["--set", "train.batch=-4"],
+    MLP_TRAIN + ["--set", "train.steps=-2"],
+    ["bench", "--set", "scenario=eigen", "--set", "params.mc_samples=lots"],
+    ["bench", "--set", "scenario=eigen", "--set", "params.masses=5"],
+    ["bench", "--set", "scenario=[]"],
+], ids=["steps", "batch-zero", "batch-negative", "steps-negative", "samples",
+        "masses", "scenario"])
+def test_unconvertible_settings_exit_2_before_writing(tmp_path, capsys, argv):
+    """Values that raised a raw ValueError or TypeError, a negative batch
+    (which looped forever) and a negative step count (which trained
+    nothing and exited 0) are configuration errors."""
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_oracle_option_that_does_not_convert_exits_2(model_dir, capsys):
+    assert main(["oracle", "--model", str(model_dir), "--kind", "posterior-mc",
+                 "--qoi", "power2", "--input", "0.9",
+                 "--set", "samples=some"]) == 2
+
+
+def test_unmeasured_gradient_norm_is_written_as_null(tmp_path, capsys):
+    """No polish step leaves the final gradient norm infinite; model.json
+    stores null instead of failing to serialize."""
+    out = tmp_path / "mlp"
+    assert main(MLP_TRAIN + ["--set", "train.polish_steps=0",
+                             "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "model.json").read_text())["diagnostics"]
+    assert diagnostics["final_grad_norm"] is None
+    assert load_model_dir(out)[0].diagnostics == diagnostics
+
+
+@pytest.mark.parametrize("damage", ["empty data", "no block_scales"])
+def test_damaged_files_exit_1_with_a_message(model_dir, tmp_path, capsys,
+                                             damage):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "model.json").write_bytes((model_dir / "model.json").read_bytes())
+    (broken / "data.npz").write_bytes(
+        b"" if damage == "empty data" else (model_dir / "data.npz").read_bytes())
+    sigma = tmp_path / "sigma"
+    assert main(["sigma", "--model", str(model_dir), "--out", str(sigma)]) == 0
+    raw = (sigma / "sigma.bin").read_bytes()
+    if damage == "no block_scales":
+        raw = raw.replace(b'"block_scales"', b'"block_scalez"', 1)
+    (sigma / "sigma.bin").write_bytes(raw)
+    capsys.readouterr()
+    code = main(["deltavar", "--model", str(broken),
+                 "--sigma", str(sigma / "sigma.bin"), "--qoi", "power2",
+                 "--input", "0.9"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestSigmaCommand:
     def test_saved_sigma_reloads_and_reuses(self, model_dir, tmp_path, capsys):
         out = tmp_path / "sig"
@@ -328,7 +393,8 @@ class TestPlotdata:
 
 def test_dynamics_run_never_imports_scipy_optimize():
     """scipy.optimize costs about 0.1 s of import time and 18 MB of memory;
-    the package's solvers are numpy only."""
+    the package's solvers are numpy only. scipy.linalg (about 0.4 s, loaded
+    only by the eigen quantity) stays out too."""
     script = (
         "import sys\n"
         "import deltavar.cli\n"
@@ -336,7 +402,8 @@ def test_dynamics_run_never_imports_scipy_optimize():
         "run_scenario(make_scenario('dynamics', seed=1, n_pairs=100,\n"
         "    horizons=(1,), train_steps=40, members=2, dropout_passes=2,\n"
         "    selection_steps=5, calibration_steps=20))\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.optimize', 'scipy.linalg'))))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr

@@ -19,6 +19,7 @@ from deltavar.delta_variance import (
     delta_variance,
     finetune_scales,
 )
+from deltavar.evaluation import error_correlation
 
 
 def identity_sigma(d, diagonal=True, blocks=()):
@@ -230,6 +231,22 @@ class TestFinetuneScales:
         fitted = scales.as_dict()
         assert fitted["junk"] < fitted["signal"]
         assert scales.objective_value >= scales.objective_at_init
+
+    @pytest.mark.parametrize("seed", [0, 4, 9, 10])
+    def test_correlation_scales_stay_finite(self, seed):
+        """The correlation is scale-free: without the penalty on the log
+        scales these examples returned factors of 1e13 to 1e26 (and their
+        reciprocals) after one iteration."""
+        cached, targets = noisy_block_synthetic(seed=seed)
+        scales = finetune_scales(cached, targets, objective="correlation")
+        fitted = scales.as_dict()
+        assert all(1e-6 <= v <= 1e6 for v in fitted.values())
+        assert fitted["signal"] > fitted["junk"]
+        assert scales.objective_value >= scales.objective_at_init
+        columns = np.array([[row[name] for name in fitted] for row in cached])
+        sd = np.sqrt(columns @ np.array(list(fitted.values())))
+        assert scales.objective_value == pytest.approx(
+            error_correlation(np.asarray(targets), sd), rel=1e-12)
 
     def test_unknown_objective_and_bad_rows(self):
         cached = [{"a": 1.0}, {"a": 2.0}]

@@ -1,16 +1,19 @@
 """Property tests: vectorized quantity gradients, the quadratic form, loss
 curvature, covariance files, the retraining oracles, the Laplace fits and
-quantity ids.
+quantity ids, the training gradient and the command line contract.
 
 The scalar tape is the reference for every vectorized explicit-quantity
 gradient; numpy's dense products are the reference for the quadratic form;
 central differences of the analytic gradient are the reference for the
 loss Hessian and the Laplace objective; train() is the reference for the
-Newton eps-LOO retraining. Strategies draw seeds and shapes, and numpy draws
-the floats from the seed.
+Newton eps-LOO retraining; mean_loglik_grad is the reference, byte for
+byte, for the gradient training builds from its objective's forward pass.
+Strategies draw seeds and shapes, and numpy draws the floats from the seed.
 """
+import io
 import math
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from conftest import central_diff_grad, central_diff_hessian
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from deltavar.cli import main as cli_main
 from deltavar.covariance import (KINDS, CovarianceEstimate, load_covariance,
                                  loss_hessian, save_covariance)
 from deltavar.delta_variance import (GradientDelta, block_decompose,
@@ -27,9 +31,9 @@ from deltavar.delta_variance import (GradientDelta, block_decompose,
 from deltavar.evaluation import (LaplaceCalibration, fit_laplace_calibration,
                                  laplace_loglik, laplace_scale_nll)
 from deltavar.exceptions import NumericalError
-from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
-                             loglik_grad_batch, make_model, mean_loglik_grad,
-                             predict, train)
+from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig, _objective,
+                             _objective_grad, loglik_grad_batch, make_model,
+                             mean_loglik_grad, predict, train)
 from deltavar.oracles import (_augmented_descent, _downweighted_thetas,
                               adversarial_shift)
 from deltavar.qoi import (ROLLOUT_FUNCTIONALS, make_qoi, parse_qoi,
@@ -457,3 +461,165 @@ def test_quantity_ids_round_trip_through_the_parser(data):
     again = parse_qoi(u.qoi_id, model)
     assert again.qoi_id == u.qoi_id
     assert again.kind == u.kind and dict(again.config) == dict(u.config)
+
+
+@given(st.data())
+def test_gradient_from_the_objective_forward_equals_mean_loglik_grad(data):
+    """Training builds the mlp gradient from the forward pass its objective
+    ran at the same parameters; the bytes equal a fresh mean_loglik_grad.
+    The weight-gradient einsum puts the wider factor last, and both operand
+    orders give the same bytes on every layer input."""
+    seed = data.draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    hidden = tuple(data.draw(st.lists(st.integers(1, 30), max_size=3)))
+    d_in, d_out = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 300))
+    model = make_model("mlp", d_in=d_in, d_out=d_out, hidden=hidden,
+                       seed=seed)
+    theta = model.params.data + 0.3 * rng.standard_normal(model.params.dim)
+    problem = Dataset(rng.standard_normal((n, d_in)),
+                      rng.standard_normal((n, d_out)))
+    weighting = data.draw(st.sampled_from(("ones", "uniform", "sparse")))
+    weights = (np.ones(n) if weighting == "ones"
+               else rng.uniform(0.0, 2.0, n) if weighting == "uniform"
+               else (rng.random(n) < 0.3) * rng.uniform(0.5, 1.5, n))
+    weights[rng.integers(n)] = 1.0  # a positive total
+    wsum = float(np.einsum("n->", weights))
+    value, forward = _objective(model, problem, weights, wsum, theta)
+    assert math.isfinite(value)
+    reused = _objective_grad(model, problem, weights, wsum, theta, forward)
+    fresh = mean_loglik_grad(model, problem.inputs, problem.targets, weights,
+                             theta=theta)
+    assert reused.tobytes() == fresh.tobytes()
+    for h_in in forward[0]:
+        g = rng.standard_normal((n, data.draw(st.integers(1, 30))))
+        wide_last = np.einsum("nj,ni->ji", g, h_in).T
+        assert (np.einsum("ni,nj->ij", h_in, g).tobytes()
+                == np.ascontiguousarray(wide_last).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# the command line contract
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory) -> Path:
+    """A trained bernoulli model directory and its saved covariance."""
+    root = tmp_path_factory.mktemp("cli-contract")
+    with redirect_stdout(io.StringIO()):
+        assert cli_main(["train", "--set", "model.kind=bernoulli-rate",
+                         "--set", "data.kind=survival", "--set", "data.n=40",
+                         "--out", str(root / "model")]) == 0
+        assert cli_main(["sigma", "--model", str(root / "model"),
+                         "--kind", "fisher-full", "--out",
+                         str(root / "sigma")]) == 0
+    return root
+
+
+def _corrupt(data, raw: bytes) -> bytes:
+    """raw truncated, with one byte changed, or emptied."""
+    how = data.draw(st.sampled_from(("truncate", "flip", "empty")))
+    if how == "empty":
+        return b""
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if how == "truncate":
+        return raw[:at]
+    return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) \
+        + raw[at + 1:]
+
+
+TRAIN_BASES = (
+    ("model.kind=bernoulli-rate", "data.kind=survival", "data.n=60"),
+    ("model.kind=logistic", "data.kind=survival", "data.n=60"),
+    ("model.kind=mlp", "model.d_in=3", "model.d_out=3", "model.hidden=[3]",
+     "data.kind=dynamics", "data.n=100"))
+TRAIN_SETS = ("model.kind=bernoulli-rate", "model.kind=logistic",
+              "model.kind=mlp", "model.kind=frobnicate", "model.hidden=[3]",
+              "model.hidden=three", "model.d_in=3", "model.d_out=3",
+              "model.d_in=-1", "model.bogus=1", "data.kind=survival",
+              "data.kind=dynamics", "data.kind=file", "data.kind=weather",
+              "data.n=100", "data.n=105", "data.n=-3", "data.n=many",
+              "data.rate=0.5", "data.rate=2", "train.steps=0",
+              "train.steps=3", "train.steps=-1", "train.steps=many",
+              "train.steps=null", "train.learning_rate=1e9",
+              "train.learning_rate=fast", "train.batch=0", "train.batch=-4",
+              "train.polish_steps=0", "train.bogus=1",
+              "data=5", "data.kind.deeper=1", "noequals", "=1")
+
+
+@given(st.data())
+def test_cli_runs_exit_0_1_or_2_and_leave_no_partial_directory(cli_files,
+                                                               data):
+    """Random subcommands with valid and invalid --set values, flags and
+    corrupt model, data or covariance files: every run exits 0, 1 or 2
+    without a traceback, no ".partial" staging directory survives, and a
+    failed run creates no output directory."""
+    command = data.draw(st.sampled_from(("train", "sigma", "deltavar",
+                                         "oracle", "bench")))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        model_dir, sigma_file = root / "model", root / "sigma.bin"
+        model_dir.mkdir()
+        files = {model_dir / "model.json": cli_files / "model" / "model.json",
+                 model_dir / "data.npz": cli_files / "model" / "data.npz",
+                 sigma_file: cli_files / "sigma" / "sigma.bin"}
+        broken = data.draw(st.sampled_from((None, *files)))
+        for target, source in files.items():
+            raw = source.read_bytes()
+            target.write_bytes(_corrupt(data, raw) if target == broken else raw)
+        out = root / "out"
+        argv = [command]
+        if command == "train":
+            sets = [*data.draw(st.sampled_from(TRAIN_BASES)),
+                    *data.draw(st.lists(st.sampled_from(TRAIN_SETS),
+                                        max_size=2)),
+                    # every run trains for a few steps at most
+                    data.draw(st.sampled_from(("train.steps=5",
+                                               "train.steps=many",
+                                               "train.steps=-2")))]
+            argv += [arg for s in sets for arg in ("--set", s)]
+        elif command == "bench":
+            argv += ["--set", data.draw(st.sampled_from(
+                ("scenario=eigen", "scenario=weather", "scenario=7")))]
+            argv += ["--set", data.draw(st.sampled_from(
+                ("params.mc_samples=300", "params.mc_samples=1",
+                 "params.mc_samples=lots", "params.perturb_var=0",
+                 "params.masses=5", "params.bogus=1", "params=[]")))]
+        else:
+            argv += ["--model", str(data.draw(st.sampled_from(
+                (model_dir, root / "missing"))))]
+        if command == "sigma":
+            argv += ["--kind", data.draw(st.sampled_from(
+                ("fisher-diag", "hessian", "sandwich", "frobnicate"))),
+                "--reg", data.draw(st.sampled_from(("0", "1e-3", "-1",
+                                                    "nan", "x")))]
+        if command in ("deltavar", "oracle"):
+            # half the draws are the valid quantity and input
+            argv += ["--qoi", data.draw(st.just("power2") | st.sampled_from(
+                ("power:exponent=2.5", "set-product", "power:exponent=ten",
+                 "rollout:horizon=2"))),
+                "--input", data.draw(st.just("0.9") | st.sampled_from(
+                    ("0.2,0.3", "abc", "nan", "")))]
+        if command == "deltavar":
+            argv += ["--sigma", data.draw(st.sampled_from(
+                ("fisher-diag", "fisher-full", str(sigma_file), "frobnicate")))]
+        if command == "oracle":
+            argv += ["--kind", data.draw(st.sampled_from(
+                ("mahalanobis", "posterior-mc", "eps-loo", "frobnicate")))]
+            option = data.draw(st.none() | st.sampled_from(
+                ("samples=500", "samples=-5", "samples=some", "max_points=4",
+                 "eps=0.01", "eps=nan", "bogus=1")))
+            argv += [] if option is None else ["--set", option]
+        if command in ("train", "sigma", "bench"):
+            argv += ["--out", str(out)]
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in stderr.getvalue()
+        assert not list(root.rglob("*.partial")), argv
+        if code != 0:
+            assert not out.exists(), argv

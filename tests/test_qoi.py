@@ -1,5 +1,7 @@
 """Tests for scalar quantities of interest and their parameter gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,18 @@ class TestRegistry:
                      component=1, exponent=3)
         assert u.qoi_id == ("rollout:component=1,exponent=3.0,"
                             "functional=power,horizon=2")
+
+    def test_id_is_computed_once_and_round_trips(self):
+        model = make_model("mlp", d_in=2, d_out=2, hidden=(4,))
+        u = make_qoi("rollout", model, functional="max", horizon=3,
+                     component=1)
+        assert "qoi_id" not in vars(u)
+        first = u.qoi_id
+        assert vars(u)["qoi_id"] is first and u.qoi_id is first
+        again = parse_qoi(first, model)
+        assert again.config == u.config and again.qoi_id == first
+        other = dataclasses.replace(u, config={**u.config, "horizon": 4})
+        assert other.qoi_id == first.replace("horizon=3", "horizon=4")
 
 
 class TestBatchParams:
