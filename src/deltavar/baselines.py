@@ -11,14 +11,14 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import StructuralError
 from .models import Dataset, Model, TrainConfig, make_model, predict, train
-from .qoi import (QuantityOfInterest, _as_input_matrix, _rollout_head,
-                  _rollout_states, qoi_value)
+from .qoi import QuantityOfInterest, input_rows, qoi_values
 
 ENSEMBLE_MODES = ("init-only", "bootstrap-resample")
 DEFAULT_MEMBERS = 10
@@ -86,41 +86,19 @@ def train_ensemble(model: Model, data: Dataset, k: int = DEFAULT_MEMBERS,
                          mode=mode)
 
 
-def _bound(u: QuantityOfInterest, model: Model) -> QuantityOfInterest:
-    if u.model is None:
-        raise StructuralError("this quantity does not evaluate through a "
-                              "model, so resampled parameters cannot move it")
-    return QuantityOfInterest(u.kind, model, u.config)
-
-
-def _batch_values(u: QuantityOfInterest, model: Model,
-                  zs: np.ndarray) -> np.ndarray:
-    """Values of u at each z row under one fixed parameter setting."""
-    bound = _bound(u, model)
-    if u.kind == "rollout":
-        zb = _as_input_matrix(model, zs)
-        states, _ = _rollout_states(model, zb, u.config["horizon"], False)
-        values, _ = _rollout_head(bound, states)
-        return values
-    if u.kind == "set-product":
-        # a set-product consumes the whole z set as one query
-        return np.array([qoi_value(bound, zs)])
-    return np.array([qoi_value(bound, z) for z in np.atleast_2d(zs)])
-
-
 def ensemble_variance_batch(ens: EnsembleState, u: QuantityOfInterest,
                             zs) -> np.ndarray:
-    """Unbiased variance of u across members, one entry per z row."""
+    """Unbiased variance of u across members, one entry per z row (one for
+    a whole set-product set)."""
     for member in ens.members:
         if member.diagnostics is None:
             raise StructuralError("ensemble member was never trained")
-    zs = np.atleast_2d(np.asarray(zs, dtype=np.float64))
-    values = np.stack([_batch_values(u, member, zs)
+    values = np.stack([qoi_values(u, zs, forward=partial(predict, member))
                        for member in ens.members])
     return np.var(values, axis=0, ddof=1)
 
 
-def _dropout_passes(model: Model, u: QuantityOfInterest, zs: np.ndarray,
+def _dropout_passes(model: Model, u: QuantityOfInterest, zs,
                     k: int, rate: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Values under k stochastic passes, shape (k, queries).
@@ -129,28 +107,19 @@ def _dropout_passes(model: Model, u: QuantityOfInterest, zs: np.ndarray,
     row, so stacking k copies of the query batch into a single pass is the
     cheap implementation the weight-sharing allows.
     """
-    bound = _bound(u, model)
-    if u.kind == "rollout":
-        zb = _as_input_matrix(model, zs)
-        tiled = np.tile(zb, (k, 1))
-        states = [tiled]
-        x = tiled
-        for _ in range(u.config["horizon"]):
-            x = predict(model, x, rng=rng, dropout_rate=rate)
-            states.append(x)
-        values, _ = _rollout_head(bound, states)
-        return values.reshape(k, zb.shape[0])
-    if u.kind == "power":
-        zb = _as_input_matrix(model, zs)
-        tiled = np.tile(zb, (k, 1))
-        out = predict(model, tiled, rng=rng, dropout_rate=rate)[:, 0]
-        return (out ** u.config["exponent"]).reshape(k, zb.shape[0])
-    if u.kind == "set-product":
-        zb = _as_input_matrix(model, zs)
-        tiled = np.tile(zb, (k, 1))
-        out = predict(model, tiled, rng=rng, dropout_rate=rate)[:, 0]
-        return np.prod(out.reshape(k, zb.shape[0]), axis=1, keepdims=True)
-    raise StructuralError(f"dropout cannot perturb a {u.kind} quantity")
+    zb = input_rows(model, zs)
+    tiled = np.tile(zb, (k, 1))
+
+    def masked(x):
+        return predict(model, x, rng=rng, dropout_rate=rate)
+
+    if u.kind != "set-product":
+        return qoi_values(u, tiled, forward=masked).reshape(k, -1)
+    # each pass is one set: the copies share one masked forward, then each
+    # copy's outputs form its own product
+    outs = masked(tiled).reshape(k, zb.shape[0], -1)
+    return np.stack([qoi_values(u, zb, forward=lambda _, out=out: out)
+                     for out in outs])
 
 
 def dropout_variance_batch(model: Model, u: QuantityOfInterest, zs,

@@ -21,10 +21,11 @@ from typing import Mapping
 import numpy as np
 
 from . import __version__
-from .baselines import (cost_accounting, dropout_variance_batch,
-                        ensemble_variance_batch, train_ensemble)
+from .baselines import (EnsembleState, cost_accounting,
+                        dropout_variance_batch, ensemble_variance_batch,
+                        train_ensemble)
 from .covariance import CovarianceEstimate, canonical_sigma, empirical_fisher
-from .delta_variance import delta_variance, finetune_scales
+from .delta_variance import block_variances, delta_variance, finetune_scales
 from .evaluation import (error_correlation, fit_laplace_calibration,
                          improvement, laplace_logp, retention_auc,
                          standard_error)
@@ -32,7 +33,8 @@ from .exceptions import ConfigError, StructuralError
 from .models import Dataset, Model, TrainConfig, make_model, train
 from .oracles import variance_standard_error
 from .qoi import (EigenProblem, eigen_spectra, eigenvalue_delta,
-                  make_qoi, qoi_value_and_delta, values_and_deltas)
+                  make_qoi, qoi_value_and_delta, qoi_values,
+                  values_and_deltas)
 from .util import (format_float, ordered_parallel_map, spawn_seeds,
                    stable_json_dumps)
 
@@ -362,23 +364,9 @@ def _dynamics_qois(model: Model, params: Mapping):
 
 
 def true_functional(u, zs: np.ndarray) -> np.ndarray:
-    """Ground-truth rollout quantity under the noiseless true system.
-
-    Mirrors the model-side functional exactly (trailing max window, first
-    maximum on ties) but advances states with true_step instead of the
-    learned network.
-    """
-    cfg = u.config
-    horizon = int(cfg["horizon"])
-    states = simulate(np.atleast_2d(zs), horizon)
-    if cfg["functional"] == "power":
-        return states[horizon][:, int(cfg["component"])] ** cfg["exponent"]
-    if cfg["functional"] == "mean":
-        return states[horizon].mean(axis=1)
-    c, w = int(cfg["component"]), int(cfg["window"])
-    window_vals = states[horizon - w + 1:horizon + 1, :, c]
-    best = np.argmax(window_vals, axis=0)
-    return window_vals[best, np.arange(window_vals.shape[1])]
+    """Ground-truth rollout quantity: the model-side functional with states
+    advanced by the noiseless true_step instead of the learned network."""
+    return qoi_values(u, zs, forward=true_step)
 
 
 def _jackknife_se(metric, errors: np.ndarray, variances: np.ndarray) -> float:
@@ -388,17 +376,6 @@ def _jackknife_se(metric, errors: np.ndarray, variances: np.ndarray) -> float:
     reps = np.array([metric(errors[idx != i], variances[idx != i])
                      for i in range(n)])
     return float(math.sqrt((n - 1) / n * np.sum((reps - reps.mean()) ** 2)))
-
-
-def _block_contributions(deltas: np.ndarray, sigma_diag: np.ndarray,
-                         blocks) -> np.ndarray:
-    """(B, n_blocks) per-block quadratic-form pieces for a diagonal sigma."""
-    out = np.empty((deltas.shape[0], len(blocks)))
-    for j, (_, start, length) in enumerate(blocks):
-        seg = deltas[:, start:start + length]
-        out[:, j] = np.einsum("bi,i,bi->b", seg,
-                              sigma_diag[start:start + length], seg)
-    return out
 
 
 def _select_regularizer(fisher_diag: np.ndarray, n_train: int,
@@ -492,12 +469,53 @@ def finetune_report(scenario: Scenario) -> dict:
             for qi, u in enumerate(head.qois)}
 
 
+def _dynamics_ensemble(head: _DynamicsHead, params: Mapping) -> EnsembleState:
+    """The init-only ensemble that the dynamics methods are compared with."""
+    return train_ensemble(head.model, head.splits.train,
+                          k=int(params["members"]), mode="init-only",
+                          seed=head.ensemble_seed, train_cfg=head.train_cfg)
+
+
+def cost_report(scenario: Scenario, repeats: int) -> dict:
+    """Measured cost profiles of the delta, dropout and ensemble methods.
+
+    Runs the dynamics head and trains its ensemble, then times each method's
+    variance queries for the last quantity on up to 32 evaluation inputs
+    (cost_accounting, the median of `repeats` runs). Returns the batch size,
+    the quantity id, one profile per method and a note on the timings.
+    """
+    if scenario.kind != "dynamics":
+        raise ConfigError("cost profiles are measured on the dynamics scenario")
+    if repeats < 1:
+        raise ConfigError("repeats must be positive")
+    p = scenario.params
+    head = _dynamics_head(scenario)
+    ens = _dynamics_ensemble(head, p)
+    u = head.qois[-1]
+    batch = min(32, head.splits.evaluation.n)
+    z = head.splits.evaluation.inputs[:batch]
+    passes = int(p["dropout_passes"])
+    workloads = {
+        "delta": (lambda: values_and_deltas(u, z), passes),
+        "dropout": (lambda: dropout_variance_batch(
+            head.model, u, z, k=passes, rate=float(p["dropout_rate"]),
+            seed=0), passes),
+        "ensemble": (lambda: ensemble_variance_batch(ens, u, z),
+                     int(p["members"])),
+    }
+    profiles = {method: cost_accounting(method, workload=work, k=k,
+                                        repeats=repeats)
+                for method, (work, k) in workloads.items()}
+    return {"batch": batch, "qoi": u.qoi_id, "profiles": profiles,
+            "note": "seconds are wall-clock medians and vary between runs"}
+
+
 def _finetune(head: _DynamicsHead, qi: int):
     """Log-likelihood block scales of quantity qi on the validation split:
     the per-block contributions, the scales and their report entry."""
     v_val, d_val = head.sides[qi][0], head.sides[qi][1]
     blocks = head.sigma.blocks
-    contrib = _block_contributions(d_val, head.sigma.values, blocks)
+    contrib = block_variances(d_val, head.sigma)
     cached = [dict(zip([b[0] for b in blocks], row)) for row in contrib]
     scales = finetune_scales(cached, np.abs(head.y_val[qi] - v_val))
     return contrib, scales, {
@@ -522,9 +540,7 @@ def _run_dynamics(scenario: Scenario):
     z_val = splits.validation.inputs
     z_eval = splits.evaluation.inputs
 
-    ens = train_ensemble(model, splits.train, k=int(p["members"]),
-                         mode="init-only", seed=head.ensemble_seed,
-                         train_cfg=head.train_cfg)
+    ens = _dynamics_ensemble(head, p)
 
     methods = ("delta", "delta-finetuned", "ensemble", "dropout")
     calib_steps = int(p["calibration_steps"])
@@ -538,7 +554,7 @@ def _run_dynamics(scenario: Scenario):
             np.einsum("bi,i,bi->b", d_val, sigma.values, d_val),
             np.einsum("bi,i,bi->b", d_eval, sigma.values, d_eval))
         contrib_val, scales, finetune_info = _finetune(head, qi)
-        contrib_eval = _block_contributions(d_eval, sigma.values, blocks)
+        contrib_eval = block_variances(d_eval, sigma)
         scale_vec = np.array([scales.as_dict()[b[0]] for b in blocks])
         variances["delta-finetuned"] = (contrib_val @ scale_vec,
                                         contrib_eval @ scale_vec)
@@ -671,7 +687,6 @@ def write_report(out_dir, rows, metrics, provenance) -> list:
 def _provenance(scenario: Scenario, extra: Mapping) -> dict:
     import platform
 
-    import scipy
     info = {
         "scenario": scenario.kind,
         "seed": scenario.seed,
@@ -679,7 +694,6 @@ def _provenance(scenario: Scenario, extra: Mapping) -> dict:
                    for k, v in scenario.params.items()},
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "python_version": platform.python_version(),
     }
     info.update(extra)

@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import (cost_accounting, dropout_variance_batch,
-                        ensemble_variance_batch, train_ensemble)
-from .bench import (Scenario, finetune_report, gen_dynamics, make_scenario,
-                    run_scenario, survival_dataset, write_report)
+from .bench import (Scenario, cost_report, finetune_report, gen_dynamics,
+                    make_scenario, run_scenario, survival_dataset,
+                    write_report)
 from .covariance import (canonical_sigma, laplace_sigma, load_covariance,
                          sandwich, save_covariance)
 from .autodiff import ParameterVector
@@ -439,43 +438,16 @@ def _cmd_bench(args, cfg) -> int:
 
 
 def _cmd_cost(args, cfg) -> int:
-    scenario = _scenario_from(cfg, args)
-    if scenario.kind != "dynamics":
-        raise ConfigError("cost profiles are measured on the dynamics scenario")
-    from .bench import _dynamics_head, _dynamics_qois
-    head = _dynamics_head(scenario)
-    p = scenario.params
-    ens = train_ensemble(head.model, head.splits.train, k=int(p["members"]),
-                         mode="init-only", seed=head.ensemble_seed,
-                         train_cfg=head.train_cfg)
-    u = head.qois[-1]
-    batch = min(32, head.splits.evaluation.n)
-    z = head.splits.evaluation.inputs[:batch]
-    model = head.model
-    workloads = {
-        "delta": lambda: values_and_deltas(u, z),
-        "dropout": lambda: dropout_variance_batch(
-            model, u, z, k=int(p["dropout_passes"]),
-            rate=float(p["dropout_rate"]), seed=0),
-        "ensemble": lambda: ensemble_variance_batch(ens, u, z),
-    }
-    profiles = {}
-    for method in ("delta", "dropout", "ensemble"):
-        k = int(p["members"]) if method == "ensemble" \
-            else int(p["dropout_passes"])
-        profiles[method] = cost_accounting(method, workload=workloads[method],
-                                           k=k, repeats=args.repeats)
-    for method, prof in profiles.items():
-        print(f"{method}: {format_float(prof['seconds'])} s on {batch} inputs"
+    report = cost_report(_scenario_from(cfg, args), args.repeats)
+    for method, prof in report["profiles"].items():
+        print(f"{method}: {format_float(prof['seconds'])} s on "
+              f"{report['batch']} inputs"
               f" (train x{format_float(float(prof['train_overhead']))},"
               f" evals {prof['inference_evals']},"
               f" grads {prof['inference_grads']})")
     if args.out is not None:
         with _OutputDir(args.out, args.force) as out:
-            payload = {"batch": batch, "qoi": u.qoi_id, "profiles": profiles,
-                       "note": "seconds are wall-clock medians and vary "
-                               "between runs"}
-            (out / "cost.json").write_text(stable_json_dumps(payload) + "\n")
+            (out / "cost.json").write_text(stable_json_dumps(report) + "\n")
     return 0
 
 

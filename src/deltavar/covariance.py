@@ -20,8 +20,7 @@ from .exceptions import NumericalError, ResourceError, StructuralError
 from .models import Dataset, Model, loglik_grad_batch, nll_hessian
 from .util import stable_json_dumps
 
-KINDS = ("fisher-full", "fisher-diag", "fisher-ema-diag", "hessian",
-         "sandwich", "learned")
+KINDS = ("fisher-full", "fisher-diag", "hessian", "sandwich", "learned")
 
 # Examples are accumulated in fixed-size chunks so the floating-point
 # reduction order never depends on thread settings or dataset size.
@@ -109,36 +108,6 @@ def empirical_fisher(model: Model, data: Dataset,
             acc += np.einsum("ni,ni->i", g, g)
     return CovarianceEstimate(kind=f"fisher-{mode}", values=acc / data.n,
                               n_points=data.n, blocks=model.params.blocks)
-
-
-def ema_diag_fisher(model: Model, batches, decay: float = 1e-3,
-                    batch_size: int = 32) -> CovarianceEstimate:
-    """Exponential moving average of per-batch mean squared gradients.
-
-    `batches` is either a Dataset, split into consecutive batches of
-    `batch_size`, or an iterable of Datasets streamed as given. The average
-    is seeded with the first batch, so a constant gradient stream is a fixed
-    point from the start.
-    """
-    if not 0.0 < decay < 1.0:
-        raise StructuralError(f"decay must lie in (0, 1), got {decay}")
-    if isinstance(batches, Dataset):
-        data = batches
-        if batch_size < 1:
-            raise StructuralError("batch_size must be positive")
-        batches = (data.subset(range(s, min(s + batch_size, data.n)))
-                   for s in range(0, data.n, batch_size))
-    v = None
-    seen = 0
-    for batch in batches:
-        g = loglik_grad_batch(model, batch.inputs, batch.targets)
-        moment = np.einsum("ni,ni->i", g, g) / batch.n
-        v = moment if v is None else (1.0 - decay) * v + decay * moment
-        seen += batch.n
-    if v is None:
-        raise StructuralError("the batch stream is empty")
-    return CovarianceEstimate(kind="fisher-ema-diag", values=v, n_points=seen,
-                              blocks=model.params.blocks)
 
 
 def loss_hessian(model: Model, data: Dataset) -> CovarianceEstimate:

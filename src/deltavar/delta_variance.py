@@ -72,38 +72,50 @@ def _off_block_mask(dim: int, blocks) -> np.ndarray:
     return mask
 
 
-def block_decompose(delta: GradientDelta,
-                    sigma: CovarianceEstimate) -> dict[str, float]:
-    """Per-block contributions of the quadratic form, in block order.
+def block_variances(deltas, sigma: CovarianceEstimate) -> np.ndarray:
+    """Per-block contributions of the quadratic form, one row per gradient.
 
+    `deltas` is a (B, d) stack of gradients; the result is (B, n_blocks) in
+    block order, and each row sums to that gradient's delta_variance.
     Requires Sigma to carry the parameter block layout and to be block
     diagonal (diagonals always are; full matrices must have exact zeros
-    between blocks). The values sum to delta_variance.
+    between blocks).
     """
+    deltas = np.asarray(deltas, dtype=np.float64)
     if not sigma.inverted:
         raise StructuralError(
             "sigma is a raw curvature estimate; invert it into a covariance first")
     if not sigma.blocks:
         raise StructuralError("sigma carries no block layout")
-    if sigma.dim != delta.dim:
+    if deltas.ndim != 2 or deltas.shape[1] != sigma.dim:
         raise StructuralError(
-            f"gradient has dimension {delta.dim} but sigma has {sigma.dim}")
+            f"gradients have shape {deltas.shape} but sigma has dimension "
+            f"{sigma.dim}")
     if not sigma.is_diagonal:
         off = _off_block_mask(sigma.dim, sigma.blocks)
         if np.any(sigma.values[off] != 0.0):
             raise StructuralError(
                 "sigma has nonzero entries between blocks; "
                 "the quadratic form does not split per block")
-    out: dict[str, float] = {}
-    for name, start, length in sigma.blocks:
-        v = delta.vector[start:start + length]
+    out = np.empty((deltas.shape[0], len(sigma.blocks)))
+    for j, (_, start, length) in enumerate(sigma.blocks):
+        seg = deltas[:, start:start + length]
         if sigma.is_diagonal:
             s = sigma.values[start:start + length]
-            out[name] = float(np.einsum("i,i,i->", v, s, v))
+            out[:, j] = np.einsum("bi,i,bi->b", seg, s, seg)
         else:
             m = sigma.values[start:start + length, start:start + length]
-            out[name] = float(v @ (m @ v))
+            out[:, j] = np.einsum("bi,bi->b", seg @ m, seg)
     return out
+
+
+def block_decompose(delta: GradientDelta,
+                    sigma: CovarianceEstimate) -> dict[str, float]:
+    """Per-block contributions of one gradient's quadratic form, keyed by
+    block name in block order: the one-row block_variances. The values sum
+    to delta_variance."""
+    row = block_variances(delta.vector[None, :], sigma)[0]
+    return {name: float(v) for (name, _, _), v in zip(sigma.blocks, row)}
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .models import (Model, _mlp_forward_cache, _sigmoid, mlp_vjp,
                      record_predict)
 
 ROLLOUT_FUNCTIONALS = ("power", "mean", "max")
+EXPLICIT_KINDS = ("power", "set-product", "rollout")
 EIGEN_GAP_TOL = 1e-8
 EIGEN_SIZE_CAP = 64
 
@@ -224,54 +225,61 @@ def _as_input_matrix(model: Model, z) -> np.ndarray:
     return z
 
 
-def _rollout_states(model: Model, z_batch: np.ndarray, horizon: int,
-                    keep_caches: bool):
-    states = [z_batch]
-    caches = []
-    x = z_batch
-    for _ in range(horizon):
-        out, h_ins, layers = _mlp_forward_cache(model, x)
-        if keep_caches:
-            caches.append((h_ins, layers))
-        states.append(out)
-        x = out
-    return states, caches
+def input_rows(model: Model, zs) -> np.ndarray:
+    """A batch of inputs as rows; a flat vector is a column of scalar inputs
+    for a one-input model."""
+    zb = np.asarray(zs, dtype=np.float64)
+    if zb.ndim == 1 and model.d_in == 1:
+        zb = zb[:, None]
+    return _as_input_matrix(model, zb)
 
 
-def _rollout_head(u: QuantityOfInterest, states):
-    """Functional value and its gradient injections d value / d state_t."""
+def _rollout(u: QuantityOfInterest, zb: np.ndarray, forward,
+             with_grad: bool = False):
+    """Run the trajectory zb -> forward(zb) -> ... for the horizon and apply
+    the functional: the values and, with_grad, the injections
+    d value / d state_t as one (horizon+1, n, width) array."""
     cfg = u.config
     horizon = cfg["horizon"]
-    batch = states[0].shape[0]
-    dim = states[0].shape[1]
-    inject = [np.zeros((batch, dim)) for _ in range(horizon + 1)]
+    states = [zb]
+    for _ in range(horizon):
+        states.append(forward(states[-1]))
+    inject = np.zeros((horizon + 1,) + zb.shape) if with_grad else None
     if cfg["functional"] == "power":
         c, p = cfg["component"], cfg["exponent"]
         base = states[horizon][:, c]
         values = _power(base, p)
-        inject[horizon][:, c] = p * _power(base, p - 1.0)
+        if with_grad:
+            inject[horizon, :, c] = p * _power(base, p - 1.0)
     elif cfg["functional"] == "mean":
         values = states[horizon].mean(axis=1)
-        inject[horizon][:, :] = 1.0 / dim
+        if with_grad:
+            inject[horizon] = 1.0 / zb.shape[1]
     else:  # max over the trailing window
         c, w = cfg["component"], cfg["window"]
         t0 = horizon - w + 1
+        rows = np.arange(zb.shape[0])
         window_vals = np.stack([states[t][:, c] for t in range(t0, horizon + 1)])
         best = np.argmax(window_vals, axis=0)  # first maximum on ties
-        values = window_vals[best, np.arange(batch)]
-        for row in range(batch):
-            inject[t0 + best[row]][row, c] = 1.0
+        values = window_vals[best, rows]
+        if with_grad:
+            inject[t0 + best, rows, c] = 1.0
     return values, inject
 
 
 def _rollout_values_and_deltas(u: QuantityOfInterest, z_batch: np.ndarray):
     model = u.model
-    horizon = u.config["horizon"]
-    states, caches = _rollout_states(model, z_batch, horizon, keep_caches=True)
-    values, inject = _rollout_head(u, states)
-    g = inject[horizon]
+    caches = []
+
+    def forward(x):
+        out, h_ins, layers = _mlp_forward_cache(model, x)
+        caches.append((h_ins, layers))
+        return out
+
+    values, inject = _rollout(u, z_batch, forward, with_grad=True)
+    g = inject[-1]
     deltas = np.zeros((z_batch.shape[0], model.params.dim))
-    for t in range(horizon, 0, -1):
+    for t in range(len(caches), 0, -1):
         h_ins, layers = caches[t - 1]
         gp, gin = mlp_vjp(model, h_ins, layers, g, per_example=True)
         deltas += gp
@@ -307,20 +315,37 @@ def _set_product_value_and_delta(u: QuantityOfInterest, xs: np.ndarray):
     return float(np.prod(outs)), (prefix * suffix) @ jac
 
 
-def qoi_value(u: QuantityOfInterest, z=None) -> float:
-    """The scalar value at the trained parameters (no gradient work)."""
-    if u.kind == "power":
-        x = _as_input_matrix(u.model, z)[:1]
-        return float(_power(predict(u.model, x)[:, 0],
-                            u.config["exponent"])[0])
-    if u.kind == "set-product":
-        xs = _as_input_matrix(u.model, z)
-        return float(np.prod(predict(u.model, xs)[:, 0]))
+def qoi_values(u: QuantityOfInterest, zs, forward=None) -> np.ndarray:
+    """Values of an explicit quantity under one input-to-output map.
+
+    One value per row of zs for power and rollouts; a set-product takes the
+    rows as one set and returns one value. A flat vector is a column of
+    scalar inputs for a one-input model. `forward` maps an (n, d_in) input
+    matrix to the (n, d_out) outputs and defaults to the model's predict;
+    the baselines pass resampled or masked networks and the scenarios the
+    true system, so every path evaluates the same quantity.
+    """
+    if u.kind not in EXPLICIT_KINDS:
+        raise StructuralError(f"{u.kind} quantities have no explicit value "
+                              "under a model forward pass")
+    zb = input_rows(u.model, zs)
+    if forward is None:
+        forward = functools.partial(predict, u.model)
     if u.kind == "rollout":
+        return _rollout(u, zb, forward)[0]
+    outs = forward(zb)[:, 0]
+    if u.kind == "power":
+        return _power(outs, u.config["exponent"])
+    return np.prod(outs, keepdims=True)
+
+
+def qoi_value(u: QuantityOfInterest, z=None) -> float:
+    """The scalar value at the trained parameters (no gradient work): power
+    and rollouts at the first row of z, set-product over all rows."""
+    if u.kind in EXPLICIT_KINDS:
         zb = _as_input_matrix(u.model, z)
-        states, _ = _rollout_states(u.model, zb, u.config["horizon"], False)
-        values, _ = _rollout_head(u, states)
-        return float(values[0])
+        return float(qoi_values(u, zb if u.kind == "set-product"
+                                else zb[:1])[0])
     if u.kind == "fixed-point":
         problem = u.config["problem"]
         w_star, _ = solve_fixed_point(problem)
@@ -381,7 +406,7 @@ def qoi_value_and_delta(u: QuantityOfInterest, z=None):
     their dedicated formulas. Returns the value and a GradientDelta labeled
     with the quantity id.
     """
-    if u.kind in ("power", "set-product", "rollout"):
+    if u.kind in EXPLICIT_KINDS:
         zb = _as_input_matrix(u.model, z)
         if u.kind == "set-product":
             value, vector = _set_product_value_and_delta(u, zb)
@@ -429,11 +454,8 @@ def values_and_deltas(u: QuantityOfInterest, zs):
     rows are the model outputs and their Jacobians. The implicit kinds loop
     over qoi_value_and_delta.
     """
-    if u.kind in ("power", "set-product", "rollout"):
-        zb = np.asarray(zs, dtype=np.float64)
-        if zb.ndim == 1 and u.model.d_in == 1:
-            zb = zb[:, None]  # a flat list of scalar inputs
-        zb = _as_input_matrix(u.model, zb)
+    if u.kind in EXPLICIT_KINDS:
+        zb = input_rows(u.model, zs)
         if u.kind == "power":
             return _power_values_and_deltas(u, zb)
         if u.kind == "set-product":
@@ -609,18 +631,14 @@ def eigen_gradient(a: np.ndarray, das, index: int,
     """Eigenvalue and its gradient for a parameterized matrix A(theta).
 
     `das` is a sequence of dA/d(theta_j). Uses left and right eigenvectors,
-    so A need not be symmetric. Eigenvalues are sorted ascending by real
-    part; complex pairs and near-degenerate values are refused because the
-    derivative formula breaks down there.
+    so A need not be symmetric; the left ones are the rows of inv(R) for
+    the matrix R of right eigenvectors. Eigenvalues are sorted ascending by
+    real part; complex pairs and near-degenerate values are refused because
+    the derivative formula breaks down there.
     """
-    # imported here: scipy.linalg pulls in numpy.f2py, numpy.testing and
-    # numpy.ma, about 0.4 s and 20 MB that no other path needs
-    import scipy.linalg
-
-    values, left, right = scipy.linalg.eig(a, left=True, right=True)
+    values, right = np.linalg.eig(a)
     order = np.argsort(values.real, kind="stable")
     values = values[order]
-    left = left[:, order]
     right = right[:, order]
     if np.max(np.abs(values.imag)) > gap_tol * max(1.0, np.max(np.abs(values.real))):
         raise DegenerateEigenvalueError(
@@ -637,14 +655,15 @@ def eigen_gradient(a: np.ndarray, das, index: int,
         raise DegenerateEigenvalueError(
             f"eigenvalue {index} is within {gap:.3e} of its neighbor; "
             "sensitivities are undefined at a crossing")
-    l_vec = left[:, index]
-    r_vec = right[:, index]
-    denom = l_vec.conj() @ r_vec
-    if abs(denom) < 1e-14:
+    try:
+        l_vec = np.linalg.inv(right)[index]
+    except np.linalg.LinAlgError as exc:
         raise DegenerateEigenvalueError(
-            "left and right eigenvectors are numerically orthogonal")
-    grad = np.array(
-        [ (l_vec.conj() @ (da @ r_vec)) / denom for da in das ]).real
+            "the eigenvectors are linearly dependent") from exc
+    r_vec = right[:, index]
+    # l' r is 1 only up to rounding, so the formula still divides by it
+    grad = (np.array([l_vec @ (da @ r_vec) for da in das])
+            / (l_vec @ r_vec)).real
     return float(lam[index]), grad
 
 

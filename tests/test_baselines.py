@@ -1,14 +1,16 @@
 """Tests for the ensemble and dropout baselines and the cost profiles."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from deltavar.baselines import (EnsembleState, cost_accounting,
                                 dropout_variance_batch,
                                 ensemble_variance_batch, train_ensemble)
-from deltavar.exceptions import StructuralError
-from deltavar.models import Dataset, TrainConfig, make_model, train
-from deltavar.qoi import make_qoi
+from deltavar.exceptions import NumericalError, StructuralError
+from deltavar.models import Dataset, TrainConfig, make_model, predict, train
+from deltavar.qoi import QuantityOfInterest, make_qoi, qoi_value, qoi_values
 
 
 def bernoulli_dataset(n=100, k=90):
@@ -107,6 +109,26 @@ class TestEnsembleVariance:
         expected = np.var(np.stack(member_values), axis=0, ddof=1)
         np.testing.assert_allclose(batch, expected, rtol=1e-12)
 
+    def test_batched_mlp_power_values_match_per_row_values(self):
+        """Each member evaluates a power quantity on the whole batch in one
+        forward pass; the values agree with one qoi_value call per row."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(80, 2))
+        data = Dataset(x, np.tanh(x @ np.array([0.8, -0.5])))
+        model = make_model("mlp", d_in=2, d_out=1, hidden=(6,), seed=0)
+        ens = train_ensemble(model, data, k=3, seed=13,
+                             train_cfg=TrainConfig(steps=200))
+        u = make_qoi("power", model, exponent=3)
+        zs = rng.normal(size=(7, 2))
+        per_row = np.array([
+            [qoi_value(QuantityOfInterest(u.kind, member, u.config), z)
+             for z in zs] for member in ens.members])
+        batched = np.stack([qoi_values(u, zs, forward=partial(predict, member))
+                            for member in ens.members])
+        np.testing.assert_allclose(batched, per_row, rtol=1e-12)
+        np.testing.assert_array_equal(ensemble_variance_batch(ens, u, zs),
+                                      np.var(batched, axis=0, ddof=1))
+
     def test_member_permutation_invariance(self):
         data = bernoulli_dataset()
         model = make_model("bernoulli-rate")
@@ -148,6 +170,28 @@ class TestDropoutVariance:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.all(a >= 0.0)
+
+    def test_fractional_power_of_a_negative_output_raises(self):
+        """Dropout evaluates a power like every other path: a negative
+        output has no real square root, so the passes raise instead of
+        returning NaN variances."""
+        model = make_model("mlp", d_in=1, d_out=1, hidden=(8,), seed=0)
+        u = make_qoi("power", model, exponent=0.5)
+        z = np.linspace(-2.0, 2.0, 9)
+        for zs in (z[:, None], z):
+            with pytest.raises(NumericalError):
+                dropout_variance_batch(model, u, zs)
+
+    def test_set_product_takes_one_product_per_pass(self):
+        model = make_model("mlp", d_in=1, d_out=1, hidden=(8,), seed=2)
+        u = make_qoi("set-product", model)
+        zs = np.array([[0.3], [-0.4], [1.1]])
+        var = dropout_variance_batch(model, u, zs, k=6, rate=0.2, seed=5)
+        rng = np.random.default_rng(5)
+        outs = predict(model, np.tile(zs, (6, 1)), rng=rng,
+                       dropout_rate=0.2)[:, 0].reshape(6, 3)
+        assert var.shape == (1,)
+        assert var[0] == np.var(np.prod(outs, axis=1), ddof=1)
 
     def test_validation(self):
         model = self.trained_mlp()

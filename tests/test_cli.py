@@ -358,6 +358,13 @@ class TestCostCommand:
         assert [line.split(":")[0] for line in lines] \
             == ["delta", "dropout", "ensemble"]
 
+    def test_nonpositive_repeats_exit_2_before_training(self, tmp_path):
+        out = tmp_path / "cost"
+        code = main(["cost", "--set", "scenario=dynamics", "--repeats", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
 
 class TestPlotdata:
     def test_incomplete_directory_is_rejected(self, tmp_path):
@@ -392,18 +399,21 @@ class TestPlotdata:
 
 
 def test_dynamics_run_never_imports_scipy_optimize():
-    """scipy.optimize costs about 0.1 s of import time and 18 MB of memory;
-    the package's solvers are numpy only. scipy.linalg (about 0.4 s, loaded
-    only by the eigen quantity) stays out too."""
+    """The runtime is numpy only: small survival, dynamics and eigen
+    scenarios load no scipy module at all. scipy.optimize alone costs about
+    0.1 s of import time and 18 MB of memory, scipy.linalg about 0.4 s."""
     script = (
         "import sys\n"
         "import deltavar.cli\n"
         "from deltavar.bench import make_scenario, run_scenario\n"
+        "run_scenario(make_scenario('survival', seed=1, n_grid=(10, 100),\n"
+        "    members=2, train_steps=200))\n"
         "run_scenario(make_scenario('dynamics', seed=1, n_pairs=100,\n"
         "    horizons=(1,), train_steps=40, members=2, dropout_passes=2,\n"
         "    selection_steps=5, calibration_steps=20))\n"
+        "run_scenario(make_scenario('eigen', seed=1, mc_samples=100))\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('scipy.optimize', 'scipy.linalg'))))\n")
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr

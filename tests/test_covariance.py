@@ -17,7 +17,6 @@ from deltavar.covariance import (
     CovarianceEstimate,
     apply_block_scales,
     canonical_sigma,
-    ema_diag_fisher,
     empirical_fisher,
     invert,
     laplace_sigma,
@@ -118,59 +117,6 @@ class TestEmpiricalFisher:
         model = make_model("bernoulli-rate")
         with pytest.raises(StructuralError):
             empirical_fisher(model, data, mode="block")
-
-
-class TestEmaDiagFisher:
-    def test_constant_gradient_stream_fixed_point(self):
-        x = np.tile([[1.5, -0.5]], (16, 1))
-        y = np.full(16, 2.0)
-        data = Dataset(x, y)
-        model = make_model("linear-regression", d_in=2)
-        g = loglik_grad(model, x[0], y[0])
-        est = ema_diag_fisher(model, data, decay=0.25, batch_size=4)
-        np.testing.assert_array_equal(est.values, g * g)
-
-    def test_default_configuration(self):
-        import inspect
-
-        sig = inspect.signature(ema_diag_fisher)
-        assert sig.parameters["decay"].default == 1e-3
-        assert sig.parameters["batch_size"].default == 32
-
-    def test_two_phase_stream_geometric_oracle(self):
-        model = make_model("linear-regression", d_in=2)
-        x1 = np.tile([[2.0, 1.0]], (8, 1))
-        x2 = np.tile([[1.0, 2.0]], (8, 1))
-        phase1 = Dataset(x1, np.full(8, 1.0))
-        phase2 = Dataset(x2, np.full(8, 3.0))
-        g1 = loglik_grad(model, x1[0], 1.0)
-        g2 = loglik_grad(model, x2[0], 3.0)
-        m1, m2 = g1 * g1, g2 * g2
-        decay = 0.01
-        k = 1000
-        stream = [phase1] + [phase2] * k
-        est = ema_diag_fisher(model, stream, decay=decay)
-        keep = (1.0 - decay) ** k
-        expected = keep * m1 + (1.0 - keep) * m2
-        np.testing.assert_allclose(est.values, expected, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(est.values, m2, rtol=1e-2, atol=1e-8)
-
-    def test_stationary_stream_approaches_fisher_diag(self):
-        data = linear_dataset(seed=13, n=64)
-        model = train(make_model("linear-regression", d_in=3), data)
-        reference = empirical_fisher(model, data, mode="diag")
-        decay = 0.02
-        batches = [data.subset(range(s, s + 16)) for s in range(0, 64, 16)]
-        stream = batches * 500
-        est = ema_diag_fisher(model, stream, decay=decay)
-        np.testing.assert_allclose(est.values, reference.values, rtol=0.05)
-
-    def test_decay_out_of_range(self):
-        data = bernoulli_dataset(8, 4)
-        model = make_model("bernoulli-rate")
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(StructuralError):
-                ema_diag_fisher(model, data, decay=bad)
 
 
 class TestLossHessian:

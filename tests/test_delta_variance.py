@@ -16,6 +16,7 @@ from deltavar.delta_variance import (
     FinetuneConfig,
     GradientDelta,
     block_decompose,
+    block_variances,
     delta_variance,
     finetune_scales,
 )
@@ -147,6 +148,35 @@ class TestBlockDecompose:
         parts = block_decompose(GradientDelta(v), sigma)
         assert sum(parts.values()) == pytest.approx(
             delta_variance(GradientDelta(v), sigma), rel=1e-12)
+
+    def test_batched_rows_match_single_decompositions(self):
+        rng = np.random.default_rng(29)
+        blocks = (("a", 0, 2), ("b", 2, 3))
+        m = np.zeros((5, 5))
+        for _, start, length in blocks:
+            f = rng.normal(size=(length, length))
+            m[start:start + length, start:start + length] = f @ f.T
+        diag = CovarianceEstimate(kind="fisher-diag", values=np.diag(m).copy(),
+                                  n_points=1, inverted=True, blocks=blocks)
+        full = CovarianceEstimate(kind="learned", values=m, n_points=1,
+                                  inverted=True, blocks=blocks)
+        deltas = rng.normal(size=(8, 5))
+        for sigma in (diag, full):
+            rows = block_variances(deltas, sigma)
+            assert rows.shape == (8, 2)
+            for v, row in zip(deltas, rows):
+                delta = GradientDelta(v)
+                assert list(block_decompose(delta, sigma).values()) \
+                    == list(row)
+                assert row.sum() == pytest.approx(
+                    delta_variance(delta, sigma), rel=1e-12)
+
+    def test_batched_shape_validation(self):
+        sigma = identity_sigma(3, blocks=(("a", 0, 2), ("b", 2, 1)))
+        with pytest.raises(StructuralError):
+            block_variances(np.ones(3), sigma)
+        with pytest.raises(StructuralError):
+            block_variances(np.ones((2, 4)), sigma)
 
     def test_cross_block_entries_refused(self):
         blocks = (("a", 0, 1), ("b", 1, 1))

@@ -15,7 +15,7 @@ from deltavar.qoi import (EigenProblem, FixedPointProblem,
                           chain_parameter_jacobians, chain_system,
                           eigen_gradient, eigenvalue_delta, implicit_delta,
                           make_qoi, parse_qoi, qoi_tape_delta, qoi_value,
-                          qoi_value_and_delta, solve_fixed_point,
+                          qoi_value_and_delta, qoi_values, solve_fixed_point,
                           value_batch_params, values_and_deltas)
 
 
@@ -113,6 +113,45 @@ class TestSetProduct:
 
         np.testing.assert_allclose(delta.vector, fd_gradient(f, theta),
                                    rtol=1e-5)
+
+
+class TestQoiValues:
+    def test_power_and_rollouts_give_one_value_per_row(self):
+        rng = np.random.default_rng(4)
+        scalar = make_model("mlp", d_in=2, d_out=1, hidden=(5,), seed=1)
+        step = make_model("mlp", d_in=2, d_out=2, hidden=(5,), seed=2)
+        zs = rng.normal(size=(6, 2))
+        for u in (make_qoi("power", scalar, exponent=2.0),
+                  make_qoi("rollout", step, functional="max", component=1,
+                           window=2, horizon=3)):
+            values = qoi_values(u, zs)
+            assert values.shape == (6,)
+            np.testing.assert_array_equal(values, values_and_deltas(u, zs)[0])
+            for z, value in zip(zs, values):
+                assert value == pytest.approx(qoi_value(u, z), rel=1e-12)
+
+    def test_set_product_is_one_value_for_the_set(self):
+        theta = np.array([0.6, -1.3])
+        model = make_model("linear-regression", d_in=2).with_params(theta)
+        zs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        u = make_qoi("set-product", model)
+        values = qoi_values(u, zs)
+        assert values.shape == (1,)
+        assert values[0] == qoi_value(u, zs)
+        assert values[0] == pytest.approx(0.6 * -1.3 * -0.7, rel=1e-14)
+
+    def test_forward_replaces_the_model(self):
+        model = make_model("linear-regression", d_in=1).with_params([2.0])
+        u = make_qoi("power", model, exponent=3.0)
+        zs = np.array([0.5, -1.0, 2.0])  # a flat vector of scalar inputs
+        np.testing.assert_array_equal(qoi_values(u, zs), (2.0 * zs) ** 3)
+        np.testing.assert_array_equal(
+            qoi_values(u, zs, forward=lambda x: x + 1.0), (zs + 1.0) ** 3)
+
+    def test_implicit_kinds_are_refused(self):
+        problem = EigenProblem(np.ones(2), np.ones(3), index=0)
+        with pytest.raises(StructuralError):
+            qoi_values(make_qoi("eigenvalue", problem=problem), [[0.0]])
 
 
 class TestRollout:
@@ -390,6 +429,31 @@ class TestEigen:
         assert lam == pytest.approx(f(theta), rel=1e-12)
         np.testing.assert_allclose(delta.vector, fd_gradient(f, theta),
                                    rtol=1e-5)
+
+    def test_left_vectors_match_scipy_eig(self):
+        """The left eigenvectors come from inv(R) of numpy's right ones; the
+        gradient agrees with scipy.linalg.eig's left/right formula."""
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n = int(rng.integers(2, 8))
+            masses = rng.uniform(0.5, 2.0, n)
+            stiff = rng.uniform(0.5, 6.0, n + 1)
+            _, _, a = chain_system(masses, stiff)
+            das = chain_parameter_jacobians(masses, stiff)
+            values, left, right = scipy_linalg.eig(a, left=True, right=True)
+            order = np.argsort(values.real, kind="stable")
+            for index in range(n):
+                l_vec = left[:, order[index]].conj()
+                r_vec = right[:, order[index]]
+                expected = np.array([l_vec @ (da @ r_vec) for da in das]
+                                    ).real / (l_vec @ r_vec).real
+                lam, grad = eigen_gradient(a, das, index)
+                assert lam == pytest.approx(values.real[order[index]],
+                                            rel=1e-12)
+                np.testing.assert_allclose(
+                    grad, expected, rtol=0.0,
+                    atol=1e-12 * np.max(np.abs(expected)))
 
     def test_near_crossing_refused(self):
         # a vanishing middle spring leaves two identical decoupled oscillators
