@@ -154,10 +154,7 @@ def save_model_dir(directory, model: Model, data: Dataset) -> None:
         "hyper": hyper,
         "blocks": [[n, s, l] for n, s, l in model.params.blocks],
         "params": [float(x) for x in model.params.data],
-        # JSON has no infinity: a norm never measured (no step ran) is null
-        "diagnostics": None if model.diagnostics is None else {
-            k: None if isinstance(v, float) and not math.isfinite(v) else v
-            for k, v in model.diagnostics.items()},
+        "diagnostics": model.diagnostics,
     }
     (directory / "model.json").write_text(stable_json_dumps(payload) + "\n")
     np.savez(directory / "data.npz", inputs=data.inputs, targets=data.targets)

@@ -12,23 +12,24 @@ Fisher and Hessian accumulation, and the output Jacobians behind the
 explicit quantities of interest). The mlp has one forward pass,
 _mlp_forward_cache, behind prediction (with or without dropout masks),
 the log-likelihood, training and the curvature, and one backward pass,
-mlp_vjp. Training reuses the forward pass its objective ran for the
-gradient at an accepted point. Tape recordings of the forward pass are the
-test reference for the quantity gradients; tests verify the two routes
-agree.
+mlp_vjp. Training runs damped Newton on the exact loss Hessian for the
+convex kinds, mini-batch SGD and an L-BFGS polish for the mlp (train).
+Tape recordings of the forward pass are the test reference for the
+quantity gradients; tests verify the two routes agree.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterVector, Tape, Var
-from .exceptions import StructuralError, TrainingError
+from .exceptions import NumericalError, StructuralError, TrainingError
+from .util import damped_newton, lbfgs
 
 MODEL_KINDS = ("bernoulli-rate", "linear-regression", "logistic", "mlp")
 
@@ -390,16 +391,15 @@ def mean_loglik_grad(model: Model, X, Y, weights: np.ndarray | None = None,
         raise StructuralError("example weights sum to zero")
     if model.kind == "mlp":
         out, h_ins, layers = _mlp_forward_cache(model, X, theta)
-        return _mlp_mean_grad(model, (h_ins, layers, Y - out), weights, wsum)
+        return _mlp_mean_grad(model, h_ins, layers, Y - out, weights, wsum)
     grads = loglik_grad_batch(model, X, Y, theta)
     return np.einsum("n,nd->d", weights, grads) / wsum
 
 
-def _mlp_mean_grad(model: Model, forward, weights: np.ndarray,
-                   wsum: float) -> np.ndarray:
-    """mean_loglik_grad of the mlp from a forward pass it already ran:
-    forward is (per-layer inputs, layers, targets - outputs)."""
-    h_ins, layers, resid = forward
+def _mlp_mean_grad(model: Model, h_ins, layers, resid: np.ndarray,
+                   weights: np.ndarray, wsum: float) -> np.ndarray:
+    """mean_loglik_grad of the mlp from a forward pass already run: its
+    per-layer inputs and layers, and the residual targets - outputs."""
     gparams, _ = mlp_vjp(model, h_ins, layers, resid * weights[:, None])
     return gparams / wsum
 
@@ -407,9 +407,11 @@ def _mlp_mean_grad(model: Model, forward, weights: np.ndarray,
 _HESSIAN_CHUNK = 32  # parameter directions per batch of the mlp R-op
 
 
-def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray,
+                weights: np.ndarray | None = None) -> np.ndarray:
     """Exact Hessian (d, d) of the summed negative log-likelihood of the
-    examples X (n, d_in), Y (n, d_out), as a Dataset holds them.
+    examples X (n, d_in), Y (n, d_out), as a Dataset holds them, each
+    example's term scaled by its weight if weights (n,) are given.
 
     Closed form for bernoulli-rate (sum y/t^2 + (1-y)/(1-t)^2),
     linear-regression (kron(X'X, I_{d_out})) and logistic (X' diag(p(1-p)) X,
@@ -418,16 +420,18 @@ def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     time (forward-over-reverse, Pearlmutter's R-op); row j is the tangent of
     the gradient along direction j.
     """
+    # unit weights by default: times 1.0, every bit stays as unweighted
+    wcol = np.ones((X.shape[0], 1)) if weights is None else weights[:, None]
     if model.kind == "bernoulli-rate":
         t = model.params.data[0]
-        return np.array([[np.sum(Y[:, 0] / t ** 2
-                                 + (1.0 - Y[:, 0]) / (1.0 - t) ** 2)]])
+        terms = Y[:, 0] / t ** 2 + (1.0 - Y[:, 0]) / (1.0 - t) ** 2
+        return np.array([[np.sum(wcol[:, 0] * terms)]])
     if model.kind == "linear-regression":
-        return np.kron(np.einsum("ni,nj->ij", X, X), np.eye(model.d_out))
+        return np.kron(np.einsum("ni,nj->ij", wcol * X, X), np.eye(model.d_out))
     if model.kind == "logistic":
         s = X @ model.params.data
         curv = _sigmoid(s) * _sigmoid(-s)
-        return np.einsum("ni,nj->ij", curv[:, None] * X, X)
+        return np.einsum("ni,nj->ij", (curv[:, None] * wcol) * X, X)
     out, h_ins, layers = _mlp_forward_cache(model, X)
     d = model.params.dim
     layout = _layout_of(model)
@@ -443,7 +447,7 @@ def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             if layer + 1 < len(layers):
                 r = r * (1.0 - h_ins[layer + 1] ** 2)
         # backward: g = d NLL / d out = out - Y, r its tangent
-        g = out - Y
+        g, r = wcol * (out - Y), wcol * r
         for layer in range(len(layers) - 1, -1, -1):
             (w, _), (dw, _) = layers[layer], dlayers[layer]
             h, r_h = h_ins[layer], r_ins[layer]
@@ -519,7 +523,13 @@ def record_mlp_layers(model: Model, theta: Sequence[Var], h: list) -> list[Var]:
 
 @dataclass
 class TrainConfig:
-    """Optimizer settings. Defaults resolve per model kind inside train()."""
+    """Optimizer settings. Defaults resolve per model kind inside train().
+
+    steps caps the Newton iterations of the convex kinds and the SGD steps
+    of the mlp. learning_rate and batch set the mlp's SGD, polish_steps caps
+    its L-BFGS polish (default: steps); the convex kinds ignore all three.
+    grad_tol is the mean-gradient norm that counts as converged.
+    """
 
     steps: int = 2000
     learning_rate: float | None = None
@@ -536,146 +546,36 @@ class TrainConfig:
             raise StructuralError("step counts must be nonnegative")
 
 
-def _objective(model: Model, data: Dataset, weights: np.ndarray, wsum: float,
-               theta: np.ndarray):
-    """Weighted mean negative log-likelihood, +inf outside the domain, and
-    the mlp forward pass it ran as (per-layer inputs, layers, residual), for
-    _mlp_mean_grad to reuse; None for the closed-form kinds or when no pass
-    ran. The caller sets np.errstate (over and invalid ignored)."""
-    if model.kind == "bernoulli-rate" and not (0.0 < theta[0] < 1.0):
-        return math.inf, None
-    if not np.isfinite(theta).all():
-        return math.inf, None
-    forward = None
-    if model.kind == "mlp":
-        out, h_ins, layers = _mlp_forward_cache(model, data.inputs, theta)
-        forward = (h_ins, layers, data.targets - out)
-        ll = _gaussian_loglik(forward[2], model.d_out)
-    else:
-        ll = loglik(model, data.inputs, data.targets, theta)
-    value = float(-np.einsum("n,n->", weights, ll) / wsum)
-    return (value if math.isfinite(value) else math.inf), forward
-
-
-def _objective_grad(model: Model, data: Dataset, weights: np.ndarray,
-                    wsum: float, theta: np.ndarray, forward) -> np.ndarray:
-    """mean_loglik_grad at theta, built from the forward pass _objective
-    returned there when it ran one (the same bits either way)."""
-    if forward is None:
-        return mean_loglik_grad(model, data.inputs, data.targets, weights,
-                                theta=theta)
-    return _mlp_mean_grad(model, forward, weights, wsum)
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _full_batch_gd(model: Model, data: Dataset, weights: np.ndarray,
-                   theta: np.ndarray, steps: int, grad_tol: float,
-                   lr0: float, step_offset: int = 0):
-    """Backtracking gradient descent on the weighted mean NLL. Deterministic.
-
-    Steps are accepted on an Armijo decrease while the loss can resolve one;
-    once improvements fall below float64 loss resolution, acceptance switches
-    to a strict gradient-norm decrease, which certifies progress all the way
-    down to machine-precision optima on convex problems.
-
-    The mlp gradient at an accepted point is built from the forward pass the
-    objective already ran there, so a step costs the objective's forwards
-    plus one backward pass; every bit equals a fresh mean_loglik_grad.
-    """
-    wsum = float(np.einsum("n->", weights))
-
-    def descent(th: np.ndarray, forward) -> np.ndarray:
-        return -_objective_grad(model, data, weights, wsum, th, forward)
-
-    lr = lr0
-    grad_norm = math.inf
-    loss, forward = _objective(model, data, weights, wsum, theta)
-    steps_run = 0
-    g = None
-    for step in range(steps):
-        if g is None:
-            g = descent(theta, forward)
-        if not np.isfinite(g).all():
-            raise TrainingError("non-finite gradient during training",
-                                step=step_offset + step)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= grad_tol:
-            break
-        accepted = False
-        step_lr = lr
-        for _ in range(60):
-            required = loss - 1e-4 * step_lr * grad_norm ** 2
-            if required >= loss:
-                break  # the margin no longer resolves in float64
-            trial = theta - step_lr * g
-            trial_loss, trial_fwd = _objective(model, data, weights, wsum,
-                                               trial)
-            if math.isfinite(trial_loss) and trial_loss <= required:
-                theta, loss, forward = trial, trial_loss, trial_fwd
-                lr = min(step_lr * 2.0, 1e6)
-                accepted, g = True, None
-                break
-            step_lr *= 0.5
-        if not accepted:
-            # loss differences are below float resolution; certify by ||grad||
-            step_lr = lr
-            for _ in range(60):
-                trial = theta - step_lr * g
-                trial_loss, trial_fwd = _objective(model, data, weights,
-                                                   wsum, trial)
-                if math.isfinite(trial_loss):
-                    trial_g = descent(trial, trial_fwd)
-                    if (np.isfinite(trial_g).all()
-                            and float(np.linalg.norm(trial_g)) < grad_norm):
-                        theta, loss, g = trial, trial_loss, trial_g
-                        lr = min(step_lr * 2.0, 1e6)
-                        accepted = True
-                        break
-                step_lr *= 0.5
-        steps_run = step + 1
-        if not accepted:
-            break  # no step size makes progress: at the achievable optimum
-    return theta, grad_norm, loss, steps_run
+def _loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
+                   wsum: float, theta: np.ndarray):
+    """The weighted NLL over wsum and its gradient at theta, (+inf, None)
+    outside the domain: with wsum the weight sum, the mean NLL and the bits
+    of -mean_loglik_grad. The mlp gradient reuses the value's forward pass."""
+    if not (np.isfinite(theta).all() and (model.kind != "bernoulli-rate"
+                                          or 0.0 < theta[0] < 1.0)):
+        return math.inf, None
+    X, Y = data.inputs, data.targets
+    if model.kind == "mlp":
+        out, h_ins, layers = _mlp_forward_cache(model, X, theta)
+        ll = _gaussian_loglik(Y - out, model.d_out)
+    else:
+        ll = loglik(model, X, Y, theta)
+    value = float(-np.einsum("n,n->", weights, ll) / wsum)
+    if not math.isfinite(value):
+        return math.inf, None
+    if model.kind == "mlp":
+        return value, -_mlp_mean_grad(model, h_ins, layers, Y - out,
+                                      weights, wsum)
+    grads = loglik_grad_batch(model, X, Y, theta)
+    return value, -np.einsum("n,nd->d", weights, grads) / wsum
 
 
-def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
-    """Fit the model; returns a new Model carrying convergence diagnostics.
-
-    Convex kinds run full-batch gradient descent with a backtracking step
-    size. The mlp runs seeded mini-batch SGD followed by a full-batch polish
-    phase; convergence is declared by the mean-gradient-norm threshold, never
-    by step count alone. Per-example weights reweight the objective (a zero
-    weight removes that point).
-    """
-    cfg = cfg or TrainConfig()
-    if data.d_in != model.d_in or data.d_out != model.d_out:
-        raise StructuralError(
-            f"dataset is ({data.d_in} -> {data.d_out}) but the model is "
-            f"({model.d_in} -> {model.d_out})")
-    weights = (np.ones(data.n) if cfg.example_weights is None
-               else np.asarray(cfg.example_weights, dtype=np.float64))
-    if weights.shape != (data.n,):
-        raise StructuralError("example_weights must have one entry per example")
-    if np.any(weights < 0.0):
-        raise StructuralError("example weights must be nonnegative")
-    if float(weights.sum()) <= 0.0:
-        raise StructuralError("example weights sum to zero")
-
-    theta = model.params.data.copy()
-    if model.kind != "mlp":
-        grad_tol = 1e-10 if cfg.grad_tol is None else cfg.grad_tol
-        lr0 = 1.0 if cfg.learning_rate is None else cfg.learning_rate
-        theta, grad_norm, loss, steps_run = _full_batch_gd(
-            model, data, weights, theta, cfg.steps, grad_tol, lr0)
-        diagnostics = {"final_grad_norm": grad_norm, "final_loss": loss,
-                       "steps": steps_run, "converged": grad_norm <= max(grad_tol, 1e-6)}
-        return replace(model, params=model.params.replace_data(theta),
-                       diagnostics=diagnostics)
-
-    # mlp: mini-batch SGD then full-batch polish
+def _sgd(model: Model, data: Dataset, weights: np.ndarray, theta: np.ndarray,
+         cfg: TrainConfig) -> int:
+    """Seeded mini-batch SGD of the mlp on theta, in place; returns steps."""
     lr = 0.05 if cfg.learning_rate is None else cfg.learning_rate
     batch = min(32 if cfg.batch is None else cfg.batch, data.n)
-    grad_tol = 1e-3 if cfg.grad_tol is None else cfg.grad_tol
     rng = np.random.default_rng(cfg.seed)
     X, Y = data.inputs, data.targets
     # views of theta, which the SGD steps update in place
@@ -694,7 +594,7 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
                 if wsum > 0.0:
                     out, h_ins, _ = _mlp_forward_cache(model, X[idx],
                                                        layers=layers)
-                    g = -_mlp_mean_grad(model, (h_ins, layers, Y[idx] - out),
+                    g = -_mlp_mean_grad(model, h_ins, layers, Y[idx] - out,
                                         w_batch, wsum)
                     if not np.isfinite(g).all():
                         raise TrainingError(
@@ -705,10 +605,58 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
                             "training diverged (non-finite parameters)",
                             step=step)
                 step += 1
+    return step
+
+
+def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
+    """Fit the model; returns a new Model carrying convergence diagnostics.
+
+    Convex kinds minimize the weighted mean NLL by damped Newton on the
+    exact loss Hessian (util.damped_newton). The mlp runs seeded mini-batch
+    SGD, then a full-batch L-BFGS polish (util.lbfgs). Convergence is the
+    mean-gradient norm against grad_tol, measured where training stops (the
+    SGD end point when no polish step runs), never the step count alone.
+    Per-example weights reweight the objective (a zero weight removes that
+    point).
+    """
+    cfg = cfg or TrainConfig()
+    if data.d_in != model.d_in or data.d_out != model.d_out:
+        raise StructuralError(
+            f"dataset is ({data.d_in} -> {data.d_out}) but the model is "
+            f"({model.d_in} -> {model.d_out})")
+    weights = (np.ones(data.n) if cfg.example_weights is None
+               else np.asarray(cfg.example_weights, dtype=np.float64))
+    if weights.shape != (data.n,):
+        raise StructuralError("example_weights must have one entry per example")
+    if np.any(weights < 0.0):
+        raise StructuralError("example weights must be nonnegative")
+    wsum = float(np.einsum("n->", weights))
+    if wsum <= 0.0:
+        raise StructuralError("example weights sum to zero")
+    mlp, step, theta = model.kind == "mlp", 0, model.params.data.copy()
+
+    def evaluate(th):
+        value, grad = _loss_and_grad(model, data, weights, wsum, th)
+        if mlp:
+            return value, grad
+        return value, grad, (None if grad is None else nll_hessian(
+            model.with_params(th), data.inputs, data.targets, weights) / wsum)
+
+    grad_tol = (cfg.grad_tol if cfg.grad_tol is not None
+                else 1e-3 if mlp else 1e-10)
+    if mlp:
+        step = _sgd(model, data, weights, theta, cfg)
     polish = cfg.steps if cfg.polish_steps is None else cfg.polish_steps
-    theta, grad_norm, loss, polish_run = _full_batch_gd(
-        model, data, weights, theta, polish, grad_tol, lr, step_offset=step)
-    diagnostics = {"final_grad_norm": grad_norm, "final_loss": loss,
-                   "steps": step + polish_run, "converged": grad_norm <= grad_tol}
-    return replace(model, params=model.params.replace_data(theta),
+    try:
+        result = (lbfgs(evaluate, theta, polish, grad_tol) if mlp
+                  else damped_newton(evaluate, theta, cfg.steps, grad_tol))
+    except NumericalError as exc:
+        raise TrainingError("non-finite loss or gradient where the full-batch "
+                            "solve starts", step=step) from exc
+    tol = grad_tol if mlp else max(grad_tol, 1e-6)
+    diagnostics = {"final_grad_norm": result.grad_norm,
+                   "final_loss": result.value,
+                   "steps": step + result.iterations,
+                   "converged": result.grad_norm <= tol}
+    return replace(model, params=model.params.replace_data(result.x),
                    diagnostics=diagnostics)

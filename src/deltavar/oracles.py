@@ -17,9 +17,8 @@ import numpy as np
 from .covariance import CovarianceEstimate, loss_hessian
 from .exceptions import (ConvergenceError, NumericalError, ResourceError,
                          StructuralError)
-from .models import (Dataset, Model, TrainConfig, _objective,
-                     _objective_grad, loglik_grad_batch, mean_loglik_grad,
-                     nll_hessian)
+from .models import (Dataset, Model, TrainConfig, _loss_and_grad,
+                     loglik_grad_batch, nll_hessian)
 from .qoi import QuantityOfInterest, qoi_value_and_delta, value_batch_params
 from .util import damped_newton, ridged_cholesky
 
@@ -167,12 +166,8 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
                                                 Y[i:i + 1])) / wsum
 
         def evaluate(th):
-            with np.errstate(over="ignore", invalid="ignore"):
-                value, forward = _objective(model, data, weights, wsum, th)
-            if not math.isfinite(value):
-                return math.inf, None, None
-            return (value, -_objective_grad(model, data, weights, wsum, th,
-                                            forward), step_matrix)
+            return (*_loss_and_grad(model, data, weights, wsum, th),
+                    step_matrix)
 
         thetas[i] = damped_newton(evaluate, model.params.data, cfg.steps,
                                   grad_tol=grad_tol).x
@@ -256,15 +251,13 @@ def _augmented_descent(model: Model, data: Dataset, u: QuantityOfInterest,
     ones = np.ones(data.n)
 
     def evaluate(th):
-        with np.errstate(over="ignore", invalid="ignore"):
-            nll, _ = _objective(model, data, ones, 1.0, th)
-        if not math.isfinite(nll):
+        nll, nll_grad = _loss_and_grad(model, data, ones, 1.0, th)
+        if nll_grad is None:
             return math.inf, None, None
         bound = model.with_params(th)
         value, delta = qoi_value_and_delta(
             QuantityOfInterest(u.kind, bound, u.config), z)
-        grad = (-data.n * mean_loglik_grad(bound, data.inputs, data.targets)
-                + eps * (value - y_adv) * delta.vector)
+        grad = nll_grad + eps * (value - y_adv) * delta.vector
         curvature = (loss_hessian(bound, data).values
                      + eps * np.outer(delta.vector, delta.vector))
         return nll + 0.5 * eps * (value - y_adv) ** 2, grad, curvature

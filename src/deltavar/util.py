@@ -1,10 +1,12 @@
 """Small shared helpers: thread pool sizing, deterministic json, seeding,
-and the damped-Newton solver behind every small fit."""
+the damped-Newton solver behind every convex fit and the L-BFGS solver
+behind the mlp polish."""
 from __future__ import annotations
 
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -16,6 +18,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 THREADS_ENV_VAR = "DELTAVAR_THREADS"
+LBFGS_MEMORY = 10  # curvature pairs the L-BFGS recursion keeps
 
 
 def thread_count() -> int:
@@ -144,3 +147,61 @@ def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
         if rel_tol is not None and previous - value <= rel_tol * abs(previous):
             return NewtonResult(x, value, it + 1, True, gnorm)
     return NewtonResult(x, value, max_iter, gnorm <= grad_tol, gnorm)
+
+
+def lbfgs(evaluate, x0, max_iter: int, grad_tol: float = 0.0) -> NewtonResult:
+    """Minimize from x0 by limited-memory BFGS (Liu & Nocedal 1989).
+
+    evaluate(x) returns (value, gradient), the value non-finite outside the
+    domain. The direction is the two-loop recursion over the last
+    LBFGS_MEMORY pairs (s, y), a pair kept only when s'y > 0. A direction
+    that admits no step is retried as steepest descent, memory cleared.
+    Steps are accepted as in damped_newton (see _backtrack). Stops at
+    gradient norm <= grad_tol, when steepest descent admits no step either,
+    or after max_iter steps.
+    """
+    x = np.array(x0, dtype=np.float64)
+    value, grad = evaluate(x)
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
+        raise NumericalError("the starting point lies outside its domain")
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
+    for it in range(max_iter):
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= grad_tol:
+            return NewtonResult(x, value, it, True, gnorm)
+        q, alphas = grad.copy(), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * float(s @ q))
+            q -= alphas[-1] * y
+        if pairs:  # initial inverse Hessian s'y / y'y of the newest pair
+            q /= pairs[-1][2] * float(pairs[-1][1] @ pairs[-1][1])
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * float(y @ q)) * s
+        step = _backtrack(evaluate, x, value, grad, -q)
+        if step is None and pairs:
+            pairs.clear()
+            step = _backtrack(evaluate, x, value, grad, -grad)
+        if step is None:
+            return NewtonResult(x, value, it, False, gnorm)
+        s, value, new_grad = step
+        y = new_grad - grad
+        if float(s @ y) > 0.0:
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        x, grad = x + s, new_grad
+    gnorm = float(np.linalg.norm(grad))
+    return NewtonResult(x, value, max_iter, gnorm <= grad_tol, gnorm)
+
+
+def _backtrack(evaluate, x, value, grad, direction):
+    """(step, value, gradient) at the first accepted t * direction, t
+    halving from 1, or None: an Armijo decrease, or a lower gradient norm
+    once that decrease no longer resolves in float64."""
+    slope, gnorm = float(grad @ direction), float(np.linalg.norm(grad))
+    for t in (0.5 ** k for k in range(60)):
+        required = value + 1e-4 * t * slope
+        cand_value, cand_grad = evaluate(x + t * direction)
+        if (math.isfinite(cand_value) and np.isfinite(cand_grad).all() and (
+                cand_value <= required if required < value
+                else float(np.linalg.norm(cand_grad)) < gnorm)):
+            return t * direction, cand_value, cand_grad
+    return None

@@ -272,10 +272,10 @@ class TestEigenScenario:
 
 
 def test_dynamics_report_digest_is_pinned(tmp_path):
-    """The report bytes of a benchmark-size dynamics scenario at seed 0, as
-    they were before training reused its objective's forward pass. Every
-    mlp training (model, ensemble members) and every fit behind the report
-    feeds these bytes.
+    """The report bytes of a benchmark-size dynamics scenario at seed 0,
+    with every mlp training (model, ensemble members) ending in the L-BFGS
+    polish. Every training and every fit behind the report feeds these
+    bytes.
 
     The pin holds for one Python, numpy and BLAS environment:
     provenance.json records the versions, and the trained bits depend on
@@ -287,7 +287,7 @@ def test_dynamics_report_digest_is_pinned(tmp_path):
     for name in ("report.csv", "metrics.json", "provenance.json"):
         digest.update((tmp_path / name).read_bytes())
     assert digest.hexdigest() == (
-        "4bee9e3dfd2093bad07c7ab4604ae2ff3f35a7eb6e2d81bc07a04ea3299370ae")
+        "50e680f38aa977eee19dd93a876945cdfcc49fc4093d0b73b2ceddb97c8d4daa")
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from deltavar.cli import emit_plotdata, load_model_dir, main
 from deltavar.covariance import canonical_sigma, load_covariance
 from deltavar.delta_variance import delta_variance
 from deltavar.exceptions import ConfigError
+from deltavar.models import mean_loglik_grad
 from deltavar.qoi import make_qoi, qoi_value_and_delta
 
 
@@ -194,15 +195,20 @@ def test_oracle_option_that_does_not_convert_exits_2(model_dir, capsys):
                  "--set", "samples=some"]) == 2
 
 
-def test_unmeasured_gradient_norm_is_written_as_null(tmp_path, capsys):
-    """No polish step leaves the final gradient norm infinite; model.json
-    stores null instead of failing to serialize."""
+def test_gradient_norm_without_a_polish_is_measured(tmp_path, capsys):
+    """No polish step still measures the final gradient norm, at the SGD end
+    point: model.json holds the norm of the mean gradient there."""
     out = tmp_path / "mlp"
     assert main(MLP_TRAIN + ["--set", "train.polish_steps=0",
                              "--out", str(out)]) == 0
     diagnostics = json.loads((out / "model.json").read_text())["diagnostics"]
-    assert diagnostics["final_grad_norm"] is None
-    assert load_model_dir(out)[0].diagnostics == diagnostics
+    model, data = load_model_dir(out)
+    expected = np.linalg.norm(mean_loglik_grad(model, data.inputs,
+                                               data.targets))
+    assert math.isfinite(diagnostics["final_grad_norm"])
+    assert diagnostics["final_grad_norm"] == pytest.approx(expected,
+                                                           rel=1e-12)
+    assert model.diagnostics == diagnostics
 
 
 @pytest.mark.parametrize("damage", ["empty data", "no block_scales"])

@@ -1,5 +1,6 @@
 """Model contracts: closed-form fits, gradient routes, training behavior."""
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from deltavar import (Dataset, StructuralError, Tape, TrainConfig, TrainingError
                       make_model, predict, train)
 from deltavar.models import (loglik, loglik_grad, loglik_grad_batch,
                              mean_loglik_grad, record_predict)
+from deltavar.util import lbfgs, stable_json_dumps
 
 
 def bernoulli_data(n_ones: int, n_zeros: int) -> Dataset:
@@ -94,10 +96,86 @@ class TestTraining:
                       TrainConfig(steps=20000))
         assert model.diagnostics["final_grad_norm"] <= 1e-6
 
+    def test_separable_logistic_stops_at_finite_parameters(self):
+        """The optimum lies at infinity; Newton still stops, converged."""
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((50, 2))
+        y = (X[:, 0] + 0.3 * X[:, 1] > 0) * 1.0
+        model = train(make_model("logistic", d_in=2), Dataset(X, y))
+        assert np.isfinite(model.params.data).all()
+        assert model.diagnostics["final_grad_norm"] <= 1e-6
+
+    def test_zero_weighted_logistic_takes_few_newton_steps(self):
+        data, weights = _zero_weighted_logistic()
+        model = train(make_model("logistic", d_in=3), data,
+                      TrainConfig(example_weights=weights))
+        assert model.diagnostics["converged"]
+        assert model.diagnostics["steps"] <= 10
+
+    def test_zero_weights_equal_removal_for_logistic(self):
+        data, weights = _zero_weighted_logistic()
+        fit_weighted = train(make_model("logistic", d_in=3), data,
+                             TrainConfig(example_weights=weights))
+        fit_removed = train(make_model("logistic", d_in=3),
+                            data.subset(np.flatnonzero(weights)))
+        np.testing.assert_allclose(fit_weighted.params.data,
+                                   fit_removed.params.data, rtol=1e-8,
+                                   atol=1e-10)
+
+    def test_diagnostics_serialize_without_a_polish(self):
+        """polish_steps=0 still measures the gradient norm (at the SGD end
+        point), so the diagnostics are finite JSON."""
+        from deltavar.bench import gen_dynamics
+        model = train(make_model("mlp", d_in=3, d_out=3, hidden=(24,),
+                                 seed=0), gen_dynamics(0, 200),
+                      TrainConfig(steps=500, polish_steps=0))
+        assert math.isfinite(model.diagnostics["final_grad_norm"])
+        assert json.loads(stable_json_dumps(model.diagnostics)) == \
+            model.diagnostics
+
+    def test_non_finite_start_raises_with_step_index(self):
+        """A start outside the domain stops the full-batch solve at once."""
+        with pytest.raises(TrainingError) as err:
+            train(make_model("bernoulli-rate").with_params([1.0]),
+                  bernoulli_data(3, 2))
+        assert err.value.step == 0
+        data = Dataset(np.ones((5, 2)), np.zeros(5))
+        huge = make_model("mlp", d_in=2, d_out=1, hidden=(3,), seed=0)
+        huge = huge.with_params(np.full(huge.params.dim, 1e200))
+        with pytest.raises(TrainingError) as err:
+            train(huge, data, TrainConfig(steps=0))
+        assert err.value.step == 0
+
     def test_dimension_mismatch_raises(self):
         data = Dataset(np.zeros((5, 3)), np.zeros(5))
         with pytest.raises(StructuralError):
             train(make_model("linear-regression", d_in=2), data)
+
+
+def _zero_weighted_logistic():
+    """A logistic problem of 60 points and weights with ten zeros."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((60, 3))
+    p = 1.0 / (1.0 + np.exp(-(X @ np.array([1.0, -0.5, 0.3]))))
+    weights = np.ones(60)
+    weights[:10] = 0.0
+    return Dataset(X, (rng.random(60) < p) * 1.0), weights
+
+
+def test_lbfgs_solves_an_ill_conditioned_quadratic():
+    """d = 20, condition number 1e4, minimum value 0 at x_star."""
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    a = (q * np.logspace(0, -4, 20)) @ q.T
+    x_star = rng.standard_normal(20)
+
+    def evaluate(x):
+        r = x - x_star
+        return 0.5 * float(r @ a @ r), a @ r
+
+    result = lbfgs(evaluate, np.zeros(20), 2000, grad_tol=1e-10)
+    assert result.converged and result.grad_norm <= 1e-10
+    np.testing.assert_allclose(result.x, x_star, atol=1e-5)
 
 
 def _pinned_training_cases():
@@ -127,13 +205,15 @@ def _pinned_training_cases():
     }
 
 
-# sha256 of the trained parameter bytes, recorded before the training loop
-# evaluated raw parameter vectors instead of building a Model per call
+# sha256 of the trained parameter bytes: the mlp entries after the seeded
+# SGD and the L-BFGS polish, logistic and linear after damped Newton on the
+# exact weighted loss Hessian; bernoulli's one Newton step lands on the same
+# bits as the gradient descent it replaced
 PINNED_TRAINING = {
-    "mlp": "05288bf385aec25e77e17ccf9aacd16f6d09e164666ed4a7c9a51dbea4ec813c",
-    "mlp-weighted": "eb08521cdbe7a62b135d4c1acb4d80ad4f3535e0259f0cd0ef0fb0a85fef791c",
-    "logistic": "b2df6609cebb5d0aa8fccc04b41b65a721ef7037e1159ce7bbd79cbfbe151232",
-    "linear": "61291da0f65c5d8711c729e8144c447594733c271d0bc15df894ce7e24303293",
+    "mlp": "b7f98bbb3bc5ae5094680d2020e2308c0330ad10768eb2e66b4a2b5f9c6594ee",
+    "mlp-weighted": "f8d7e49c3f52992b2333b525913deca5d666331a478aaec40a72909080e7f588",
+    "logistic": "b2537e0b02502a270bbd300968a091bddab0d0da3fb45ea51feb4c19cf17be22",
+    "linear": "7f4672a07455e15103bfba1a4d5a961e4f08e29eb17741aa84dd320a01e9845b",
     "bernoulli": "22e1af4cf67055821db33b25b7d92cd01ce430d52d3a46abefa5b416e3b3856d",
 }
 

@@ -391,7 +391,7 @@ class TestMahalanobis:
     def test_early_stopping_is_visible(self):
         data = linear_dataset(seed=17, n=50, d=3)
         model = train(make_model("linear-regression", d_in=3), data,
-                      TrainConfig(steps=1))
+                      TrainConfig(steps=0))
         u = make_qoi("power", model, exponent=1)
         report = mahalanobis_gradient_distance(model, data, u,
                                                z=[1.0, 0.0, 0.0])

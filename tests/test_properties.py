@@ -31,9 +31,10 @@ from deltavar.delta_variance import (GradientDelta, block_decompose,
 from deltavar.evaluation import (LaplaceCalibration, fit_laplace_calibration,
                                  laplace_loglik, laplace_scale_nll)
 from deltavar.exceptions import NumericalError
-from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig, _objective,
-                             _objective_grad, loglik_grad_batch, make_model,
-                             mean_loglik_grad, predict, train)
+from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
+                             _loss_and_grad, _mlp_forward_cache,
+                             loglik_grad_batch, make_model, mean_loglik_grad,
+                             predict, train)
 from deltavar.oracles import (_augmented_descent, _downweighted_thetas,
                               adversarial_shift)
 from deltavar.qoi import (ROLLOUT_FUNCTIONALS, make_qoi, parse_qoi,
@@ -465,8 +466,8 @@ def test_quantity_ids_round_trip_through_the_parser(data):
 
 @given(st.data())
 def test_gradient_from_the_objective_forward_equals_mean_loglik_grad(data):
-    """Training builds the mlp gradient from the forward pass its objective
-    ran at the same parameters; the bytes equal a fresh mean_loglik_grad.
+    """Training builds the mlp gradient from the forward pass its loss ran
+    at the same parameters; the bytes equal a fresh -mean_loglik_grad.
     The weight-gradient einsum puts the wider factor last, and both operand
     orders give the same bytes on every layer input."""
     seed = data.draw(st.integers(0, 2**16))
@@ -485,13 +486,13 @@ def test_gradient_from_the_objective_forward_equals_mean_loglik_grad(data):
                else (rng.random(n) < 0.3) * rng.uniform(0.5, 1.5, n))
     weights[rng.integers(n)] = 1.0  # a positive total
     wsum = float(np.einsum("n->", weights))
-    value, forward = _objective(model, problem, weights, wsum, theta)
+    value, reused = _loss_and_grad(model, problem, weights, wsum, theta)
     assert math.isfinite(value)
-    reused = _objective_grad(model, problem, weights, wsum, theta, forward)
     fresh = mean_loglik_grad(model, problem.inputs, problem.targets, weights,
                              theta=theta)
-    assert reused.tobytes() == fresh.tobytes()
-    for h_in in forward[0]:
+    assert reused.tobytes() == (-fresh).tobytes()
+    _, h_ins, _ = _mlp_forward_cache(model, problem.inputs, theta)
+    for h_in in h_ins:
         g = rng.standard_normal((n, data.draw(st.integers(1, 30))))
         wide_last = np.einsum("nj,ni->ji", g, h_in).T
         assert (np.einsum("ni,nj->ij", h_in, g).tobytes()
