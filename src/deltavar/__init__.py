@@ -31,9 +31,8 @@ from .covariance import (
 )
 from .delta_variance import (
     BlockScales,
-    FinetuneConfig,
     GradientDelta,
-    block_decompose,
+    block_variances,
     delta_variance,
     finetune_scales,
 )
@@ -72,8 +71,8 @@ __all__ = [
     "Dataset", "Model", "TrainConfig", "make_model", "predict", "train",
     "CovarianceEstimate", "empirical_fisher", "canonical_sigma",
     "laplace_sigma", "sandwich", "save_covariance", "load_covariance",
-    "GradientDelta", "delta_variance", "block_decompose",
-    "BlockScales", "FinetuneConfig", "finetune_scales",
+    "GradientDelta", "delta_variance", "block_variances",
+    "BlockScales", "finetune_scales",
     "make_qoi", "parse_qoi", "qoi_value_and_delta", "eigenvalue_delta",
     "OracleReport", "gaussian_posterior_mc", "loo_variance",
     "eps_loo_variance", "richardson_eps_loo", "adversarial_shift",

@@ -394,27 +394,9 @@ class ParameterVector:
             raise StructuralError(
                 f"blocks cover [0, {cursor}) but the vector has length {arr.size}")
 
-    @classmethod
-    def single_block(cls, data, name: str = "all") -> "ParameterVector":
-        arr = np.asarray(data, dtype=np.float64)
-        return cls(arr, ((name, 0, arr.size),))
-
     @property
     def dim(self) -> int:
         return self.data.size
-
-    @property
-    def block_names(self) -> tuple[str, ...]:
-        return tuple(b[0] for b in self.blocks)
-
-    def block_slice(self, name: str) -> slice:
-        for bname, start, length in self.blocks:
-            if bname == name:
-                return slice(start, start + length)
-        raise StructuralError(f"no block named {name!r}")
-
-    def block(self, name: str) -> np.ndarray:
-        return self.data[self.block_slice(name)]
 
     def replace_data(self, data) -> "ParameterVector":
         arr = np.asarray(data, dtype=np.float64)

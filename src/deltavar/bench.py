@@ -514,10 +514,9 @@ def _finetune(head: _DynamicsHead, qi: int):
     """Log-likelihood block scales of quantity qi on the validation split:
     the per-block contributions, the scales and their report entry."""
     v_val, d_val = head.sides[qi][0], head.sides[qi][1]
-    blocks = head.sigma.blocks
     contrib = block_variances(d_val, head.sigma)
-    cached = [dict(zip([b[0] for b in blocks], row)) for row in contrib]
-    scales = finetune_scales(cached, np.abs(head.y_val[qi] - v_val))
+    scales = finetune_scales(contrib, [b[0] for b in head.sigma.blocks],
+                             np.abs(head.y_val[qi] - v_val))
     return contrib, scales, {
         "scales": scales.as_dict(),
         "objective_value": scales.objective_value,
@@ -536,7 +535,6 @@ def _run_dynamics(scenario: Scenario):
     n_qois = len(qois)
     drop_seeds = spawn_seeds(head.dropout_seed, 2 * n_qois)
     reg = head.reg
-    blocks = sigma.blocks
     z_val = splits.validation.inputs
     z_eval = splits.evaluation.inputs
 
@@ -555,7 +553,7 @@ def _run_dynamics(scenario: Scenario):
             np.einsum("bi,i,bi->b", d_eval, sigma.values, d_eval))
         contrib_val, scales, finetune_info = _finetune(head, qi)
         contrib_eval = block_variances(d_eval, sigma)
-        scale_vec = np.array([scales.as_dict()[b[0]] for b in blocks])
+        scale_vec = np.array(list(scales.as_dict().values()))
         variances["delta-finetuned"] = (contrib_val @ scale_vec,
                                         contrib_eval @ scale_vec)
         variances["ensemble"] = (ensemble_variance_batch(ens, u, z_val),

@@ -188,41 +188,6 @@ def laplace_sigma(model: Model, data: Dataset, reg: float = 0.0) -> CovarianceEs
     return invert(loss_hessian(model, data), reg=reg)
 
 
-def apply_block_scales(sigma: CovarianceEstimate,
-                       scales: dict) -> CovarianceEstimate:
-    """Bake positive per-block factors into a covariance.
-
-    Diagonal estimates multiply each block's entries by its factor. Full
-    matrices are rescaled symmetrically (sqrt factors on rows and columns),
-    which reduces to plain per-block multiplication on block-diagonal input.
-    Only covariance-like estimates (inverted=True, or a learned one) accept
-    scales; scaling a raw Fisher or Hessian would invert the intended effect.
-    """
-    if not sigma.inverted and sigma.kind != "learned":
-        raise StructuralError(
-            "block scales apply to a covariance; invert the estimate first")
-    if not sigma.blocks:
-        raise StructuralError("the estimate carries no block layout")
-    names = [b[0] for b in sigma.blocks]
-    unknown = set(scales) - set(names)
-    if unknown:
-        raise StructuralError(f"scales name unknown blocks: {sorted(unknown)}")
-    factors = np.ones(sigma.dim)
-    for name, start, length in sigma.blocks:
-        c = float(scales.get(name, 1.0))
-        if not (np.isfinite(c) and c > 0.0):
-            raise StructuralError(f"scale for block {name!r} must be positive")
-        factors[start:start + length] = c
-    if sigma.is_diagonal:
-        values = sigma.values * factors
-    else:
-        root = np.sqrt(factors)
-        values = sigma.values * np.outer(root, root)
-    stored = {name: float(scales.get(name, 1.0)) for name in names}
-    return replace(sigma, kind="learned", values=values, inverted=True,
-                   block_scales=stored)
-
-
 def save_covariance(path, sigma: CovarianceEstimate) -> None:
     """Write a single-line JSON header, a newline, then float64 payload bytes."""
     header = {

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -109,15 +108,6 @@ def block_variances(deltas, sigma: CovarianceEstimate) -> np.ndarray:
     return out
 
 
-def block_decompose(delta: GradientDelta,
-                    sigma: CovarianceEstimate) -> dict[str, float]:
-    """Per-block contributions of one gradient's quadratic form, keyed by
-    block name in block order: the one-row block_variances. The values sum
-    to delta_variance."""
-    row = block_variances(delta.vector[None, :], sigma)[0]
-    return {name: float(v) for (name, _, _), v in zip(sigma.blocks, row)}
-
-
 @dataclass(frozen=True)
 class BlockScales:
     """Positive per-block factors, stored as exponentials of free parameters.
@@ -152,47 +142,32 @@ class BlockScales:
 CORRELATION_PENALTY = 1e-3
 
 
-@dataclass(frozen=True)
-class FinetuneConfig:
-    """Iteration cap of the block scale fit."""
+def finetune_scales(matrix, names, targets, objective: str = "loglik",
+                    steps: int = 500) -> BlockScales:
+    """Fit per-block scale factors on cached validation contributions.
 
-    steps: int = 500
-
-
-def _stack_cached(cached: Sequence[Mapping[str, float]]):
-    if len(cached) == 0:
-        raise StructuralError("no cached validation points given")
-    names = tuple(cached[0].keys())
-    matrix = np.empty((len(cached), len(names)))
-    for j, row in enumerate(cached):
-        if tuple(row.keys()) != names:
-            raise StructuralError("cached rows disagree on block names or order")
-        matrix[j] = [row[name] for name in names]
-    if not np.all(np.isfinite(matrix)) or np.any(matrix < 0.0):
-        raise StructuralError("cached block variances must be finite and >= 0")
-    return names, matrix
-
-
-def finetune_scales(cached: Sequence[Mapping[str, float]], targets,
-                    objective: str = "loglik",
-                    cfg: FinetuneConfig | None = None) -> BlockScales:
-    """Fit per-block scale factors on cached validation decompositions.
-
-    `cached` holds one block_decompose mapping per validation point and
-    `targets` the matching prediction errors. The objective is either the
-    Laplace log-likelihood (with its aleatoric constant fit jointly, on the
-    exact Hessian) or the error correlation (analytic gradient, identity
-    step matrix). Both run the accept-only damped Newton solver in log
-    space for at most cfg.steps iterations, so the result is never worse
-    than the all-ones initialization (with alpha fit alone for loglik).
+    `matrix` is the (points, blocks) block_variances of the validation
+    gradients, `names` its block names in column order and `targets` the
+    matching prediction errors. The objective is either the Laplace
+    log-likelihood (with its aleatoric constant fit jointly, on the exact
+    Hessian) or the error correlation (analytic gradient, identity step
+    matrix). Both run the accept-only damped Newton solver in log space for
+    at most `steps` iterations, so the result is never worse than the
+    all-ones initialization (with alpha fit alone for loglik).
     The correlation fit adds CORRELATION_PENALTY/2 |log scales|^2 to the
     solved objective, which keeps its scale-free optimum finite;
     objective_value reports the plain correlation.
     """
-    cfg = cfg or FinetuneConfig()
     if objective not in ("loglik", "correlation"):
         raise StructuralError(f"unknown objective {objective!r}")
-    names, matrix = _stack_cached(cached)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    names = tuple(names)
+    if matrix.ndim != 2 or matrix.shape[1] != len(names) or not names:
+        raise StructuralError(
+            f"block variances of shape {matrix.shape} need one column per "
+            f"block name ({len(names)} given)")
+    if not np.all(np.isfinite(matrix)) or np.any(matrix < 0.0):
+        raise StructuralError("cached block variances must be finite and >= 0")
     errors = as_float_array(targets)
     if errors.shape != (matrix.shape[0],):
         raise StructuralError("one target error per cached point is required")
@@ -211,17 +186,17 @@ def finetune_scales(cached: Sequence[Mapping[str, float]], targets,
         unit_nu, ones = matrix.sum(axis=1), np.ones((n_points, 1))
         settled, _ = fit_log_weights(
             lambda x: laplace_scale_nll(abs_err, ones, x, unit_nu),
-            log_alpha0, cfg.steps)
+            log_alpha0, steps)
         columns = np.hstack([matrix, ones])
         zeros = np.zeros(n_blocks)
         fit, start = fit_log_weights(
             lambda x: laplace_scale_nll(abs_err, columns, x),
-            np.concatenate([zeros, log_alpha0]), cfg.steps,
+            np.concatenate([zeros, log_alpha0]), steps,
             baseline=np.concatenate([zeros, settled.x]))
     else:
         fit, start = fit_log_weights(
             lambda x: _neg_correlation(abs_err, matrix, x, CORRELATION_PENALTY),
-            np.zeros(n_blocks), cfg.steps)
+            np.zeros(n_blocks), steps)
         # the penalty is 0 at the start and >= 0 elsewhere, so the plain
         # correlation at an accepted point never falls below the start's
         fit = fit._replace(value=_neg_correlation(abs_err, matrix, fit.x)[0])

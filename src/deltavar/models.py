@@ -14,8 +14,6 @@ _mlp_forward_cache, behind prediction (with or without dropout masks),
 the log-likelihood, training and the curvature, and one backward pass,
 mlp_vjp. Training runs damped Newton on the exact loss Hessian for the
 convex kinds, mini-batch SGD and an L-BFGS polish for the mlp (train).
-Tape recordings of the forward pass are the test reference for the
-quantity gradients; tests verify the two routes agree.
 """
 from __future__ import annotations
 
@@ -26,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import ParameterVector, Tape, Var
+from .autodiff import ParameterVector
 from .exceptions import NumericalError, StructuralError, TrainingError
 from .util import damped_newton, lbfgs
 
@@ -77,10 +74,6 @@ class Dataset:
     @property
     def d_out(self) -> int:
         return self.targets.shape[1]
-
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.inputs[idx], self.targets[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +336,6 @@ def output_jacobian(model: Model, X) -> tuple[np.ndarray, np.ndarray]:
     return out, X.copy()
 
 
-def loglik_grad(model: Model, x, y) -> np.ndarray:
-    """Gradient of a single example's log-likelihood wrt the parameters."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.ndim != 1:
-        raise StructuralError("loglik_grad takes a single example; "
-                              "use loglik_grad_batch for batches")
-    return loglik_grad_batch(model, x[None, :], y[None, :])[0]
-
-
 def loglik_grad_batch(model: Model, X, Y, theta=None) -> np.ndarray:
     """Per-example log-likelihood gradients, shape (n, d)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -461,60 +444,6 @@ def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray,
                      - 2.0 * back * h * r_h)
                 g = back * slope
     return hess
-
-
-# ---------------------------------------------------------------------------
-# tape recordings
-# ---------------------------------------------------------------------------
-
-def record_predict(model: Model, tape: Tape, theta: Sequence[Var], x) -> list[Var]:
-    """Record the model's forward pass on a tape; returns d_out variables."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != model.d_in:
-        raise StructuralError(f"expected a single input of length {model.d_in}")
-    if len(theta) != model.params.dim:
-        raise StructuralError("theta variable list does not match the parameter count")
-    if model.kind == "bernoulli-rate":
-        return [theta[0]]
-    if model.kind == "linear-regression":
-        d_in, d_out = model.d_in, model.d_out
-        outs = []
-        for j in range(d_out):
-            acc = theta[j] * float(x[0])
-            for i in range(1, d_in):
-                acc = acc + theta[i * d_out + j] * float(x[i])
-            outs.append(acc)
-        return outs
-    if model.kind == "logistic":
-        acc = theta[0] * float(x[0])
-        for i in range(1, model.d_in):
-            acc = acc + theta[i] * float(x[i])
-        one = tape.const(1.0)
-        return [one / (one + ad.exp(-acc))]
-    return record_mlp_layers(model, theta, [tape.const(float(v)) for v in x])
-
-
-def record_mlp_layers(model: Model, theta: Sequence[Var], h: list) -> list[Var]:
-    """Record one mlp forward pass on a tape from input variables h.
-
-    The inputs may be constants (a single prediction) or variables produced
-    by an earlier step (a rollout).
-    """
-    widths = model.hyper["widths"]
-    cursor = 0
-    n_layers = len(widths) - 1
-    for layer in range(n_layers):
-        n_in, n_out = widths[layer], widths[layer + 1]
-        w_base, b_base = cursor, cursor + n_in * n_out
-        nxt = []
-        for j in range(n_out):
-            acc = theta[b_base + j]
-            for i in range(n_in):
-                acc = acc + theta[w_base + i * n_out + j] * h[i]
-            nxt.append(ad.tanh(acc) if layer < n_layers - 1 else acc)
-        h = nxt
-        cursor = b_base + n_out
-    return h
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import ParameterVector, Tape, Var
 from .delta_variance import GradientDelta
 from .exceptions import (
@@ -27,8 +26,7 @@ from .exceptions import (
     StructuralError,
 )
 from .models import (Model, _mlp_forward_cache, _sigmoid, mlp_vjp,
-                     output_jacobian, predict, record_mlp_layers,
-                     record_predict)
+                     output_jacobian, predict)
 
 ROLLOUT_FUNCTIONALS = ("power", "mean", "max")
 EXPLICIT_KINDS = ("power", "set-product", "rollout")
@@ -339,9 +337,18 @@ def qoi_values(u: QuantityOfInterest, zs, forward=None) -> np.ndarray:
     return np.prod(outs, keepdims=True)
 
 
+def _no_input(u: QuantityOfInterest, z) -> None:
+    if u.kind == "eigenvalue" and z is not None:
+        raise StructuralError(
+            "eigenvalue quantities take no input; use value_batch_params or "
+            "eigenvalue_delta(problem, theta) for other parameters")
+
+
 def qoi_value(u: QuantityOfInterest, z=None) -> float:
     """The scalar value at the trained parameters (no gradient work): power
-    and rollouts at the first row of z, set-product over all rows."""
+    and rollouts at the first row of z, set-product over all rows. Fixed
+    points ignore z; eigenvalues refuse one."""
+    _no_input(u, z)
     if u.kind in EXPLICIT_KINDS:
         zb = _as_input_matrix(u.model, z)
         return float(qoi_values(u, zb if u.kind == "set-product"
@@ -352,50 +359,9 @@ def qoi_value(u: QuantityOfInterest, z=None) -> float:
         return float(w_star[problem.component])
     if u.kind == "eigenvalue":
         problem = u.config["problem"]
-        theta = (problem.parameter_vector().data if z is None
-                 else np.asarray(z, dtype=np.float64))
+        theta = problem.parameter_vector().data
         return float(_eigen_value_batch(problem, theta[None, :])[0])
     raise StructuralError(f"unknown quantity kind {u.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# explicit kinds: tape recordings (the test reference for the gradients)
-# ---------------------------------------------------------------------------
-
-def _record_qoi(u: QuantityOfInterest, tape: Tape, theta, z) -> Var:
-    model = u.model
-    if u.kind == "power":
-        x = _as_input_matrix(model, z)[0]
-        out = record_predict(model, tape, theta, x)[0]
-        return out ** u.config["exponent"]
-    if u.kind == "set-product":
-        xs = _as_input_matrix(model, z)
-        prod = None
-        for x in xs:
-            out = record_predict(model, tape, theta, x)[0]
-            prod = out if prod is None else prod * out
-        return prod
-    if u.kind == "rollout":
-        x = _as_input_matrix(model, z)[0]
-        cfg = u.config
-        h = [tape.const(float(v)) for v in x]
-        trajectory = []
-        for _ in range(cfg["horizon"]):
-            h = record_mlp_layers(model, theta, h)
-            trajectory.append(h)
-        if cfg["functional"] == "power":
-            return trajectory[-1][cfg["component"]] ** cfg["exponent"]
-        if cfg["functional"] == "mean":
-            acc = trajectory[-1][0]
-            for v in trajectory[-1][1:]:
-                acc = acc + v
-            return acc * (1.0 / model.d_in)
-        t0 = cfg["horizon"] - cfg["window"]
-        best = trajectory[t0][cfg["component"]]
-        for step in trajectory[t0 + 1:]:
-            best = ad.maximum(best, step[cfg["component"]])
-        return best
-    raise StructuralError(f"{u.kind} quantities have no explicit tape form")
 
 
 def qoi_value_and_delta(u: QuantityOfInterest, z=None):
@@ -403,9 +369,10 @@ def qoi_value_and_delta(u: QuantityOfInterest, z=None):
 
     Explicit kinds run a vectorized reverse pass: power and rollouts on the
     first row of z, set-product over all rows as one set. Implicit kinds use
-    their dedicated formulas. Returns the value and a GradientDelta labeled
-    with the quantity id.
+    their dedicated formulas: fixed points ignore z, eigenvalues refuse one.
+    Returns the value and a GradientDelta labeled with the quantity id.
     """
+    _no_input(u, z)
     if u.kind in EXPLICIT_KINDS:
         zb = _as_input_matrix(u.model, z)
         if u.kind == "set-product":
@@ -423,9 +390,7 @@ def qoi_value_and_delta(u: QuantityOfInterest, z=None):
         delta = implicit_delta(problem, w_star=w_star)
         return float(w_star[problem.component]), delta
     if u.kind == "eigenvalue":
-        problem = u.config["problem"]
-        theta = z if z is not None else None
-        return eigenvalue_delta(problem, theta)
+        return eigenvalue_delta(u.config["problem"])
     raise StructuralError(f"unknown quantity kind {u.kind!r}")
 
 
@@ -436,14 +401,6 @@ def _input_label(z) -> str:
     if arr.size == 1:
         return repr(float(arr[0]))
     return ",".join(repr(float(v)) for v in arr)
-
-
-def qoi_tape_delta(u: QuantityOfInterest, z=None) -> np.ndarray:
-    """Gradient of an explicit quantity via the scalar tape (reference path)."""
-    tape = Tape()
-    theta = tape.inputs(u.model.params.data)
-    root = _record_qoi(u, tape, theta, z)
-    return tape.grad(root, theta)
 
 
 def values_and_deltas(u: QuantityOfInterest, zs):

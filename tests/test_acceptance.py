@@ -330,8 +330,8 @@ def test_check_08_dynamics_cost_and_quality(capsys):
     informative = rng.exponential(scale=1.0, size=400)
     junk = rng.exponential(scale=1.0, size=400)
     targets = rng.laplace(scale=np.sqrt((0.1 + informative) / 2.0))
-    cached = [{"signal": s, "junk": j} for s, j in zip(informative, junk)]
-    scales = finetune_scales(cached, targets, objective="loglik")
+    scales = finetune_scales(np.column_stack([informative, junk]),
+                             ("signal", "junk"), targets, objective="loglik")
     synth_ok = (scales.objective_value > scales.objective_at_init
                 and scales.as_dict()["junk"] < 0.1)
 

@@ -175,8 +175,8 @@ class TestParameterVector:
 
     def test_block_access(self):
         pv = ParameterVector(np.arange(5.0), (("w", 0, 3), ("b", 3, 2)))
-        np.testing.assert_array_equal(pv.block("b"), [3.0, 4.0])
-        assert pv.block_slice("w") == slice(0, 3)
+        _, start, length = pv.blocks[1]
+        np.testing.assert_array_equal(pv.data[start:start + length], [3.0, 4.0])
         assert pv.dim == 5
         pv2 = pv.replace_data(np.ones(5))
         assert pv2.blocks == pv.blocks
@@ -184,5 +184,6 @@ class TestParameterVector:
             pv.replace_data(np.ones(6))
 
     def test_single_block(self):
-        pv = ParameterVector.single_block([1.0, 2.0], name="theta")
-        assert pv.block_names == ("theta",)
+        pv = ParameterVector([1.0, 2.0], (("theta", 0, 2),))
+        assert pv.blocks == (("theta", 0, 2),)
+        assert pv.data.dtype == np.float64

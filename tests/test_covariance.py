@@ -15,7 +15,6 @@ from deltavar import (
 )
 from deltavar.covariance import (
     CovarianceEstimate,
-    apply_block_scales,
     canonical_sigma,
     empirical_fisher,
     invert,
@@ -25,7 +24,7 @@ from deltavar.covariance import (
     sandwich,
     save_covariance,
 )
-from deltavar.models import loglik_grad, loglik_grad_batch
+from deltavar.models import loglik_grad_batch
 
 
 def bernoulli_dataset(n, k):
@@ -79,7 +78,7 @@ class TestEmpiricalFisher:
     def test_single_point_is_rank_one_outer_product(self):
         data = linear_dataset(seed=5, n=1)
         model = make_model("linear-regression", d_in=3)
-        g = loglik_grad(model, data.inputs[0], data.targets[0])
+        g = loglik_grad_batch(model, data.inputs, data.targets)[0]
         est = empirical_fisher(model, data, mode="full")
         np.testing.assert_array_equal(est.values, np.outer(g, g))
 
@@ -267,42 +266,6 @@ class TestSigmaHelpers:
         sigma = laplace_sigma(model, data)
         expected = np.linalg.inv(data.inputs.T @ data.inputs)
         np.testing.assert_allclose(sigma.values, expected, rtol=1e-9)
-
-
-class TestBlockScales:
-    def two_block_sigma(self, diagonal=True):
-        blocks = (("head", 0, 2), ("tail", 2, 2))
-        if diagonal:
-            values = np.array([1.0, 2.0, 3.0, 4.0])
-        else:
-            values = np.diag([1.0, 2.0, 3.0, 4.0])
-        return CovarianceEstimate(kind="fisher-diag" if diagonal else "fisher-full",
-                                  values=values, n_points=7, inverted=True,
-                                  blocks=blocks)
-
-    def test_diagonal_scaling(self):
-        sigma = self.two_block_sigma()
-        out = apply_block_scales(sigma, {"tail": 2.0})
-        np.testing.assert_array_equal(out.values, [1.0, 2.0, 6.0, 8.0])
-        assert out.kind == "learned"
-        assert out.block_scales == {"head": 1.0, "tail": 2.0}
-
-    def test_full_matrix_block_diagonal_scaling(self):
-        sigma = self.two_block_sigma(diagonal=False)
-        out = apply_block_scales(sigma, {"head": 4.0, "tail": 0.25})
-        np.testing.assert_allclose(np.diag(out.values), [4.0, 8.0, 0.75, 1.0])
-        np.testing.assert_array_equal(out.values, out.values.T)
-
-    def test_rejects_raw_estimates_and_bad_names(self):
-        raw = CovarianceEstimate(kind="fisher-diag", values=np.ones(4),
-                                 n_points=3, blocks=(("head", 0, 4),))
-        with pytest.raises(StructuralError):
-            apply_block_scales(raw, {"head": 2.0})
-        sigma = self.two_block_sigma()
-        with pytest.raises(StructuralError):
-            apply_block_scales(sigma, {"elsewhere": 2.0})
-        with pytest.raises(StructuralError):
-            apply_block_scales(sigma, {"head": -1.0})
 
 
 class TestSerialization:

@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 
 from deltavar import Dataset, NumericalError, StructuralError, make_model
-from deltavar.covariance import (
-    CovarianceEstimate,
-    apply_block_scales,
-    canonical_sigma,
-)
+from deltavar.covariance import CovarianceEstimate, canonical_sigma
 from deltavar.delta_variance import (
     BlockScales,
-    FinetuneConfig,
     GradientDelta,
-    block_decompose,
     block_variances,
     delta_variance,
     finetune_scales,
@@ -105,17 +99,23 @@ class TestDeltaVariance:
             GradientDelta(np.ones((2, 2)))
 
 
+def block_parts(delta, sigma):
+    """One gradient's block contributions keyed by block name."""
+    row = block_variances(delta.vector[None, :], sigma)[0]
+    return {name: float(v) for (name, _, _), v in zip(sigma.blocks, row)}
+
+
 class TestBlockDecompose:
     def test_single_block_returns_total(self):
         v = np.array([1.0, 2.0])
         sigma = identity_sigma(2, blocks=(("all", 0, 2),))
-        parts = block_decompose(GradientDelta(v), sigma)
+        parts = block_parts(GradientDelta(v), sigma)
         assert parts == {"all": pytest.approx(5.0)}
 
     def test_orthogonal_blocks_under_identity(self):
         v = np.array([3.0, 4.0, 1.0])
         sigma = identity_sigma(3, blocks=(("a", 0, 2), ("b", 2, 1)))
-        parts = block_decompose(GradientDelta(v), sigma)
+        parts = block_parts(GradientDelta(v), sigma)
         assert parts["a"] == pytest.approx(25.0)
         assert parts["b"] == pytest.approx(1.0)
 
@@ -129,7 +129,7 @@ class TestBlockDecompose:
         assert len(sigma.blocks) == 4
         vec = rng.standard_normal(model.params.dim)
         delta = GradientDelta(vec)
-        parts = block_decompose(delta, sigma)
+        parts = block_parts(delta, sigma)
         total = delta_variance(delta, sigma)
         assert sum(parts.values()) == pytest.approx(total, rel=1e-12)
         for name, start, length in sigma.blocks:
@@ -145,7 +145,7 @@ class TestBlockDecompose:
         sigma = CovarianceEstimate(kind="learned", values=m, n_points=1,
                                    inverted=True, blocks=blocks)
         v = np.array([1.0, -1.0, 2.0, 0.5])
-        parts = block_decompose(GradientDelta(v), sigma)
+        parts = block_parts(GradientDelta(v), sigma)
         assert sum(parts.values()) == pytest.approx(
             delta_variance(GradientDelta(v), sigma), rel=1e-12)
 
@@ -166,7 +166,7 @@ class TestBlockDecompose:
             assert rows.shape == (8, 2)
             for v, row in zip(deltas, rows):
                 delta = GradientDelta(v)
-                assert list(block_decompose(delta, sigma).values()) \
+                assert list(block_parts(delta, sigma).values()) \
                     == list(row)
                 assert row.sum() == pytest.approx(
                     delta_variance(delta, sigma), rel=1e-12)
@@ -184,24 +184,11 @@ class TestBlockDecompose:
         sigma = CovarianceEstimate(kind="learned", values=m, n_points=1,
                                    inverted=True, blocks=blocks)
         with pytest.raises(StructuralError):
-            block_decompose(GradientDelta(np.ones(2)), sigma)
+            block_parts(GradientDelta(np.ones(2)), sigma)
 
     def test_missing_layout_refused(self):
         with pytest.raises(StructuralError):
-            block_decompose(GradientDelta(np.ones(2)), identity_sigma(2))
-
-    def test_unit_scales_reproduce_untuned_estimator_bitwise(self):
-        rng = np.random.default_rng(23)
-        d = 6
-        blocks = (("a", 0, 3), ("b", 3, 3))
-        values = rng.exponential(size=d)
-        sigma = CovarianceEstimate(kind="fisher-diag", values=values,
-                                   n_points=5, inverted=True, blocks=blocks)
-        scaled = apply_block_scales(sigma, {"a": 1.0, "b": 1.0})
-        v = rng.standard_normal(d)
-        assert delta_variance(GradientDelta(v), scaled) == delta_variance(
-            GradientDelta(v), sigma)
-        np.testing.assert_array_equal(scaled.values, sigma.values)
+            block_parts(GradientDelta(np.ones(2)), identity_sigma(2))
 
 
 def stationary_synthetic(m=90, n_blocks=3, seed=1):
@@ -220,8 +207,7 @@ def stationary_synthetic(m=90, n_blocks=3, seed=1):
         alpha = 2.0 * float(b.mean()) ** 2
     targets = np.sqrt((alpha + nu) / 2.0)
     names = tuple(f"block{i}" for i in range(n_blocks))
-    cached = [dict(zip(names, row)) for row in matrix]
-    return cached, targets
+    return matrix, names, targets
 
 
 def noisy_block_synthetic(m=400, seed=2):
@@ -231,33 +217,32 @@ def noisy_block_synthetic(m=400, seed=2):
     noise = rng.exponential(scale=1.0, size=m)
     b = np.sqrt((0.1 + informative) / 2.0)
     targets = rng.laplace(scale=b)
-    cached = [{"signal": s, "junk": j} for s, j in zip(informative, noise)]
-    return cached, targets
+    return np.column_stack([informative, noise]), ("signal", "junk"), targets
 
 
 class TestFinetuneScales:
     def test_underdetermined_refused(self):
-        cached = [{"a": 1.0, "b": 2.0, "c": 3.0}] * 2
+        matrix = np.tile([1.0, 2.0, 3.0], (2, 1))
         with pytest.raises(StructuralError):
-            finetune_scales(cached, [0.5, 0.4])
+            finetune_scales(matrix, ("a", "b", "c"), [0.5, 0.4])
 
     def test_calibrated_targets_keep_scales_near_one(self):
-        cached, targets = stationary_synthetic()
-        scales = finetune_scales(cached, targets, objective="loglik")
+        case = stationary_synthetic()
+        scales = finetune_scales(*case, objective="loglik")
         for value in scales.as_dict().values():
             assert abs(value - 1.0) < 0.01
         assert scales.objective_value >= scales.objective_at_init
 
     def test_noise_block_is_suppressed(self):
-        cached, targets = noisy_block_synthetic()
-        scales = finetune_scales(cached, targets, objective="loglik")
+        case = noisy_block_synthetic()
+        scales = finetune_scales(*case, objective="loglik")
         fitted = scales.as_dict()
         assert fitted["junk"] < 0.1
         assert scales.objective_value > scales.objective_at_init
 
     def test_correlation_objective_also_suppresses_noise(self):
-        cached, targets = noisy_block_synthetic(seed=9)
-        scales = finetune_scales(cached, targets, objective="correlation")
+        case = noisy_block_synthetic(seed=9)
+        scales = finetune_scales(*case, objective="correlation")
         fitted = scales.as_dict()
         assert fitted["junk"] < fitted["signal"]
         assert scales.objective_value >= scales.objective_at_init
@@ -267,40 +252,51 @@ class TestFinetuneScales:
         """The correlation is scale-free: without the penalty on the log
         scales these examples returned factors of 1e13 to 1e26 (and their
         reciprocals) after one iteration."""
-        cached, targets = noisy_block_synthetic(seed=seed)
-        scales = finetune_scales(cached, targets, objective="correlation")
+        case = noisy_block_synthetic(seed=seed)
+        scales = finetune_scales(*case, objective="correlation")
         fitted = scales.as_dict()
         assert all(1e-6 <= v <= 1e6 for v in fitted.values())
         assert fitted["signal"] > fitted["junk"]
         assert scales.objective_value >= scales.objective_at_init
-        columns = np.array([[row[name] for name in fitted] for row in cached])
-        sd = np.sqrt(columns @ np.array(list(fitted.values())))
+        sd = np.sqrt(case[0] @ np.array(list(fitted.values())))
         assert scales.objective_value == pytest.approx(
-            error_correlation(np.asarray(targets), sd), rel=1e-12)
+            error_correlation(case[2], sd), rel=1e-12)
+
+    @pytest.mark.parametrize("matrix,names", [
+        ([[np.nan], [2.0]], ("a",)),
+        ([[-1.0], [2.0]], ("a",)),
+        ([[1.0], [2.0]], ("a", "b")),
+        ([[1.0, 3.0], [2.0, 4.0]], ("a",)),
+        ([1.0, 2.0], ("a",)),
+        (np.ones((2, 1, 1)), ("a",)),
+        (np.ones((2, 0)), ()),
+    ])
+    def test_bad_matrices_refused(self, matrix, names):
+        """NaN or negative entries, names that do not match the columns and
+        arrays that are not 2-D are structural errors."""
+        with pytest.raises(StructuralError):
+            finetune_scales(matrix, names, [0.1, 0.2])
 
     def test_unknown_objective_and_bad_rows(self):
-        cached = [{"a": 1.0}, {"a": 2.0}]
+        matrix = np.array([[1.0], [2.0]])
         with pytest.raises(StructuralError):
-            finetune_scales(cached, [0.1, 0.2], objective="rmse")
+            finetune_scales(matrix, ("a",), [0.1, 0.2], objective="rmse")
         with pytest.raises(StructuralError):
-            finetune_scales([{"a": 1.0}, {"b": 2.0}], [0.1, 0.2])
-        with pytest.raises(StructuralError):
-            finetune_scales([{"a": -1.0}, {"a": 2.0}], [0.1, 0.2])
+            finetune_scales(matrix, ("a",), [0.1, 0.2, 0.3])
 
     def test_block_scales_shape_validation(self):
         with pytest.raises(StructuralError):
             BlockScales(names=("a", "b"), log_scales=np.zeros(3))
 
     def test_config_budget_respected(self):
-        cached, targets = noisy_block_synthetic(seed=4)
-        cfg = FinetuneConfig(steps=3)
-        scales = finetune_scales(cached, targets, cfg=cfg)
+        case = noisy_block_synthetic(seed=4)
+        scales = finetune_scales(*case, steps=3)
         assert scales.steps_taken <= 3
 
     def test_cap_hit_is_reported_as_not_converged(self):
-        cached, targets = noisy_block_synthetic(seed=4)
-        capped = finetune_scales(cached, targets, cfg=FinetuneConfig(steps=1))
+        case = noisy_block_synthetic(seed=4)
+        capped = finetune_scales(*case, steps=1)
         assert capped.steps_taken == 1 and not capped.converged
-        full = finetune_scales(cached, targets)
+        full = finetune_scales(*case)
         assert full.converged and 1 < full.steps_taken < 500
         assert full.objective_value >= capped.objective_value

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from deltavar.cli import main as cli_main
 from deltavar.covariance import (KINDS, CovarianceEstimate, load_covariance,
                                  loss_hessian, save_covariance)
-from deltavar.delta_variance import (GradientDelta, block_decompose,
+from deltavar.delta_variance import (GradientDelta, block_variances,
                                      delta_variance, finetune_scales)
 from deltavar.evaluation import (LaplaceCalibration, fit_laplace_calibration,
                                  laplace_loglik, laplace_scale_nll)
@@ -38,8 +38,9 @@ from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
 from deltavar.oracles import (_augmented_descent, _downweighted_thetas,
                               adversarial_shift)
 from deltavar.qoi import (ROLLOUT_FUNCTIONALS, make_qoi, parse_qoi,
-                          qoi_tape_delta, qoi_value, qoi_value_and_delta,
-                          value_batch_params, values_and_deltas)
+                          qoi_value, qoi_value_and_delta, value_batch_params,
+                          values_and_deltas)
+from tape_reference import qoi_tape_delta
 
 EXPONENTS = (1.0, 2.0, 3.0, -1.0, 0.5, 2.5)
 
@@ -229,10 +230,10 @@ def test_quadratic_form_is_nonnegative_and_matches_dense(case):
 @given(psd_sigmas(blocked=True))
 def test_block_decomposition_sums_to_the_form(case):
     sigma, delta = case
-    parts = block_decompose(delta, sigma)
-    assert list(parts) == [name for name, _, _ in sigma.blocks]
-    assert all(part >= 0.0 for part in parts.values())
-    assert math.isclose(sum(parts.values()), delta_variance(delta, sigma),
+    parts = block_variances(delta.vector[None, :], sigma)
+    assert parts.shape == (1, len(sigma.blocks))
+    assert np.all(parts >= 0.0)
+    assert math.isclose(float(parts.sum()), delta_variance(delta, sigma),
                         rel_tol=1e-12, abs_tol=1e-300)
 
 
@@ -433,8 +434,8 @@ def test_finetune_never_ends_below_its_start(case, objective):
     assume(errors.size >= columns.shape[1])
     if objective == "correlation":
         assume(np.ptp(errors) > 0.0 and np.ptp(np.sqrt(columns.sum(axis=1))) > 0.0)
-    cached = [{f"b{j}": float(c) for j, c in enumerate(row)} for row in columns]
-    scales = finetune_scales(cached, errors, objective=objective)
+    names = [f"b{j}" for j in range(columns.shape[1])]
+    scales = finetune_scales(columns, names, errors, objective=objective)
     assert scales.objective_value >= scales.objective_at_init
     assert scales.steps_taken <= 500
     if objective == "loglik":  # exact Hessian: a few Newton iterations

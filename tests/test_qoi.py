@@ -14,9 +14,10 @@ from deltavar.models import make_model, predict
 from deltavar.qoi import (EigenProblem, FixedPointProblem,
                           chain_parameter_jacobians, chain_system,
                           eigen_gradient, eigenvalue_delta, implicit_delta,
-                          make_qoi, parse_qoi, qoi_tape_delta, qoi_value,
+                          make_qoi, parse_qoi, qoi_value,
                           qoi_value_and_delta, qoi_values, solve_fixed_point,
                           value_batch_params, values_and_deltas)
+from tape_reference import qoi_tape_delta
 
 
 def fd_gradient(f, theta, h=1e-6):
@@ -470,8 +471,23 @@ class TestEigen:
         base = np.concatenate([problem.masses, problem.stiffnesses])
         thetas = base[None, :] * (1.0 + 0.05 * rng.normal(size=(40, 7)))
         batch = value_batch_params(u, thetas)
-        single = np.array([qoi_value(u, th) for th in thetas])
+        single = np.array([eigenvalue_delta(problem, th)[0] for th in thetas])
         np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+    def test_quantity_takes_no_input(self):
+        """The value and gradient at other parameters come from
+        value_batch_params and eigenvalue_delta(problem, theta); the quantity
+        calls refuse a z instead of reading it as a parameter vector."""
+        problem = EigenProblem(np.array([1.0, 2.0]), np.ones(3), index=1)
+        u = make_qoi("eigenvalue", problem=problem)
+        theta = problem.parameter_vector().data
+        for call in (qoi_value, qoi_value_and_delta):
+            with pytest.raises(StructuralError):
+                call(u, theta)
+        lam, delta = qoi_value_and_delta(u)
+        assert qoi_value(u) == pytest.approx(lam, rel=1e-12)
+        np.testing.assert_array_equal(delta.vector,
+                                      eigenvalue_delta(problem)[1].vector)
 
     def test_problem_validation(self):
         with pytest.raises(StructuralError):

@@ -1,0 +1,68 @@
+"""Every function and method in the package is reached from the package.
+
+An AST scan of src/deltavar: a definition counts as wired when some module
+there names it (a Name or an Attribute anywhere in src/, calls and
+references alike) or when the package exports it in __all__. Dunder methods
+are called by Python itself and are exempt. A helper that only the tests
+use belongs in tests/.
+"""
+import ast
+from pathlib import Path
+
+import deltavar
+
+SRC = Path(deltavar.__file__).parent
+
+# Unreferenced in src/ but kept on purpose, with the reason.
+ALLOWED = {
+    "Tape.hessian": "perfbench/tracing.py wraps it by name as a traced layer",
+    "mean_loglik_grad": "perfbench/tracing.py wraps it by name as a traced "
+                        "layer",
+    "maximum": "the tape's max primitive, for user-supplied fixed-point step "
+               "callables like exp, log, tanh, sin and cos",
+}
+
+
+def _definitions(tree):
+    """(qualified name, name) of every function and method in a module."""
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child.name
+                yield from visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{prefix}{child.name}.")
+            else:
+                yield from visit(child, prefix)
+    return visit(tree, "")
+
+
+def _unwired():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    referenced = set(deltavar.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return {qualified: module
+            for module, tree in trees.items()
+            for qualified, name in _definitions(tree)
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in referenced}
+
+
+def test_every_function_is_wired_or_allowed():
+    unwired = _unwired()
+    stray = sorted(f"{module}: {name}" for name, module in unwired.items()
+                   if name not in ALLOWED)
+    assert not stray, ("functions nothing in src/ references; wire them, "
+                       f"export them or move them to tests/: {stray}")
+
+
+def test_allowlist_is_current():
+    """Each allowed name still exists and is still unreferenced, so the list
+    cannot outlive its reasons."""
+    assert set(ALLOWED) <= set(_unwired())
