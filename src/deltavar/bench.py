@@ -385,18 +385,26 @@ def _select_regularizer(fisher_diag: np.ndarray, n_train: int,
 
     For each grid point the diagonal posterior surrogate is
     1 / ((fisher + reg) * N); a calibration is fit per quantity (at most
-    `steps` iterations) and the summed validation score decides. Ties keep
-    the smallest ridge. Returns the chosen ridge and the score curve, one
-    [reg, score] pair per grid point.
+    `steps` iterations, every grid point and quantity in one stack) and the
+    summed validation score decides. Ties keep the smallest ridge. Returns
+    the chosen ridge and the score curve, one [reg, score] pair per grid
+    point.
     """
+    nus = np.array([np.einsum("bi,i,bi->b", deltas,
+                              1.0 / ((fisher_diag + reg) * n_train), deltas)
+                    for reg in REG_GRID for deltas in val_deltas])
+    ys, mus = np.array(val_targets), np.array(val_values)
+    stack = len(REG_GRID)
+    calibs = fit_laplace_calibration(np.tile(ys, (stack, 1)),
+                                     np.tile(mus, (stack, 1)), nus,
+                                     steps=steps)
     curve = []
-    for reg in REG_GRID:
-        sigma_diag = 1.0 / ((fisher_diag + reg) * n_train)
+    for g, reg in enumerate(REG_GRID):
         total = 0.0
-        for deltas, y, mu in zip(val_deltas, val_targets, val_values):
-            nu = np.einsum("bi,i,bi->b", deltas, sigma_diag, deltas)
-            calib = fit_laplace_calibration(y, mu, nu, steps=steps)
-            total += float(np.mean(laplace_logp(np.abs(y - mu), nu, calib)))
+        for q, (y, mu) in enumerate(zip(ys, mus)):
+            j = g * len(ys) + q
+            total += float(np.mean(laplace_logp(np.abs(y - mu), nus[j],
+                                                calibs[j])))
         curve.append([reg, total])
     return max(curve, key=lambda pair: pair[1])[0], curve
 
@@ -571,10 +579,13 @@ def _run_dynamics(scenario: Scenario):
         scores = {}
         logp = {}
         calibration = {}
-        for method in methods:
-            nu_val, nu_eval = variances[method]
-            calib = fit_laplace_calibration(y_val[qi], v_val, nu_val,
-                                            steps=calib_steps)
+        calibs = fit_laplace_calibration(
+            np.tile(y_val[qi], (len(methods), 1)),
+            np.tile(v_val, (len(methods), 1)),
+            np.array([variances[method][0] for method in methods]),
+            steps=calib_steps)
+        for method, calib in zip(methods, calibs):
+            nu_eval = variances[method][1]
             calibration[method] = {"iterations": calib.iterations,
                                    "cap_hit": not calib.converged}
             pts = laplace_logp(err_eval, nu_eval, calib)

@@ -17,7 +17,7 @@ import numpy as np
 from .covariance import CovarianceEstimate
 from .evaluation import fit_log_weights, laplace_scale_nll
 from .exceptions import NumericalError, StructuralError
-from .util import as_float_array
+from .util import as_float_array, single_point
 
 
 @dataclass(frozen=True)
@@ -183,26 +183,31 @@ def finetune_scales(matrix, names, targets, objective: str = "loglik",
         # homoscedastic alpha, not the settled one: an alpha settled near
         # zero has a vanishing log-space gradient and would stay there
         log_alpha0 = [math.log(max(2.0 * float(abs_err.mean()) ** 2, 1e-12))]
-        unit_nu, ones = matrix.sum(axis=1), np.ones((n_points, 1))
+        unit_nu, ones = matrix.sum(axis=1), np.ones((1, n_points, 1))
         settled, _ = fit_log_weights(
-            lambda x: laplace_scale_nll(abs_err, ones, x, unit_nu),
-            log_alpha0, steps)
-        columns = np.hstack([matrix, ones])
+            lambda x, rows: laplace_scale_nll(abs_err[None], ones, x,
+                                              unit_nu[None]),
+            [log_alpha0], steps)
+        columns = np.concatenate([matrix[None], ones], axis=2)
         zeros = np.zeros(n_blocks)
         fit, start = fit_log_weights(
-            lambda x: laplace_scale_nll(abs_err, columns, x),
-            np.concatenate([zeros, log_alpha0]), steps,
-            baseline=np.concatenate([zeros, settled.x]))
+            lambda x, rows: laplace_scale_nll(abs_err[None], columns, x),
+            [np.concatenate([zeros, log_alpha0])], steps,
+            baseline=[np.concatenate([zeros, settled.x[0]])])
+        fit = fit.row(0)
     else:
         fit, start = fit_log_weights(
-            lambda x: _neg_correlation(abs_err, matrix, x, CORRELATION_PENALTY),
-            np.zeros(n_blocks), steps)
+            single_point(lambda x: _neg_correlation(abs_err, matrix, x,
+                                                    CORRELATION_PENALTY)),
+            [np.zeros(n_blocks)], steps)
         # the penalty is 0 at the start and >= 0 elsewhere, so the plain
         # correlation at an accepted point never falls below the start's
-        fit = fit._replace(value=_neg_correlation(abs_err, matrix, fit.x)[0])
+        fit = fit.row(0)._replace(
+            value=_neg_correlation(abs_err, matrix, fit.x[0])[0])
     return BlockScales(names=names, log_scales=fit.x[:n_blocks],
                        objective=objective, objective_value=-fit.value,
-                       objective_at_init=-start, steps_taken=fit.iterations,
+                       objective_at_init=-float(start[0]),
+                       steps_taken=fit.iterations,
                        converged=fit.converged)
 
 

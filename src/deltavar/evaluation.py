@@ -95,71 +95,89 @@ def laplace_loglik(y, mu, nu, calib: LaplaceCalibration) -> float:
 
 def laplace_scale_nll(abs_err: np.ndarray, columns: np.ndarray,
                       log_weights: np.ndarray, offset=0.0):
-    """Mean Laplace negative log density with 2b^2 = offset + columns @ w,
-    w = exp(log_weights): value, gradient and exact Hessian in log_weights
-    (value +inf where undefined). The calibration uses columns [1, nu], the
-    block scale fit [per-block variances, 1]."""
+    """Mean Laplace negative log densities of K problems with
+    2b^2 = offset + columns @ w, w = exp(log_weights): abs_err (K, n),
+    columns (K, n, k), log_weights (K, k), offset a scalar or (K, n).
+    Returns the values (K,), +inf where undefined, and the gradients (K, k)
+    and exact Hessians (K, k, k) in log_weights. The stacked matmuls make
+    one BLAS call per problem, so each row has the bits of its problem
+    alone. The calibration uses columns [1, nu], the block scale fit
+    [per-block variances, 1]."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        parts = columns * np.exp(log_weights)          # (n, k): dv / dlog w
-        v = offset + parts.sum(axis=1)
+        parts = columns * np.exp(log_weights)[:, None, :]  # dv / dlog w
+        v = offset + parts.sum(axis=2)
+        n = v.shape[1]
         # per point: 0.5 log(2v) + 2q with q = |err| / (2b) = |err| / sqrt(2v)
         inv_v = 1.0 / v
         q = abs_err * np.sqrt(0.5 * inv_v)
-        value = float(np.mean(0.5 * np.log(2.0 * v) + 2.0 * q))
-        if not math.isfinite(value):
-            return math.inf, None, None
-        grad = (inv_v * (0.5 - q)) @ parts / v.size     # d value_i / dv_i
-        d2 = inv_v * inv_v * (1.5 * q - 0.5) / v.size
-        hess = parts.T @ (d2[:, None] * parts) + np.diag(grad)
+        value = np.mean(0.5 * np.log(2.0 * v) + 2.0 * q, axis=1)
+        # d value_i / dv_i, summed against dv / dlog w
+        grad = ((inv_v * (0.5 - q))[:, None, :] @ parts)[:, 0, :] / n
+        d2 = inv_v * inv_v * (1.5 * q - 0.5) / n
+        hess = np.swapaxes(parts, 1, 2) @ (d2[:, :, None] * parts)
+        diag = np.arange(parts.shape[2])
+        hess[:, diag, diag] += grad
+    value[~np.isfinite(value)] = math.inf
     return value, grad, hess
 
 
 def fit_log_weights(evaluate, x0, max_iter: int, baseline=None):
-    """damped_newton from x0 with a 1e-10 relative-decrease stop; returns
-    the result and the value at the baseline (default x0), which replaces
-    a result that scores worse."""
+    """damped_newton from the rows of x0 (K, k) with a 1e-10
+    relative-decrease stop; returns the stacked result and the values at
+    the baselines (default x0), which replace any row's result that scores
+    worse."""
     x0 = np.asarray(x0, dtype=np.float64)
     base = x0 if baseline is None else np.asarray(baseline, dtype=np.float64)
-    start = evaluate(base)[0]
+    start = evaluate(base, np.arange(len(base)))[0]
     result = damped_newton(evaluate, x0, max_iter, rel_tol=1e-10)
-    if not result.value <= start:
-        result = result._replace(x=base, value=start)
+    worse = ~(result.value <= start)
+    result.x[worse], result.value[worse] = base[worse], start[worse]
     return result, start
 
 
 def fit_laplace_calibration(y, mu, nu, fit_beta: bool = True, alpha0=None,
-                            steps: int = 2000) -> LaplaceCalibration:
+                            steps: int = 2000):
     """Fit (alpha, beta) by damped Newton in log space (at most `steps`
     iterations) on the exact Hessian of the mean Laplace log density.
 
+    y, mu and nu of shape (n,) give one LaplaceCalibration; of shape (K, n)
+    a list of K, solved as one stack, each with the bits of its fit alone.
     Starts from the homoscedastic scale estimate for alpha (unless alpha0
     overrides it) and, when beta is fitted, a tiny positive beta (else
     beta = 0). The returned calibration never scores worse than its own
     starting point on the data it was fit to.
     """
-    yv = as_float_array(y)
-    abs_err = np.abs(yv - as_float_array(mu))
+    abs_err = np.abs(as_float_array(y) - as_float_array(mu))
     nv = as_float_array(nu)
-    if abs_err.shape != nv.shape or abs_err.ndim != 1 or abs_err.size < 2:
+    single = abs_err.ndim == 1
+    abs_err, nv = np.atleast_2d(abs_err), np.atleast_2d(nv)
+    if (abs_err.shape != nv.shape or abs_err.ndim != 2
+            or abs_err.shape[1] < 2):
         raise StructuralError("need at least two calibration points")
     if np.any(nv < 0.0):
         raise StructuralError("variances must be nonnegative")
+    if alpha0 is not None and alpha0 <= 0.0:
+        raise StructuralError("alpha0 must be positive")
 
-    alpha = max(2.0 * float(abs_err.mean()) ** 2, 1e-12)
-    if alpha0 is not None:
-        if alpha0 <= 0.0:
-            raise StructuralError("alpha0 must be positive")
-        alpha = float(alpha0)
-    columns, x0 = np.ones((nv.size, 1)), [math.log(alpha)]
+    x0 = []
+    for err_mean, nu_mean in zip(abs_err.mean(axis=1), nv.mean(axis=1)):
+        alpha = (max(2.0 * float(err_mean) ** 2, 1e-12) if alpha0 is None
+                 else float(alpha0))
+        x0.append([math.log(alpha)] + (
+            [math.log(1e-6 * alpha / (float(nu_mean) + 1e-30))]
+            if fit_beta else []))
+    columns = np.ones(abs_err.shape + (1,))
     if fit_beta:
-        columns = np.column_stack([columns, nv])
-        x0.append(math.log(1e-6 * alpha / (float(nv.mean()) + 1e-30)))
-    fit, _ = fit_log_weights(lambda x: laplace_scale_nll(abs_err, columns, x),
-                             x0, steps)
-    return LaplaceCalibration(alpha=math.exp(fit.x[0]),
-                              beta=math.exp(fit.x[1]) if fit_beta else 0.0,
-                              iterations=fit.iterations,
-                              converged=fit.converged)
+        columns = np.concatenate([columns, nv[:, :, None]], axis=2)
+    fit, _ = fit_log_weights(
+        lambda x, rows: laplace_scale_nll(abs_err[rows], columns[rows], x),
+        x0, steps)
+    calibrations = [
+        LaplaceCalibration(alpha=math.exp(x[0]),
+                           beta=math.exp(x[1]) if fit_beta else 0.0,
+                           iterations=int(its), converged=bool(conv))
+        for x, its, conv in zip(fit.x, fit.iterations, fit.converged)]
+    return calibrations[0] if single else calibrations
 
 
 def improvement(score: float, reference_score: float,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import ParameterVector
 from .exceptions import NumericalError, StructuralError, TrainingError
-from .util import damped_newton, lbfgs
+from .util import damped_newton, lbfgs, single_point
 
 MODEL_KINDS = ("bernoulli-rate", "linear-regression", "logistic", "mlp")
 
@@ -446,6 +446,22 @@ def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray,
     return hess
 
 
+def per_example_nll_hessians(model: Model, X: np.ndarray,
+                             Y: np.ndarray) -> np.ndarray:
+    """nll_hessian of each example alone, (n, d, d): closed form for the
+    logistic and linear kinds, one nll_hessian call per example otherwise."""
+    if model.kind == "logistic":
+        s = X @ model.params.data
+        curv = _sigmoid(s) * _sigmoid(-s)
+        return np.einsum("ni,nj->nij", curv[:, None] * X, X)
+    if model.kind == "linear-regression":
+        d = model.params.dim
+        return np.einsum("ni,nj,kl->nikjl", X, X,
+                         np.eye(model.d_out)).reshape(X.shape[0], d, d)
+    return np.stack([nll_hessian(model, X[i:i + 1], Y[i:i + 1])
+                     for i in range(X.shape[0])])
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -498,6 +514,47 @@ def _loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
                                       weights, wsum)
     grads = loglik_grad_batch(model, X, Y, theta)
     return value, -np.einsum("n,nd->d", weights, grads) / wsum
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _stacked_loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
+                           thetas: np.ndarray):
+    """_loss_and_grad of K weightings at once: weights (K, N) and
+    parameters thetas (K, d), each row over its own weight sum. Returns the
+    values (K,), +inf outside the domain, and the gradients (K, d).
+    Vectorized for the logistic and linear kinds, with stacked matmuls (one
+    BLAS call per row) and einsum reductions along each row, so no row
+    depends on another; other kinds (the mlp) run _loss_and_grad row by
+    row."""
+    k = thetas.shape[0]
+    wsums = np.einsum("kn->k", weights)
+    X, Y = data.inputs, data.targets
+    if model.kind == "logistic":
+        # -ll = softplus(-s) + (1 - y) s and p = exp(-softplus(-s)), with
+        # softplus(-s) = log1p(exp(-|s|)) - min(s, 0), 3x logaddexp's speed
+        s = (X @ thetas[:, :, None])[:, :, 0]
+        softplus = np.log1p(np.exp(-np.abs(s))) - np.minimum(s, 0.0)
+        nll = softplus + (1.0 - Y[:, 0]) * s
+        gout = Y[:, 0] - np.exp(-softplus)
+    elif model.kind == "linear-regression":
+        resid = Y - X @ thetas.reshape(k, model.d_in, model.d_out)
+        nll = -_gaussian_loglik(resid.reshape(-1, model.d_out),
+                                model.d_out).reshape(k, -1)
+    else:
+        values, grads = np.empty(k), np.full(thetas.shape, math.nan)
+        for r in range(k):
+            values[r], grad = _loss_and_grad(model, data, weights[r],
+                                             float(wsums[r]), thetas[r])
+            if grad is not None:
+                grads[r] = grad
+        return values, grads
+    values = np.einsum("kn,kn->k", weights, nll) / wsums
+    values[~(np.isfinite(values) & np.isfinite(thetas).all(axis=1))] = math.inf
+    if model.kind == "logistic":
+        grads = -((weights * gout)[:, None, :] @ X)[:, 0, :]
+    else:
+        grads = -np.einsum("kn,ni,knj->kij", weights, X, resid).reshape(k, -1)
+    return values, grads / wsums[:, None]
 
 
 def _sgd(model: Model, data: Dataset, weights: np.ndarray, theta: np.ndarray,
@@ -578,7 +635,8 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
     polish = cfg.steps if cfg.polish_steps is None else cfg.polish_steps
     try:
         result = (lbfgs(evaluate, theta, polish, grad_tol) if mlp
-                  else damped_newton(evaluate, theta, cfg.steps, grad_tol))
+                  else damped_newton(single_point(evaluate), theta,
+                                     cfg.steps, grad_tol))
     except NumericalError as exc:
         raise TrainingError("non-finite loss or gradient where the full-batch "
                             "solve starts", step=step) from exc

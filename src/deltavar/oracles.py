@@ -18,9 +18,10 @@ from .covariance import CovarianceEstimate, loss_hessian
 from .exceptions import (ConvergenceError, NumericalError, ResourceError,
                          StructuralError)
 from .models import (Dataset, Model, TrainConfig, _loss_and_grad,
-                     loglik_grad_batch, nll_hessian)
+                     _stacked_loss_and_grad, loglik_grad_batch, nll_hessian,
+                     per_example_nll_hessians)
 from .qoi import QuantityOfInterest, qoi_value_and_delta, value_batch_params
-from .util import damped_newton, ridged_cholesky
+from .util import damped_newton, ridged_cholesky, single_point
 
 LOO_POINT_GUARD = 500
 RICHARDSON_BASE_EPS = 1e-2
@@ -31,8 +32,10 @@ class OracleReport:
     """One oracle evaluation: what it measured and how noisy that number is.
 
     `spread` is the standard error of the estimate (0.0 when the oracle is
-    deterministic). `reg` and `grad_norm` are diagnostics recorded by the
-    Mahalanobis oracle; other oracles leave them at their defaults.
+    deterministic). `reg` and `grad_norm` are diagnostics: the Mahalanobis
+    oracle records its ridge and mean-gradient norm, the leave-one-out
+    kinds the largest final gradient norm of their retrains (nan for a
+    closed form); other oracles leave them at their defaults.
     """
 
     kind: str
@@ -129,14 +132,18 @@ def _linear_normal_pieces(model: Model, data: Dataset):
 
 
 def _downweighted_thetas(model: Model, data: Dataset, eps: float,
-                         train_cfg: TrainConfig | None) -> np.ndarray:
-    """Parameters after reducing example i's weight to 1 - eps, for each i.
+                         train_cfg: TrainConfig | None):
+    """Parameters after reducing example i's weight to 1 - eps, for each i,
+    and the largest final gradient norm of the retrains (nan for a closed
+    form).
 
     Closed forms for single-output linear regression and the bernoulli
-    rate. Other kinds retrain from the model's parameters by damped Newton
-    (train_cfg.steps iterations at most, train()'s gradient tolerance) with
-    step matrix (H - eps H_i) / (N - eps), the summed and example-i NLL
-    Hessians at the model's parameters; the fit moves only O(eps / N).
+    rate. Other kinds retrain all N weightings from the model's parameters
+    as one damped Newton stack (train_cfg.steps iterations at most,
+    gradient tolerance train_cfg.grad_tol, by default 1e-12, or 1e-3 for
+    the mlp) with step matrix (H - eps H_i) / (N - eps), the summed and
+    example-i NLL Hessians at the model's parameters; the fit moves only
+    O(eps / N).
     """
     n = data.n
     if model.kind == "linear-regression" and model.d_out == 1:
@@ -147,31 +154,37 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
                 "a unit-leverage point cannot be removed; its fit is not "
                 "determined by the remaining data")
         steps = (eps * residuals / denom)[:, None] * rows
-        return model.params.data[None, :] - steps
+        return model.params.data[None, :] - steps, math.nan
     if model.kind == "bernoulli-rate":
         y = data.targets[:, 0]
         total = float(y.sum())
-        return ((total - eps * y) / (n - eps))[:, None]
+        return ((total - eps * y) / (n - eps))[:, None], math.nan
     cfg = train_cfg or TrainConfig(steps=2000)
     grad_tol = (cfg.grad_tol if cfg.grad_tol is not None
-                else 1e-3 if model.kind == "mlp" else 1e-10)
+                else 1e-3 if model.kind == "mlp" else 1e-12)
+    result = damped_newton(_retrain_stack(model, data, eps),
+                           np.tile(model.params.data, (n, 1)), cfg.steps,
+                           grad_tol=grad_tol)
+    return result.x, float(result.grad_norm.max())
+
+
+def _retrain_stack(model: Model, data: Dataset, eps: float):
+    """damped_newton's evaluate(thetas, rows) for the retrain of each
+    example i's weight cut to 1 - eps: the weighted mean NLL and its
+    gradient, and the fixed step matrix (H - eps H_i) / (N - eps)."""
     X, Y = data.inputs, data.targets
-    hess = nll_hessian(model, X, Y)
-    thetas = np.empty((n, model.params.dim))
-    for i in range(n):
-        weights = np.ones(n)
-        weights[i] = 1.0 - eps
-        wsum = float(np.einsum("n->", weights))
-        step_matrix = (hess - eps * nll_hessian(model, X[i:i + 1],
-                                                Y[i:i + 1])) / wsum
+    weights = np.ones((data.n, data.n))
+    np.fill_diagonal(weights, 1.0 - eps)
+    wsums = np.einsum("kn->k", weights)
+    matrices = ((nll_hessian(model, X, Y)
+                 - eps * per_example_nll_hessians(model, X, Y))
+                / wsums[:, None, None])
 
-        def evaluate(th):
-            return (*_loss_and_grad(model, data, weights, wsum, th),
-                    step_matrix)
+    def evaluate(thetas, rows):
+        return (*_stacked_loss_and_grad(model, data, weights[rows], thetas),
+                matrices[rows])
 
-        thetas[i] = damped_newton(evaluate, model.params.data, cfg.steps,
-                                  grad_tol=grad_tol).x
-    return thetas
+    return evaluate
 
 
 def loo_variance(model: Model, data: Dataset, u: QuantityOfInterest, z=None,
@@ -182,10 +195,11 @@ def loo_variance(model: Model, data: Dataset, u: QuantityOfInterest, z=None,
         raise ResourceError(
             f"{data.n} retrainings exceed the {max_points}-point guard; "
             "raise max_points explicitly if this is intended")
-    thetas = _downweighted_thetas(model, data, 1.0, train_cfg)
+    thetas, grad_norm = _downweighted_thetas(model, data, 1.0, train_cfg)
     values = value_batch_params(u, thetas, z)
     return OracleReport(kind="loo", estimate=float(np.var(values)),
-                        spread=variance_standard_error(values), count=data.n)
+                        spread=variance_standard_error(values), count=data.n,
+                        grad_norm=grad_norm)
 
 
 def eps_loo_variance(model: Model, data: Dataset, u: QuantityOfInterest,
@@ -203,12 +217,12 @@ def eps_loo_variance(model: Model, data: Dataset, u: QuantityOfInterest,
         raise ResourceError(
             f"{data.n} retrainings exceed the {max_points}-point guard; "
             "raise max_points explicitly if this is intended")
-    thetas = _downweighted_thetas(model, data, eps, train_cfg)
+    thetas, grad_norm = _downweighted_thetas(model, data, eps, train_cfg)
     values = value_batch_params(u, thetas, z)
     estimate = data.n / eps ** 2 * float(np.var(values))
     return OracleReport(kind="eps-loo", estimate=estimate,
                         spread=data.n / eps ** 2 * variance_standard_error(values),
-                        count=data.n)
+                        count=data.n, grad_norm=grad_norm)
 
 
 def richardson_eps_loo(model: Model, data: Dataset, u: QuantityOfInterest,
@@ -227,7 +241,8 @@ def richardson_eps_loo(model: Model, data: Dataset, u: QuantityOfInterest,
     spread = (reports[0].spread + 6.0 * reports[1].spread
               + 8.0 * reports[2].spread) / 3.0
     return OracleReport(kind="eps-loo-richardson", estimate=estimate,
-                        spread=spread, count=3 * data.n)
+                        spread=spread, count=3 * data.n,
+                        grad_norm=max(r.grad_norm for r in reports))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +277,7 @@ def _augmented_descent(model: Model, data: Dataset, u: QuantityOfInterest,
                      + eps * np.outer(delta.vector, delta.vector))
         return nll + 0.5 * eps * (value - y_adv) ** 2, grad, curvature
 
-    result = damped_newton(evaluate, model.params.data, steps,
+    result = damped_newton(single_point(evaluate), model.params.data, steps,
                            grad_tol=grad_tol)
     if result.grad_norm > 1e-6:
         raise ConvergenceError(
@@ -366,9 +381,9 @@ def mahalanobis_gradient_distance(model: Model, data: Dataset,
     cov = centered.T @ centered / data.n
     _, delta = qoi_value_and_delta(u, z)
     direction = delta.vector - mu
-    chol, reg = ridged_cholesky(cov, "gradient covariance")
-    half = np.linalg.solve(chol, direction)
+    chol, reg = ridged_cholesky(cov[None], "gradient covariance")
+    half = np.linalg.solve(chol[0], direction)
     estimate = float(half @ half)
     return OracleReport(kind="mahalanobis", estimate=estimate, spread=0.0,
-                        count=data.n, reg=reg,
+                        count=data.n, reg=float(reg[0]),
                         grad_norm=float(np.linalg.norm(mu)))

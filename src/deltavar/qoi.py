@@ -408,23 +408,20 @@ def values_and_deltas(u: QuantityOfInterest, zs):
 
     Explicit kinds run a single vectorized forward/backward over the whole
     batch. A set-product treats each row as a one-element set here, so its
-    rows are the model outputs and their Jacobians. The implicit kinds loop
-    over qoi_value_and_delta.
+    rows are the model outputs and their Jacobians. The implicit kinds have
+    no inputs to batch over and are refused; qoi_value_and_delta gives
+    their one value and gradient.
     """
-    if u.kind in EXPLICIT_KINDS:
-        zb = input_rows(u.model, zs)
-        if u.kind == "power":
-            return _power_values_and_deltas(u, zb)
-        if u.kind == "set-product":
-            return output_jacobian(u.model, zb)
-        return _rollout_values_and_deltas(u, zb)
-    values = []
-    deltas = []
-    for z in zs:
-        value, delta = qoi_value_and_delta(u, z)
-        values.append(value)
-        deltas.append(delta.vector)
-    return np.asarray(values), np.asarray(deltas)
+    if u.kind not in EXPLICIT_KINDS:
+        raise StructuralError(
+            f"{u.kind} quantities take no batch of inputs; use "
+            "qoi_value_and_delta for their value and gradient")
+    zb = input_rows(u.model, zs)
+    if u.kind == "power":
+        return _power_values_and_deltas(u, zb)
+    if u.kind == "set-product":
+        return output_jacobian(u.model, zb)
+    return _rollout_values_and_deltas(u, zb)
 
 
 def value_batch_params(u: QuantityOfInterest, thetas: np.ndarray,
@@ -650,19 +647,27 @@ def _eigen_value_batch(problem: EigenProblem, thetas: np.ndarray) -> np.ndarray:
 
 
 def eigen_spectra(n: int, thetas: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues (draws, n) of n-mass chains at many
-    (masses, stiffnesses) points; column i is the index-i quantity."""
+    """Ascending eigenvalues (draws, n) of n-mass chains at many
+    (masses, stiffnesses) points; column i is the index-i quantity.
+
+    A = M^-1 K is similar to the symmetric M^-1/2 K M^-1/2, which is built
+    in place and handed to one batched symmetric eigensolve; its spectrum
+    is real and sorted. That needs positive masses: a draw with a mass
+    <= 0 is refused.
+    """
     if thetas.shape[1] != 2 * n + 1:
         raise StructuralError(
             "parameter vectors must hold n masses then n+1 stiffnesses")
     masses = thetas[:, :n]
+    if not np.all(masses > 0.0):
+        raise StructuralError("masses must be positive")
     stiff = thetas[:, n:]
-    draws = thetas.shape[0]
-    k = np.zeros((draws, n, n))
+    scale = 1.0 / np.sqrt(masses)
+    sym = np.zeros((thetas.shape[0], n, n))
     idx = np.arange(n)
-    k[:, idx, idx] = stiff[:, :-1] + stiff[:, 1:]
+    sym[:, idx, idx] = (stiff[:, :-1] + stiff[:, 1:]) / masses
     if n > 1:
-        k[:, idx[:-1], idx[1:]] = -stiff[:, 1:-1]
-        k[:, idx[1:], idx[:-1]] = -stiff[:, 1:-1]
-    a = k / masses[:, :, None]
-    return np.sort(np.linalg.eigvals(a).real, axis=1)
+        coupling = -stiff[:, 1:-1] * scale[:, :-1] * scale[:, 1:]
+        sym[:, idx[:-1], idx[1:]] = coupling
+        sym[:, idx[1:], idx[:-1]] = coupling
+    return np.linalg.eigvalsh(sym)

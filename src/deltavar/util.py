@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import NumericalError
 
@@ -73,80 +74,192 @@ def as_float_array(x, name: str = "array") -> np.ndarray:
     return arr
 
 
-def ridged_cholesky(matrix: np.ndarray, what: str):
-    """Cholesky factor of matrix + reg * I and the reg used: 0 first, then
-    1e-12 times the mean absolute diagonal (or 1), growing tenfold."""
-    scale = float(np.abs(np.diag(matrix)).mean()) or 1.0
-    reg, eye = 0.0, np.eye(matrix.shape[0])
+def ridged_cholesky(matrices: np.ndarray, what: str):
+    """Cholesky factors of a stack of matrices (m, d, d), each ridged as
+    matrix + reg * I, and the regs (m,) used: 0 first, then 1e-12 times the
+    mean absolute diagonal (or 1), growing tenfold. Each ridge is tried on
+    every matrix still failing in one batched LAPACK call, and each factor
+    has the bits of its own np.linalg.cholesky call."""
+    matrices = np.asarray(matrices, dtype=np.float64)
+    regs = np.zeros(len(matrices))
+    try:  # the common case, every matrix factors unridged
+        return np.linalg.cholesky(matrices), regs
+    except np.linalg.LinAlgError:
+        pass
+    scale = np.abs(np.diagonal(matrices, axis1=1, axis2=2)).mean(axis=1)
+    scale[scale == 0.0] = 1.0
+    factors, todo = np.empty_like(matrices), np.arange(len(matrices))
+    eye = np.eye(matrices.shape[-1])
     for _ in range(16):
-        try:
-            return np.linalg.cholesky(matrix + reg * eye), reg
-        except np.linalg.LinAlgError:
-            reg = 1e-12 * scale if reg == 0.0 else reg * 10.0
+        # the gufunc behind np.linalg.cholesky: a matrix it cannot factor
+        # comes back as nan instead of raising for the whole stack
+        with np.errstate(invalid="ignore"):
+            chol = _umath_linalg.cholesky_lo(
+                matrices[todo] + regs[todo, None, None] * eye,
+                signature="d->d")
+        failed = np.isnan(chol).any(axis=(1, 2))
+        factors[todo[~failed]] = chol[~failed]
+        todo = todo[failed]
+        if not todo.size:
+            return factors, regs
+        regs[todo] = np.where(regs[todo] == 0.0, 1e-12 * scale[todo],
+                              regs[todo] * 10.0)
     raise NumericalError(f"{what} cannot be regularized into a positive "
                          "definite matrix")
 
 
 class NewtonResult(NamedTuple):
-    """Where damped_newton stopped; not converged only at the cap."""
+    """Where damped_newton stopped; not converged only at the cap. For a
+    stack of problems each field holds one entry per row."""
     x: np.ndarray
     value: float
     iterations: int
     converged: bool
     grad_norm: float
 
+    def row(self, i: int) -> "NewtonResult":
+        """Problem i of a stacked result, as plain Python scalars."""
+        return NewtonResult(self.x[i], float(self.value[i]),
+                            int(self.iterations[i]), bool(self.converged[i]),
+                            float(self.grad_norm[i]))
+
+
+def single_point(evaluate):
+    """damped_newton's stacked evaluate for one problem whose evaluate(x)
+    returns (value, gradient, step matrix), a None gradient outside its
+    domain."""
+    def stacked(x, rows):
+        value, grad, matrix = evaluate(x[0])
+        if grad is None:
+            d = x.shape[1]
+            return (np.array([math.inf]), np.full((1, d), math.nan),
+                    np.full((1, d, d), math.nan))
+        return np.array([value]), grad[None], matrix[None]
+    return stacked
+
+
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, each reduced on its own."""
+    return np.sqrt(np.einsum("kd,kd->k", g, g))
+
+
+_HALVES = 0.5 ** np.arange(60)  # the step sizes tried per acceptance rule
+_RULES = 2 * _HALVES.size  # trial index past the gradient-norm rule
+
 
 def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
                   rel_tol: float | None = None) -> NewtonResult:
-    """Minimize from x0 by accept-only damped Newton steps.
+    """Minimize K independent problems from the rows of x0 (K, d) by
+    accept-only damped Newton steps; x0 of shape (d,) is one problem, and
+    its result holds plain scalars.
 
-    evaluate(x) returns (value, gradient, step matrix), the value non-finite
-    outside the domain. The step matrix is ridged until Cholesky succeeds.
-    A step t * direction (t halving from 1) is accepted only if it lowers
-    the value or, once the predicted decrease no longer resolves in
-    float64, the gradient norm. A full step that lowered the value doubles
-    while the value keeps falling, so an optimum at infinity in log space
-    takes a few iterations, not one per unit. Stops at gradient norm <=
+    evaluate(x, rows) returns the values (m,), gradients (m, d) and step
+    matrices (m, d, d) of problems rows (m,) at the points x (m, d), a
+    value non-finite outside the domain. One call carries one trial point
+    of every problem still searching. No row may depend on another: a
+    problem then takes the same steps, bit for bit, in any stack.
+
+    Per problem: the step matrix is ridged until Cholesky succeeds. A step
+    t * direction (t halving from 1) is accepted only if it lowers the value
+    or, once the predicted decrease no longer resolves in float64, the
+    gradient norm. A full step that lowered the value doubles while the
+    value keeps falling, so an optimum at infinity in log space takes a few
+    iterations, not one per unit. A problem stops at gradient norm <=
     grad_tol, on an accepted step that lowered the value by at most rel_tol
     times its magnitude (if given), when no step makes progress, or after
     max_iter steps.
     """
-    def usable(point):
-        return (math.isfinite(point[0]) and point[1] is not None and bool(
-            np.isfinite(point[1]).all() and np.isfinite(point[2]).all()))
-
     x = np.array(x0, dtype=np.float64)
-    value, grad, matrix = evaluate(x)
-    if not usable((value, grad, matrix)):
+    if x.ndim == 1:
+        return damped_newton(evaluate, x[None], max_iter, grad_tol,
+                             rel_tol).row(0)
+    k = x.shape[0]
+    value, grad, matrix = (np.array(a, dtype=np.float64)
+                           for a in evaluate(x, np.arange(k)))
+    if not _usable(value, grad, matrix).all():
         raise NumericalError("the starting point lies outside its domain")
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = _row_norms(grad)
+    iterations = np.full(k, max_iter)
+    converged = np.zeros(k, dtype=bool)
+    run = np.arange(k)  # the problems still running
     for it in range(max_iter):
-        if gnorm <= grad_tol:
-            return NewtonResult(x, value, it, True, gnorm)
-        chol, _ = ridged_cholesky(matrix, "the Newton step matrix")
-        direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
-        slope = float(grad @ direction)
-        for by_grad, t in ((m, 0.5 ** k) for m in (False, True)
-                           for k in range(60)):
-            if not (by_grad or value + 0.5 * t * slope < value):
-                continue  # the predicted decrease no longer resolves
-            cand = evaluate(x + t * direction)
-            if usable(cand) and (np.linalg.norm(cand[1]) < gnorm if by_grad
-                                  else cand[0] < value):
-                break
-        else:
-            return NewtonResult(x, value, it, True, gnorm)  # at the optimum
-        while not by_grad and 1.0 <= t < 2.0 ** 60:
-            more = evaluate(x + 2.0 * t * direction)
-            if not (usable(more) and more[0] < cand[0]):
-                break
-            t, cand = 2.0 * t, more
-        previous, x = value, x + t * direction
-        value, grad, matrix = cand
-        gnorm = float(np.linalg.norm(grad))
-        if rel_tol is not None and previous - value <= rel_tol * abs(previous):
-            return NewtonResult(x, value, it + 1, True, gnorm)
-    return NewtonResult(x, value, max_iter, gnorm <= grad_tol, gnorm)
+        done = gnorm[run] <= grad_tol
+        iterations[run[done]], converged[run[done]] = it, True
+        run = run[~done]
+        if not run.size:
+            break
+        chol, _ = ridged_cholesky(matrix[run], "the Newton step matrix")
+        half = np.linalg.solve(chol, grad[run][..., None])
+        direction = -np.linalg.solve(np.swapaxes(chol, 1, 2), half)[..., 0]
+        t, cand = _line_search(evaluate, run, x, direction, value, gnorm,
+                               grad, matrix)
+        stuck = np.isnan(t)  # no step makes progress: at the optimum
+        iterations[run[stuck]], converged[run[stuck]] = it, True
+        run, t, cand, direction = (a[~stuck] for a in (run, t, cand,
+                                                        direction))
+        previous = value[run]
+        x[run] = x[run] + t[:, None] * direction
+        value[run] = cand
+        gnorm[run] = _row_norms(grad[run])
+        if rel_tol is not None:
+            done = previous - cand <= rel_tol * np.abs(previous)
+            iterations[run[done]], converged[run[done]] = it + 1, True
+            run = run[~done]
+    converged[run] = gnorm[run] <= grad_tol
+    return NewtonResult(x, value, iterations, converged, gnorm)
+
+
+def _line_search(evaluate, run, x, direction, value, gnorm, grad, matrix):
+    """damped_newton's step sizes along direction (m, d) for the problems
+    run (m,): each accepted t (nan where none passes) and the value there.
+    An accepted trial's gradient and step matrix go straight into grad and
+    matrix, the direction being set already."""
+    m, halvings = run.size, _HALVES.size
+    x0, value0, gnorm0 = x[run], value[run], gnorm[run]
+    slope = np.einsum("kd,kd->k", grad[run], direction)
+    # trial j < 60 tries t = 0.5**j by value, 60 <= j < 120 by gradient
+    # norm. The value rule tries only the t whose predicted decrease still
+    # resolves in float64: a prefix of the halvings, as the decrease shrinks.
+    resolving = (value0[:, None] + 0.5 * _HALVES * slope[:, None]
+                 < value0[:, None]).sum(axis=1)
+    trial = np.where(resolving == 0, halvings, 0)
+    t, cand = np.full(m, math.nan), np.empty(m)
+    todo = np.arange(m)
+    while todo.size:
+        tr = trial[todo]
+        step = _HALVES[tr % halvings]
+        c_value, c_grad, c_matrix = evaluate(
+            x0[todo] + step[:, None] * direction[todo], run[todo])
+        ok = _usable(c_value, c_grad, c_matrix) & np.where(
+            tr < halvings, c_value < value0[todo],
+            _row_norms(c_grad) < gnorm0[todo])
+        if ok.any():
+            won = todo[ok]
+            t[won], cand[won] = step[ok], c_value[ok]
+            grad[run[won]], matrix[run[won]] = c_grad[ok], c_matrix[ok]
+            todo, tr = todo[~ok], tr[~ok]
+        tr += 1
+        tr[tr == resolving[todo]] = halvings
+        trial[todo] = tr
+        todo = todo[tr < _RULES]
+    # a full step accepted by value doubles while the value keeps falling
+    grow = np.flatnonzero(trial == 0)
+    while grow.size:
+        step = 2.0 * t[grow]
+        c_value, c_grad, c_matrix = evaluate(
+            x0[grow] + step[:, None] * direction[grow], run[grow])
+        ok = _usable(c_value, c_grad, c_matrix) & (c_value < cand[grow])
+        won = grow[ok]
+        t[won], cand[won] = step[ok], c_value[ok]
+        grad[run[won]], matrix[run[won]] = c_grad[ok], c_matrix[ok]
+        grow = won[step[ok] < 2.0 ** 60]
+    return t, cand
+
+
+def _usable(value, grad, matrix) -> np.ndarray:
+    """Rows with a finite value, gradient and step matrix."""
+    return (np.isfinite(value) & np.isfinite(grad).all(axis=1)
+            & np.isfinite(matrix).all(axis=(1, 2)))
 
 
 def lbfgs(evaluate, x0, max_iter: int, grad_tol: float = 0.0) -> NewtonResult:

@@ -252,7 +252,8 @@ class TestEigenScenario:
     def test_report_digest_is_pinned(self, tmp_path):
         """The report bytes at seed 5 with the default 1e5 draws, as they
         were when every index recomputed the spectra of the draws; the
-        eigen gradients come from numpy's eig since scipy left the runtime.
+        eigen gradients come from numpy's eig since scipy left the runtime,
+        and the Monte Carlo spectra from eigvalsh on the symmetric form.
 
         The pin holds for one Python, numpy and BLAS environment:
         provenance.json records the versions, and the eigen solver's last
@@ -262,7 +263,7 @@ class TestEigenScenario:
         for name in ("report.csv", "metrics.json", "provenance.json"):
             digest.update((tmp_path / name).read_bytes())
         assert digest.hexdigest() == (
-            "f5b6bfb549b782846bf4eae2bf11e24dc637658d7555633c05e0319919f486c5")
+            "50928a5c388d68a694dda5f8e6da3ad22dbb7005a097fa28f25579d83a40fb61")
 
     def test_sample_count_validation(self):
         with pytest.raises(ConfigError):

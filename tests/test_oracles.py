@@ -234,11 +234,34 @@ class TestEpsLoo:
         eps_grid = np.array([1e-1, 5e-2, 2.5e-2, 1.25e-2])
         remainders = []
         for e in eps_grid:
-            step = _downweighted_thetas(model, data, e, None)[index] \
+            step = _downweighted_thetas(model, data, e, None)[0][index] \
                 - model.params.data
             remainders.append(np.linalg.norm(step - e * linear_term))
         slope = np.polyfit(np.log(eps_grid), np.log(remainders), 1)[0]
         assert slope >= 1.8
+
+    def test_retrains_reach_the_default_tolerance(self):
+        """Numeric retrains run to a mean-gradient norm of 1e-12 by default,
+        and the report carries the largest final norm of its retrains; a
+        closed form has none."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 2))
+        y = (rng.random(40) < 1.0 / (1.0 + np.exp(-x @ [1.0, -0.5])))
+        data = Dataset(x, y.astype(float))
+        model = train(make_model("logistic", d_in=2), data,
+                      TrainConfig(grad_tol=1e-12, steps=2000))
+        u = make_qoi("power", model, exponent=1)
+        z = np.array([0.3, -0.2])
+        for report in (loo_variance(model, data, u, z=z),
+                       eps_loo_variance(model, data, u, z=z),
+                       richardson_eps_loo(model, data, u, z=z)):
+            assert 0.0 <= report.grad_norm <= 1e-12
+        linear = linear_dataset(seed=1)
+        fit = trained_linear(linear)
+        closed = eps_loo_variance(fit, linear, make_qoi("power", fit,
+                                                        exponent=1),
+                                  z=[1.0, 0.0, 0.5])
+        assert math.isnan(closed.grad_norm)
 
     def test_eps_validation(self):
         data = linear_dataset(seed=1, n=10, d=2)

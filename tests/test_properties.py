@@ -7,7 +7,9 @@ gradient; numpy's dense products are the reference for the quadratic form;
 central differences of the analytic gradient are the reference for the
 loss Hessian and the Laplace objective; train() is the reference for the
 Newton eps-LOO retraining; mean_loglik_grad is the reference, byte for
-byte, for the gradient training builds from its objective's forward pass.
+byte, for the gradient training builds from its objective's forward pass;
+a problem solved alone is the reference, bit for bit, for the same problem
+in a stack of Laplace calibrations or eps-LOO retrains.
 Strategies draw seeds and shapes, and numpy draws the floats from the seed.
 """
 import io
@@ -36,10 +38,11 @@ from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
                              loglik_grad_batch, make_model, mean_loglik_grad,
                              predict, train)
 from deltavar.oracles import (_augmented_descent, _downweighted_thetas,
-                              adversarial_shift)
+                              _retrain_stack, adversarial_shift)
 from deltavar.qoi import (ROLLOUT_FUNCTIONALS, make_qoi, parse_qoi,
                           qoi_value, qoi_value_and_delta, value_batch_params,
                           values_and_deltas)
+from deltavar.util import damped_newton
 from tape_reference import qoi_tape_delta
 
 EXPONENTS = (1.0, 2.0, 3.0, -1.0, 0.5, 2.5)
@@ -357,7 +360,7 @@ def test_newton_eps_loo_matches_train_retrains(data):
     cfg = TrainConfig(steps=20000, grad_tol=1e-12)
     model = train(make_model("logistic", d_in=problem.d_in), problem, cfg)
     eps = data.draw(st.sampled_from((1e-3, 1e-2, 0.5, 1.0)))
-    thetas = _downweighted_thetas(model, problem, eps, cfg)
+    thetas, _ = _downweighted_thetas(model, problem, eps, cfg)
     for i in data.draw(st.lists(st.integers(0, problem.n - 1), min_size=1,
                                 max_size=3, unique=True)):
         weights = np.ones(problem.n)
@@ -394,17 +397,22 @@ def test_laplace_objective_derivatives_match_central_differences(case, data):
         -2.0, 2.0, columns.shape[1] + 1)
     columns = np.column_stack([columns, np.ones(errors.size)])
     offset = data.draw(st.sampled_from((0.0, 0.5)))
-    value, grad, hess = laplace_scale_nll(errors, columns, x, offset)
+
+    def single(t):  # the objective of this one problem, a stack of one
+        return [a[0] for a in laplace_scale_nll(errors[None], columns[None],
+                                                t[None], offset)]
+
+    value, grad, hess = single(x)
     calib = LaplaceCalibration(alpha=offset + math.exp(x[-1]), beta=1.0)
     nu = columns[:, :-1] @ np.exp(x[:-1])
     assert value == pytest.approx(
         -laplace_loglik(errors, np.zeros_like(errors), nu, calib), rel=1e-12)
 
     def value_at(t):
-        return laplace_scale_nll(errors, columns, t, offset)[0]
+        return single(t)[0]
 
     def grad_at(t):
-        return laplace_scale_nll(errors, columns, t, offset)[1]
+        return single(t)[1]
 
     scale = max(1.0, float(np.max(np.abs(hess))))
     assert np.max(np.abs(grad - central_diff_grad(value_at, x))) <= 1e-6 * scale
@@ -426,6 +434,79 @@ def test_calibration_never_ends_below_its_start(case):
         assert fit.converged and fit.iterations <= 30
         # alpha and beta round-trip through log space
         assert laplace_loglik(errors, zeros, nu, fit) >= start - 1e-12 * abs(start)
+
+
+def _same_bits(stacked, r, alone) -> bool:
+    """Row r of a stacked NewtonResult against a lone problem's result."""
+    return (stacked.x[r].tobytes() == np.asarray(alone.x).tobytes()
+            and stacked.value[r].tobytes() == np.float64(alone.value).tobytes()
+            and stacked.iterations[r] == alone.iterations
+            and stacked.converged[r] == alone.converged)
+
+
+@st.composite
+def calibration_stacks(draw):
+    """Absolute errors and variances (K, n) of a stack of Laplace
+    calibrations in random order: scales over eight decades, rows whose
+    errors the variances explain entirely (an optimum at alpha -> 0, at
+    infinity in log space) and one row of zero variances, whose beta column
+    vanishes and whose first step matrix is singular (it needs a ridge)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(2, 7))
+    nus = rng.exponential(size=(k, n)) * 10.0 ** rng.uniform(-4, 4, (k, 1))
+    alpha = rng.choice([0.0, 1e-3, 1.0], size=(k, 1))
+    nus[0], alpha[0] = 0.0, 1.0
+    truth = alpha + nus * rng.exponential(size=(k, 1))
+    errors = np.abs(rng.laplace(scale=np.sqrt(truth / 2.0)))
+    order = rng.permutation(k)
+    return errors[order], nus[order], int(np.argmin(order))
+
+
+@given(calibration_stacks())
+def test_a_stacked_calibration_row_is_solved_as_if_alone(case):
+    errors, nus, zero_row = case
+    columns = np.stack([np.ones_like(nus), nus], axis=2)
+    alpha0 = np.maximum(2.0 * errors.mean(axis=1) ** 2, 1e-12)
+    x0 = np.column_stack([np.log(alpha0), np.log(
+        1e-6 * alpha0 / (nus.mean(axis=1) + 1e-30))])
+
+    def evaluate(x, rows):
+        return laplace_scale_nll(errors[rows], columns[rows], x)
+
+    with pytest.raises(np.linalg.LinAlgError):  # that row needs the ridge
+        np.linalg.cholesky(evaluate(x0[[zero_row]], [zero_row])[2])
+    stacked = damped_newton(evaluate, x0, 300, rel_tol=1e-10)
+    fits = fit_laplace_calibration(errors, np.zeros_like(errors), nus)
+    for r in range(len(errors)):
+        alone = damped_newton(
+            lambda x, rows, r=r: evaluate(x, np.array([r])), x0[r], 300,
+            rel_tol=1e-10)
+        assert _same_bits(stacked, r, alone)
+        assert fits[r] == fit_laplace_calibration(errors[r], 0.0 * errors[r],
+                                                  nus[r])
+
+
+@given(st.data())
+def test_a_stacked_eps_loo_retrain_is_solved_as_if_alone(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    problem = nonseparable_logistic(rng, data.draw(st.integers(10, 40)),
+                                    data.draw(st.integers(1, 3)))
+    model = train(make_model("logistic", d_in=problem.d_in), problem,
+                  TrainConfig(steps=2000, grad_tol=1e-12))
+    eps = data.draw(st.sampled_from((1e-2, 0.5, 1.0)))
+    evaluate = _retrain_stack(model, problem, eps)
+    sub = np.array(data.draw(st.lists(st.integers(0, problem.n - 1),
+                                      min_size=1, max_size=6, unique=True)))
+    stacked = damped_newton(lambda x, rows: evaluate(x, sub[rows]),
+                            np.tile(model.params.data, (sub.size, 1)), 2000,
+                            grad_tol=1e-12)
+    every, _ = _downweighted_thetas(model, problem, eps, None)
+    for r, i in enumerate(sub):
+        alone = damped_newton(lambda x, rows, i=i: evaluate(x, np.array([i])),
+                              model.params.data, 2000, grad_tol=1e-12)
+        assert _same_bits(stacked, r, alone)
+        assert every[i].tobytes() == alone.x.tobytes()
 
 
 @given(laplace_problems(), st.sampled_from(("loglik", "correlation")))

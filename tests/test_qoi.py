@@ -13,7 +13,7 @@ from deltavar.exceptions import (ConfigError, ConvergenceError,
 from deltavar.models import make_model, predict
 from deltavar.qoi import (EigenProblem, FixedPointProblem,
                           chain_parameter_jacobians, chain_system,
-                          eigen_gradient, eigenvalue_delta, implicit_delta,
+                          eigen_gradient, eigen_spectra, eigenvalue_delta, implicit_delta,
                           make_qoi, parse_qoi, qoi_value,
                           qoi_value_and_delta, qoi_values, solve_fixed_point,
                           value_batch_params, values_and_deltas)
@@ -489,6 +489,32 @@ class TestEigen:
         np.testing.assert_array_equal(delta.vector,
                                       eigenvalue_delta(problem)[1].vector)
 
+    def test_spectra_refuse_non_positive_masses(self):
+        """The symmetric form needs M^-1/2: a draw with a zero or negative
+        mass is refused instead of yielding the real part of a complex
+        spectrum."""
+        problem = EigenProblem(np.array([1.0, 2.0, 1.5]),
+                               np.array([1.0, 2.0, 3.0, 4.0]), index=1)
+        u = make_qoi("eigenvalue", problem=problem)
+        base = np.concatenate([problem.masses, problem.stiffnesses])
+        for mass in (-0.5, 0.0, np.nan):
+            thetas = np.tile(base, (3, 1))
+            thetas[1, 2] = mass
+            with pytest.raises(StructuralError, match="masses"):
+                value_batch_params(u, thetas)
+            with pytest.raises(StructuralError, match="masses"):
+                eigen_spectra(3, thetas)
+
+    def test_spectra_are_sorted_and_match_eig(self):
+        rng = np.random.default_rng(5)
+        thetas = rng.uniform(0.5, 3.0, size=(200, 9))
+        spectra = eigen_spectra(4, thetas)
+        assert np.all(np.diff(spectra, axis=1) >= 0.0)
+        for theta, values in zip(thetas[:20], spectra[:20]):
+            _, _, a = chain_system(theta[:4], theta[4:])
+            np.testing.assert_allclose(
+                values, np.sort(np.linalg.eigvals(a).real), rtol=1e-12)
+
     def test_problem_validation(self):
         with pytest.raises(StructuralError):
             EigenProblem(np.array([1.0, 2.0]), np.array([1.0, 2.0]), index=0)
@@ -498,6 +524,22 @@ class TestEigen:
             EigenProblem(np.ones(2), np.ones(3), index=2)
         with pytest.raises(StructuralError):
             EigenProblem(np.ones(100), np.ones(101), index=0)
+
+
+def test_batched_values_and_deltas_refuse_the_implicit_kinds():
+    """A fixed point ignores its inputs and an eigenvalue takes none, so a
+    batch over rows of inputs is refused and points to the single call."""
+    params = ParameterVector(np.array([0.5, 2.0]), (("theta", 0, 2),))
+    fixed = make_qoi("fixed-point", problem=FixedPointProblem(
+        step=lambda th, w: [th[0] * w[0] + th[1]], params=params,
+        w0=np.array([0.0])))
+    eigen = make_qoi("eigenvalue", problem=EigenProblem(
+        np.array([1.0, 2.0]), np.ones(3), index=0))
+    for u in (fixed, eigen):
+        with pytest.raises(StructuralError, match="qoi_value_and_delta"):
+            values_and_deltas(u, np.zeros((3, 2)))
+        value, delta = qoi_value_and_delta(u)
+        assert np.isfinite(value) and np.isfinite(delta.vector).all()
 
 
 class TestRegistry:
