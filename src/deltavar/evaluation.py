@@ -136,23 +136,23 @@ def fit_log_weights(evaluate, x0, max_iter: int, baseline=None):
 
 
 def fit_laplace_calibration(y, mu, nu, fit_beta: bool = True, alpha0=None,
-                            steps: int = 2000):
-    """Fit (alpha, beta) by damped Newton in log space (at most `steps`
-    iterations) on the exact Hessian of the mean Laplace log density.
+                            steps: int = 2000) -> list[LaplaceCalibration]:
+    """Fit (alpha, beta) of K problems by damped Newton in log space (at
+    most `steps` iterations) on the exact Hessian of the mean Laplace log
+    density: y, mu and nu are (K, n), and the K calibrations, solved as one
+    stack, come back as a list, each with the bits of its fit alone.
 
-    y, mu and nu of shape (n,) give one LaplaceCalibration; of shape (K, n)
-    a list of K, solved as one stack, each with the bits of its fit alone.
     Starts from the homoscedastic scale estimate for alpha (unless alpha0
     overrides it) and, when beta is fitted, a tiny positive beta (else
-    beta = 0). The returned calibration never scores worse than its own
-    starting point on the data it was fit to.
+    beta = 0). Each calibration never scores worse than its own starting
+    point on the data it was fit to.
     """
     abs_err = np.abs(as_float_array(y) - as_float_array(mu))
     nv = as_float_array(nu)
-    single = abs_err.ndim == 1
-    abs_err, nv = np.atleast_2d(abs_err), np.atleast_2d(nv)
-    if (abs_err.shape != nv.shape or abs_err.ndim != 2
-            or abs_err.shape[1] < 2):
+    if abs_err.shape != nv.shape or abs_err.ndim != 2:
+        raise StructuralError("y, mu and nu must share a (problems, points) "
+                              f"shape, got {abs_err.shape} and {nv.shape}")
+    if abs_err.shape[1] < 2:
         raise StructuralError("need at least two calibration points")
     if np.any(nv < 0.0):
         raise StructuralError("variances must be nonnegative")
@@ -172,12 +172,10 @@ def fit_laplace_calibration(y, mu, nu, fit_beta: bool = True, alpha0=None,
     fit, _ = fit_log_weights(
         lambda x, rows: laplace_scale_nll(abs_err[rows], columns[rows], x),
         x0, steps)
-    calibrations = [
-        LaplaceCalibration(alpha=math.exp(x[0]),
-                           beta=math.exp(x[1]) if fit_beta else 0.0,
-                           iterations=int(its), converged=bool(conv))
-        for x, its, conv in zip(fit.x, fit.iterations, fit.converged)]
-    return calibrations[0] if single else calibrations
+    return [LaplaceCalibration(alpha=math.exp(x[0]),
+                               beta=math.exp(x[1]) if fit_beta else 0.0,
+                               iterations=int(its), converged=bool(conv))
+            for x, its, conv in zip(fit.x, fit.iterations, fit.converged)]
 
 
 def improvement(score: float, reference_score: float,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import ParameterVector
 from .exceptions import NumericalError, StructuralError, TrainingError
-from .util import damped_newton, lbfgs, single_point
+from .util import NewtonResult, damped_newton, lbfgs, single_point
 
 MODEL_KINDS = ("bernoulli-rate", "linear-regression", "logistic", "mlp")
 
@@ -237,10 +237,14 @@ def loglik(model: Model, x, y, theta=None) -> np.ndarray:
         t = theta[0]
         return (y[:, 0] * math.log(t) + (1.0 - y[:, 0]) * math.log(1.0 - t))
     if model.kind == "logistic":
-        s = x @ theta
-        # log sigma(s) = -log(1+e^-s), computed stably via logaddexp
-        return -(np.logaddexp(0.0, -s) * y[:, 0] + np.logaddexp(0.0, s) * (1.0 - y[:, 0]))
+        return _logistic_loglik(x @ theta, y[:, 0])
     return _gaussian_loglik(y - predict(model, x, theta=theta), model.d_out)
+
+
+def _logistic_loglik(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bernoulli log-likelihoods of outcomes y at logits s, elementwise."""
+    # log sigma(s) = -log(1+e^-s), computed stably via logaddexp
+    return -(np.logaddexp(0.0, -s) * y + np.logaddexp(0.0, s) * (1.0 - y))
 
 
 def _gaussian_loglik(resid: np.ndarray, d_out: int) -> np.ndarray:
@@ -421,7 +425,9 @@ def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray,
     hess = np.empty((d, d))
     for start in range(0, d, _HESSIAN_CHUNK):
         rows = slice(start, min(start + _HESSIAN_CHUNK, d))
-        dlayers = _mlp_layers(model, np.eye(d)[rows])
+        units = np.zeros((rows.stop - start, d))  # rows of the identity
+        units[:, rows] = np.eye(rows.stop - start)
+        dlayers = _mlp_layers(model, units)
         # forward: r is the tangent of each layer's input, zero at the data
         r, r_ins = np.zeros((rows.stop - start, *X.shape)), []
         for layer, ((w, _), (dw, db)) in enumerate(zip(layers, dlayers)):
@@ -522,24 +528,21 @@ def _stacked_loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
     """_loss_and_grad of K weightings at once: weights (K, N) and
     parameters thetas (K, d), each row over its own weight sum. Returns the
     values (K,), +inf outside the domain, and the gradients (K, d).
-    Vectorized for the logistic and linear kinds, with stacked matmuls (one
-    BLAS call per row) and einsum reductions along each row, so no row
-    depends on another; other kinds (the mlp) run _loss_and_grad row by
-    row."""
+    Vectorized for the logistic and linear kinds on loglik's formulas, with
+    stacked matmuls (one BLAS call per row) and einsum reductions along
+    each row, so no row depends on another; other kinds (the mlp) run
+    _loss_and_grad row by row."""
     k = thetas.shape[0]
     wsums = np.einsum("kn->k", weights)
     X, Y = data.inputs, data.targets
     if model.kind == "logistic":
-        # -ll = softplus(-s) + (1 - y) s and p = exp(-softplus(-s)), with
-        # softplus(-s) = log1p(exp(-|s|)) - min(s, 0), 3x logaddexp's speed
         s = (X @ thetas[:, :, None])[:, :, 0]
-        softplus = np.log1p(np.exp(-np.abs(s))) - np.minimum(s, 0.0)
-        nll = softplus + (1.0 - Y[:, 0]) * s
-        gout = Y[:, 0] - np.exp(-softplus)
+        ll = _logistic_loglik(s, Y[:, 0])
+        gout = Y[:, 0] - _sigmoid(s)
     elif model.kind == "linear-regression":
         resid = Y - X @ thetas.reshape(k, model.d_in, model.d_out)
-        nll = -_gaussian_loglik(resid.reshape(-1, model.d_out),
-                                model.d_out).reshape(k, -1)
+        ll = _gaussian_loglik(resid.reshape(-1, model.d_out),
+                              model.d_out).reshape(k, -1)
     else:
         values, grads = np.empty(k), np.full(thetas.shape, math.nan)
         for r in range(k):
@@ -548,7 +551,7 @@ def _stacked_loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
             if grad is not None:
                 grads[r] = grad
         return values, grads
-    values = np.einsum("kn,kn->k", weights, nll) / wsums
+    values = -np.einsum("kn,kn->k", weights, ll) / wsums
     values[~(np.isfinite(values) & np.isfinite(thetas).all(axis=1))] = math.inf
     if model.kind == "logistic":
         grads = -((weights * gout)[:, None, :] @ X)[:, 0, :]
@@ -603,7 +606,10 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
     mean-gradient norm against grad_tol, measured where training stops (the
     SGD end point when no polish step runs), never the step count alone.
     Per-example weights reweight the objective (a zero weight removes that
-    point).
+    point). A bernoulli rate whose weighted outcomes are all 1 (or all 0)
+    peaks on the domain's boundary, which Newton steps only creep toward,
+    one halving search per bit; it is set in 0 steps to 1 - 2^-53, the
+    float next to 1 (or to 2^-53).
     """
     cfg = cfg or TrainConfig()
     if data.d_in != model.d_in or data.d_out != model.d_out:
@@ -633,10 +639,19 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
     if mlp:
         step = _sgd(model, data, weights, theta, cfg)
     polish = cfg.steps if cfg.polish_steps is None else cfg.polish_steps
+    outcomes = (np.unique(data.targets[weights > 0.0, 0]).tolist()
+                if model.kind == "bernoulli-rate" else None)
     try:
-        result = (lbfgs(evaluate, theta, polish, grad_tol) if mlp
-                  else damped_newton(single_point(evaluate), theta,
-                                     cfg.steps, grad_tol))
+        if outcomes in ([0.0], [1.0]):
+            theta[0] = abs(outcomes[0] - 2.0 ** -53)
+            value, grad = _loss_and_grad(model, data, weights, wsum, theta)
+            result = NewtonResult(theta, value, 0, False,
+                                  float(np.linalg.norm(grad)))
+        elif mlp:
+            result = lbfgs(evaluate, theta, polish, grad_tol)
+        else:
+            result = damped_newton(single_point(evaluate), theta[None],
+                                   cfg.steps, grad_tol).row(0)
     except NumericalError as exc:
         raise TrainingError("non-finite loss or gradient where the full-batch "
                             "solve starts", step=step) from exc

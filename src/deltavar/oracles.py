@@ -25,6 +25,7 @@ from .util import damped_newton, ridged_cholesky, single_point
 
 LOO_POINT_GUARD = 500
 RICHARDSON_BASE_EPS = 1e-2
+_RETRAIN_STACK_BYTES = 1 << 24  # step matrices per eps-LOO retrain stack
 
 
 @dataclass(frozen=True)
@@ -138,12 +139,14 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
     form).
 
     Closed forms for single-output linear regression and the bernoulli
-    rate. Other kinds retrain all N weightings from the model's parameters
-    as one damped Newton stack (train_cfg.steps iterations at most,
-    gradient tolerance train_cfg.grad_tol, by default 1e-12, or 1e-3 for
-    the mlp) with step matrix (H - eps H_i) / (N - eps), the summed and
-    example-i NLL Hessians at the model's parameters; the fit moves only
-    O(eps / N).
+    rate. Other kinds retrain the N weightings from the model's parameters
+    as damped Newton stacks (train_cfg.steps iterations at most, gradient
+    tolerance train_cfg.grad_tol, by default 1e-12, or 1e-3 for the mlp)
+    with step matrix (H - eps H_i) / (N - eps), the summed and example-i
+    NLL Hessians at the model's parameters; the fit moves only O(eps / N).
+    A stack holds as many retrains as _RETRAIN_STACK_BYTES of step
+    matrices allow (all N for a small model, one at a time for a large
+    mlp), so memory stays O(d^2) per retrain in flight, not O(N d^2).
     """
     n = data.n
     if model.kind == "linear-regression" and model.d_out == 1:
@@ -162,22 +165,33 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
     cfg = train_cfg or TrainConfig(steps=2000)
     grad_tol = (cfg.grad_tol if cfg.grad_tol is not None
                 else 1e-3 if model.kind == "mlp" else 1e-12)
-    result = damped_newton(_retrain_stack(model, data, eps),
-                           np.tile(model.params.data, (n, 1)), cfg.steps,
-                           grad_tol=grad_tol)
-    return result.x, float(result.grad_norm.max())
+    d = model.params.dim
+    hess = nll_hessian(model, data.inputs, data.targets)
+    per_stack = max(1, _RETRAIN_STACK_BYTES // (8 * d * d))
+    thetas, grad_norm = np.empty((n, d)), 0.0
+    for start in range(0, n, per_stack):
+        examples = np.arange(start, min(start + per_stack, n))
+        result = damped_newton(
+            _retrain_stack(model, data, eps, hess, examples),
+            np.tile(model.params.data, (examples.size, 1)), cfg.steps,
+            grad_tol=grad_tol)
+        thetas[examples] = result.x
+        grad_norm = max(grad_norm, float(result.grad_norm.max()))
+    return thetas, grad_norm
 
 
-def _retrain_stack(model: Model, data: Dataset, eps: float):
-    """damped_newton's evaluate(thetas, rows) for the retrain of each
-    example i's weight cut to 1 - eps: the weighted mean NLL and its
-    gradient, and the fixed step matrix (H - eps H_i) / (N - eps)."""
+def _retrain_stack(model: Model, data: Dataset, eps: float, hess: np.ndarray,
+                   examples: np.ndarray):
+    """damped_newton's evaluate(thetas, rows) for the retrains that cut the
+    weight of each of the examples (m,) to 1 - eps: the weighted mean NLL
+    and its gradient, and the fixed step matrix (H - eps H_i) / (N - eps),
+    hess being H."""
     X, Y = data.inputs, data.targets
-    weights = np.ones((data.n, data.n))
-    np.fill_diagonal(weights, 1.0 - eps)
+    weights = np.ones((examples.size, data.n))
+    weights[np.arange(examples.size), examples] = 1.0 - eps
     wsums = np.einsum("kn->k", weights)
-    matrices = ((nll_hessian(model, X, Y)
-                 - eps * per_example_nll_hessians(model, X, Y))
+    matrices = ((hess - eps * per_example_nll_hessians(model, X[examples],
+                                                       Y[examples]))
                 / wsums[:, None, None])
 
     def evaluate(thetas, rows):
@@ -277,8 +291,8 @@ def _augmented_descent(model: Model, data: Dataset, u: QuantityOfInterest,
                      + eps * np.outer(delta.vector, delta.vector))
         return nll + 0.5 * eps * (value - y_adv) ** 2, grad, curvature
 
-    result = damped_newton(single_point(evaluate), model.params.data, steps,
-                           grad_tol=grad_tol)
+    result = damped_newton(single_point(evaluate), model.params.data[None],
+                           steps, grad_tol=grad_tol).row(0)
     if result.grad_norm > 1e-6:
         raise ConvergenceError(
             "adversarial retraining did not converge; gradient norm "

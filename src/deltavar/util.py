@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .exceptions import NumericalError
 
@@ -77,57 +76,59 @@ def as_float_array(x, name: str = "array") -> np.ndarray:
 def ridged_cholesky(matrices: np.ndarray, what: str):
     """Cholesky factors of a stack of matrices (m, d, d), each ridged as
     matrix + reg * I, and the regs (m,) used: 0 first, then 1e-12 times the
-    mean absolute diagonal (or 1), growing tenfold. Each ridge is tried on
-    every matrix still failing in one batched LAPACK call, and each factor
-    has the bits of its own np.linalg.cholesky call."""
+    mean absolute diagonal (or 1), growing tenfold. The whole stack is
+    factored unridged in one call, the common case; if any matrix fails,
+    each is ridged on its own, with the bits of its own factorization."""
     matrices = np.asarray(matrices, dtype=np.float64)
     regs = np.zeros(len(matrices))
-    try:  # the common case, every matrix factors unridged
+    try:
         return np.linalg.cholesky(matrices), regs
     except np.linalg.LinAlgError:
         pass
-    scale = np.abs(np.diagonal(matrices, axis1=1, axis2=2)).mean(axis=1)
-    scale[scale == 0.0] = 1.0
-    factors, todo = np.empty_like(matrices), np.arange(len(matrices))
-    eye = np.eye(matrices.shape[-1])
-    for _ in range(16):
-        # the gufunc behind np.linalg.cholesky: a matrix it cannot factor
-        # comes back as nan instead of raising for the whole stack
-        with np.errstate(invalid="ignore"):
-            chol = _umath_linalg.cholesky_lo(
-                matrices[todo] + regs[todo, None, None] * eye,
-                signature="d->d")
-        failed = np.isnan(chol).any(axis=(1, 2))
-        factors[todo[~failed]] = chol[~failed]
-        todo = todo[failed]
-        if not todo.size:
-            return factors, regs
-        regs[todo] = np.where(regs[todo] == 0.0, 1e-12 * scale[todo],
-                              regs[todo] * 10.0)
-    raise NumericalError(f"{what} cannot be regularized into a positive "
-                         "definite matrix")
+    factors, eye = np.empty_like(matrices), np.eye(matrices.shape[-1])
+    for i, matrix in enumerate(matrices):
+        scale = float(np.abs(np.diag(matrix)).mean()) or 1.0
+        for _ in range(16):
+            try:
+                factors[i] = np.linalg.cholesky(matrix + regs[i] * eye)
+                break
+            except np.linalg.LinAlgError:
+                regs[i] = 1e-12 * scale if regs[i] == 0.0 else regs[i] * 10.0
+        else:
+            raise NumericalError(f"{what} cannot be regularized into a "
+                                 "positive definite matrix")
+    return factors, regs
 
 
 class NewtonResult(NamedTuple):
-    """Where damped_newton stopped; not converged only at the cap. For a
-    stack of problems each field holds one entry per row."""
+    """Where the solve of one problem stopped; not converged only at the
+    cap."""
     x: np.ndarray
     value: float
     iterations: int
     converged: bool
     grad_norm: float
 
-    def row(self, i: int) -> "NewtonResult":
-        """Problem i of a stacked result, as plain Python scalars."""
+
+class NewtonStack(NamedTuple):
+    """Where damped_newton stopped, one entry per problem: x (K, d), the
+    other fields (K,)."""
+    x: np.ndarray
+    value: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    grad_norm: np.ndarray
+
+    def row(self, i: int) -> NewtonResult:
+        """Problem i, as plain Python scalars."""
         return NewtonResult(self.x[i], float(self.value[i]),
                             int(self.iterations[i]), bool(self.converged[i]),
                             float(self.grad_norm[i]))
 
 
 def single_point(evaluate):
-    """damped_newton's stacked evaluate for one problem whose evaluate(x)
-    returns (value, gradient, step matrix), a None gradient outside its
-    domain."""
+    """damped_newton's evaluate for one problem whose evaluate(x) returns
+    (value, gradient, step matrix), a None gradient outside its domain."""
     def stacked(x, rows):
         value, grad, matrix = evaluate(x[0])
         if grad is None:
@@ -138,20 +139,26 @@ def single_point(evaluate):
     return stacked
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i of each row pair of a and b (m, d), with the bits of a
+    1-d a_i @ b_i (a stacked matmul makes one dot call per row)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, each reduced on its own."""
-    return np.sqrt(np.einsum("kd,kd->k", g, g))
+    """Euclidean norm of each row, with the bits of np.linalg.norm."""
+    return np.sqrt(_row_dots(g, g))
 
 
 _HALVES = 0.5 ** np.arange(60)  # the step sizes tried per acceptance rule
 _RULES = 2 * _HALVES.size  # trial index past the gradient-norm rule
+_ONE_ROW = np.zeros(1, dtype=np.intp)
 
 
 def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
-                  rel_tol: float | None = None) -> NewtonResult:
+                  rel_tol: float | None = None) -> NewtonStack:
     """Minimize K independent problems from the rows of x0 (K, d) by
-    accept-only damped Newton steps; x0 of shape (d,) is one problem, and
-    its result holds plain scalars.
+    accept-only damped Newton steps.
 
     evaluate(x, rows) returns the values (m,), gradients (m, d) and step
     matrices (m, d, d) of problems rows (m,) at the points x (m, d), a
@@ -168,12 +175,17 @@ def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
     grad_tol, on an accepted step that lowered the value by at most rel_tol
     times its magnitude (if given), when no step makes progress, or after
     max_iter steps.
+
+    A stack of one runs these rules as a loop on scalars (_newton_one):
+    the stack's array bookkeeping costs about 50 us per trial point, more
+    than a small problem's evaluation.
     """
     x = np.array(x0, dtype=np.float64)
-    if x.ndim == 1:
-        return damped_newton(evaluate, x[None], max_iter, grad_tol,
-                             rel_tol).row(0)
+    if x.ndim != 2:
+        raise ValueError(f"x0 must be (problems, dimension), got {x.shape}")
     k = x.shape[0]
+    if k == 1:
+        return _newton_one(evaluate, x[0], max_iter, grad_tol, rel_tol)
     value, grad, matrix = (np.array(a, dtype=np.float64)
                            for a in evaluate(x, np.arange(k)))
     if not _usable(value, grad, matrix).all():
@@ -206,7 +218,7 @@ def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
             iterations[run[done]], converged[run[done]] = it + 1, True
             run = run[~done]
     converged[run] = gnorm[run] <= grad_tol
-    return NewtonResult(x, value, iterations, converged, gnorm)
+    return NewtonStack(x, value, iterations, converged, gnorm)
 
 
 def _line_search(evaluate, run, x, direction, value, gnorm, grad, matrix):
@@ -216,7 +228,7 @@ def _line_search(evaluate, run, x, direction, value, gnorm, grad, matrix):
     matrix, the direction being set already."""
     m, halvings = run.size, _HALVES.size
     x0, value0, gnorm0 = x[run], value[run], gnorm[run]
-    slope = np.einsum("kd,kd->k", grad[run], direction)
+    slope = _row_dots(grad[run], direction)
     # trial j < 60 tries t = 0.5**j by value, 60 <= j < 120 by gradient
     # norm. The value rule tries only the t whose predicted decrease still
     # resolves in float64: a prefix of the halvings, as the decrease shrinks.
@@ -260,6 +272,52 @@ def _usable(value, grad, matrix) -> np.ndarray:
     """Rows with a finite value, gradient and step matrix."""
     return (np.isfinite(value) & np.isfinite(grad).all(axis=1)
             & np.isfinite(matrix).all(axis=(1, 2)))
+
+
+def _newton_one(evaluate, x, max_iter, grad_tol, rel_tol) -> NewtonStack:
+    """damped_newton of the one problem x (d,), its rules on scalars."""
+    def point(at):
+        value, grad, matrix = evaluate(at[None], _ONE_ROW)
+        usable = bool(math.isfinite(value[0]) and np.isfinite(grad).all()
+                      and np.isfinite(matrix).all())
+        return usable, value[0], grad[0], matrix[0]
+
+    def result(x, value, iterations, converged, gnorm):
+        return NewtonStack(x[None], np.array([value]), np.array([iterations]),
+                           np.array([converged]), np.array([gnorm]))
+
+    usable, value, grad, matrix = point(x)
+    if not usable:
+        raise NumericalError("the starting point lies outside its domain")
+    gnorm = float(np.linalg.norm(grad))
+    for it in range(max_iter):
+        if gnorm <= grad_tol:
+            return result(x, value, it, True, gnorm)
+        chol, _ = ridged_cholesky(matrix[None], "the Newton step matrix")
+        direction = -np.linalg.solve(chol[0].T,
+                                     np.linalg.solve(chol[0], grad))
+        slope = float(grad @ direction)
+        for by_grad, t in ((r, 0.5 ** j) for r in (False, True)
+                           for j in range(60)):
+            if not (by_grad or value + 0.5 * t * slope < value):
+                continue  # the predicted decrease no longer resolves
+            cand = point(x + t * direction)
+            if cand[0] and (np.linalg.norm(cand[2]) < gnorm if by_grad
+                            else cand[1] < value):
+                break
+        else:
+            return result(x, value, it, True, gnorm)  # at the optimum
+        while not by_grad and 1.0 <= t < 2.0 ** 60:
+            more = point(x + 2.0 * t * direction)
+            if not (more[0] and more[1] < cand[1]):
+                break
+            t, cand = 2.0 * t, more
+        previous, x = value, x + t * direction
+        _, value, grad, matrix = cand
+        gnorm = float(np.linalg.norm(grad))
+        if rel_tol is not None and previous - value <= rel_tol * abs(previous):
+            return result(x, value, it + 1, True, gnorm)
+    return result(x, value, max_iter, gnorm <= grad_tol, gnorm)
 
 
 def lbfgs(evaluate, x0, max_iter: int, grad_tol: float = 0.0) -> NewtonResult:

@@ -144,8 +144,9 @@ class TestFitCalibration:
         y = rng.laplace(scale=1.7, size=400)
         mu = np.zeros(400)
         nu = np.zeros(400)
-        fit = fit_laplace_calibration(y, mu, nu, fit_beta=False,
-                                      alpha0=10.0 * 2 * np.abs(y).mean() ** 2)
+        [fit] = fit_laplace_calibration(
+            [y], [mu], [nu], fit_beta=False,
+            alpha0=10.0 * 2 * np.abs(y).mean() ** 2)
         closed_form = 2.0 * np.abs(y).mean() ** 2
         assert fit.alpha == pytest.approx(closed_form, rel=1e-4)
         assert fit.beta == 0.0
@@ -156,8 +157,9 @@ class TestFitCalibration:
         b = np.sqrt((0.3 + 1.5 * nu) / 2.0)
         y = rng.laplace(scale=b)
         mu = np.zeros(500)
-        alpha_only = fit_laplace_calibration(y, mu, nu, fit_beta=False)
-        fit = fit_laplace_calibration(y, mu, nu, fit_beta=True)
+        [alpha_only] = fit_laplace_calibration([y], [mu], [nu],
+                                               fit_beta=False)
+        [fit] = fit_laplace_calibration([y], [mu], [nu], fit_beta=True)
         start = laplace_loglik(y, mu, nu, alpha_only)
         tuned = laplace_loglik(y, mu, nu, fit)
         assert tuned > start
@@ -165,16 +167,16 @@ class TestFitCalibration:
 
     def test_rejects_negative_variances(self):
         with pytest.raises(StructuralError):
-            fit_laplace_calibration([1.0, 2.0], [0.0, 0.0], [1.0, -1.0])
+            fit_laplace_calibration([[1.0, 2.0]], [[0.0, 0.0]], [[1.0, -1.0]])
 
     def test_reports_iterations_and_the_cap(self):
         rng = np.random.default_rng(11)
         nu = rng.exponential(scale=2.0, size=500)
         y = rng.laplace(scale=np.sqrt((0.3 + 1.5 * nu) / 2.0))
         mu = np.zeros(500)
-        full = fit_laplace_calibration(y, mu, nu)
+        [full] = fit_laplace_calibration([y], [mu], [nu])
         assert full.converged and 1 < full.iterations <= 100
-        capped = fit_laplace_calibration(y, mu, nu, steps=1)
+        [capped] = fit_laplace_calibration([y], [mu], [nu], steps=1)
         assert capped.iterations == 1 and not capped.converged
         start = LaplaceCalibration(alpha=2.0 * np.abs(y).mean() ** 2,
                                    beta=1e-6 * 2.0 * np.abs(y).mean() ** 2

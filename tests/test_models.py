@@ -26,6 +26,22 @@ class TestTraining:
         assert abs(model.params.data[0] - 0.9) < 1e-6
         assert model.diagnostics["final_grad_norm"] <= 1e-6
 
+    def test_bernoulli_outcomes_all_alike_stop_next_to_the_boundary(self):
+        """The rate of all ones (all zeros, or all ones among the weighted
+        points) is the float next to 1 (next to 2^-53 above 0), in 0 steps;
+        Newton steps reached the same 1 - 2^-53 in 26 steps."""
+        cases = ((bernoulli_data(10, 0), None, 1.0 - 2.0 ** -53),
+                 (bernoulli_data(0, 10), None, 2.0 ** -53),
+                 (bernoulli_data(4, 2), [1, 1, 1, 1, 0, 0], 1.0 - 2.0 ** -53))
+        for data, weights, rate in cases:
+            model = train(make_model("bernoulli-rate"), data,
+                          TrainConfig(grad_tol=1e-12,
+                                      example_weights=weights))
+            assert model.params.data[0] == rate
+            assert model.diagnostics["steps"] == 0
+            assert not model.diagnostics["converged"]
+            assert math.isfinite(model.diagnostics["final_loss"])
+
     def test_linear_regression_matches_normal_equations(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((40, 3))

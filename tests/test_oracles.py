@@ -2,10 +2,12 @@
 adversarial injection and gradient-space Mahalanobis distance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from deltavar import oracles
 from deltavar.covariance import (CovarianceEstimate, empirical_fisher, invert,
                                  laplace_sigma, sandwich)
 from deltavar.delta_variance import delta_variance
@@ -262,6 +264,41 @@ class TestEpsLoo:
                                                         exponent=1),
                                   z=[1.0, 0.0, 0.5])
         assert math.isnan(closed.grad_norm)
+
+    def test_mlp_retrains_hold_a_bounded_number_of_step_matrices(self):
+        """The CLI's default mlp (hidden 32, 32; d = 1153, 10.6 MB per d x d
+        matrix) retrains a step matrix or a few at a time, not all N."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, size=(3, 1))
+        data = Dataset(x, np.sin(3.0 * x) + 0.1 * rng.normal(size=(3, 1)))
+        model = train(make_model("mlp", d_in=1, d_out=1, hidden=(32, 32),
+                                 seed=0), data, TrainConfig(steps=50))
+        u = make_qoi("power", model, exponent=1)
+        matrix_bytes = 8 * model.params.dim ** 2
+        tracemalloc.start()
+        try:
+            report = eps_loo_variance(model, data, u, z=np.zeros(1),
+                                      train_cfg=TrainConfig(steps=1,
+                                                            grad_tol=1e-12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(report.estimate)
+        assert peak < 12 * matrix_bytes
+
+    def test_retrains_split_into_stacks_keep_their_bits(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(30, 3))
+        y = rng.random(30) < 1.0 / (1.0 + np.exp(-x @ [1.0, -0.5, 0.3]))
+        data = Dataset(x, y.astype(float))
+        model = train(make_model("logistic", d_in=3), data,
+                      TrainConfig(grad_tol=1e-12, steps=2000))
+        whole, whole_norm = _downweighted_thetas(model, data, 0.1, None)
+        # room for the step matrices of 4 retrains (d = 3) per stack
+        monkeypatch.setattr(oracles, "_RETRAIN_STACK_BYTES", 4 * 8 * 9)
+        split, split_norm = _downweighted_thetas(model, data, 0.1, None)
+        assert split.tobytes() == whole.tobytes()
+        assert split_norm == whole_norm
 
     def test_eps_validation(self):
         data = linear_dataset(seed=1, n=10, d=2)

@@ -36,7 +36,7 @@ from deltavar.exceptions import NumericalError
 from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
                              _loss_and_grad, _mlp_forward_cache,
                              loglik_grad_batch, make_model, mean_loglik_grad,
-                             predict, train)
+                             nll_hessian, predict, train)
 from deltavar.oracles import (_augmented_descent, _downweighted_thetas,
                               _retrain_stack, adversarial_shift)
 from deltavar.qoi import (ROLLOUT_FUNCTIONALS, make_qoi, parse_qoi,
@@ -429,7 +429,8 @@ def test_calibration_never_ends_below_its_start(case):
         beta0 = 1e-6 * alpha0 / (float(nu.mean()) + 1e-30) if fit_beta else 0.0
         start = laplace_loglik(errors, zeros, nu,
                                LaplaceCalibration(alpha0, beta0))
-        fit = fit_laplace_calibration(errors, zeros, nu, fit_beta=fit_beta)
+        [fit] = fit_laplace_calibration([errors], [zeros], [nu],
+                                        fit_beta=fit_beta)
         # boundary optima (alpha -> 0) included: a few Newton iterations
         assert fit.converged and fit.iterations <= 30
         # alpha and beta round-trip through log space
@@ -437,7 +438,7 @@ def test_calibration_never_ends_below_its_start(case):
 
 
 def _same_bits(stacked, r, alone) -> bool:
-    """Row r of a stacked NewtonResult against a lone problem's result."""
+    """Row r of a stacked NewtonStack against a lone problem's result."""
     return (stacked.x[r].tobytes() == np.asarray(alone.x).tobytes()
             and stacked.value[r].tobytes() == np.float64(alone.value).tobytes()
             and stacked.iterations[r] == alone.iterations
@@ -480,11 +481,11 @@ def test_a_stacked_calibration_row_is_solved_as_if_alone(case):
     fits = fit_laplace_calibration(errors, np.zeros_like(errors), nus)
     for r in range(len(errors)):
         alone = damped_newton(
-            lambda x, rows, r=r: evaluate(x, np.array([r])), x0[r], 300,
-            rel_tol=1e-10)
+            lambda x, rows, r=r: evaluate(x, np.array([r])), x0[[r]], 300,
+            rel_tol=1e-10).row(0)
         assert _same_bits(stacked, r, alone)
-        assert fits[r] == fit_laplace_calibration(errors[r], 0.0 * errors[r],
-                                                  nus[r])
+        assert [fits[r]] == fit_laplace_calibration(
+            errors[[r]], 0.0 * errors[[r]], nus[[r]])
 
 
 @given(st.data())
@@ -495,16 +496,19 @@ def test_a_stacked_eps_loo_retrain_is_solved_as_if_alone(data):
     model = train(make_model("logistic", d_in=problem.d_in), problem,
                   TrainConfig(steps=2000, grad_tol=1e-12))
     eps = data.draw(st.sampled_from((1e-2, 0.5, 1.0)))
-    evaluate = _retrain_stack(model, problem, eps)
+    hess = nll_hessian(model, problem.inputs, problem.targets)
+    evaluate = _retrain_stack(model, problem, eps, hess, np.arange(problem.n))
+    # two or more rows: a stack of one runs damped_newton's scalar loop
     sub = np.array(data.draw(st.lists(st.integers(0, problem.n - 1),
-                                      min_size=1, max_size=6, unique=True)))
+                                      min_size=2, max_size=6, unique=True)))
     stacked = damped_newton(lambda x, rows: evaluate(x, sub[rows]),
                             np.tile(model.params.data, (sub.size, 1)), 2000,
                             grad_tol=1e-12)
     every, _ = _downweighted_thetas(model, problem, eps, None)
     for r, i in enumerate(sub):
         alone = damped_newton(lambda x, rows, i=i: evaluate(x, np.array([i])),
-                              model.params.data, 2000, grad_tol=1e-12)
+                              model.params.data[None], 2000,
+                              grad_tol=1e-12).row(0)
         assert _same_bits(stacked, r, alone)
         assert every[i].tobytes() == alone.x.tobytes()
 
