@@ -152,7 +152,6 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
 
 _HALVES = 0.5 ** np.arange(60)  # the step sizes tried per acceptance rule
 _RULES = 2 * _HALVES.size  # trial index past the gradient-norm rule
-_ONE_ROW = np.zeros(1, dtype=np.intp)
 
 
 def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
@@ -276,8 +275,10 @@ def _usable(value, grad, matrix) -> np.ndarray:
 
 def _newton_one(evaluate, x, max_iter, grad_tol, rel_tol) -> NewtonStack:
     """damped_newton of the one problem x (d,), its rules on scalars."""
+    row = np.zeros(1, dtype=np.intp)
+
     def point(at):
-        value, grad, matrix = evaluate(at[None], _ONE_ROW)
+        value, grad, matrix = evaluate(at[None], row)
         usable = bool(math.isfinite(value[0]) and np.isfinite(grad).all()
                       and np.isfinite(matrix).all())
         return usable, value[0], grad[0], matrix[0]
