@@ -17,7 +17,7 @@ import numpy as np
 from .covariance import CovarianceEstimate
 from .evaluation import fit_log_weights, laplace_scale_nll
 from .exceptions import NumericalError, StructuralError
-from .util import as_float_array, single_point
+from .util import as_float_array
 
 
 @dataclass(frozen=True)
@@ -197,13 +197,13 @@ def finetune_scales(matrix, names, targets, objective: str = "loglik",
         fit = fit.row(0)
     else:
         fit, start = fit_log_weights(
-            single_point(lambda x: _neg_correlation(abs_err, matrix, x,
-                                                    CORRELATION_PENALTY)),
+            lambda x, rows: _neg_correlation(abs_err, matrix, x[0],
+                                             CORRELATION_PENALTY),
             [np.zeros(n_blocks)], steps)
         # the penalty is 0 at the start and >= 0 elsewhere, so the plain
         # correlation at an accepted point never falls below the start's
         fit = fit.row(0)._replace(
-            value=_neg_correlation(abs_err, matrix, fit.x[0])[0])
+            value=float(_neg_correlation(abs_err, matrix, fit.x[0])[0][0]))
     return BlockScales(names=names, log_scales=fit.x[:n_blocks],
                        objective=objective, objective_value=-fit.value,
                        objective_at_init=-float(start[0]),
@@ -215,17 +215,19 @@ def _neg_correlation(abs_err: np.ndarray, matrix: np.ndarray,
                      log_scales: np.ndarray, penalty: float = 0.0):
     """Minus the error_correlation of sqrt(matrix @ exp(log_scales)) plus
     (penalty/2)|log_scales|^2, its gradient and the step matrix
-    (1 + penalty) I; +inf where undefined."""
+    (1 + penalty) I, as a stack of one problem: shapes (1,), (1, k) and
+    (1, k, k); +inf and NaN where undefined."""
     parts = matrix * np.exp(log_scales)
     sd = np.sqrt(parts.sum(axis=1))
     ec, sc = abs_err - abs_err.mean(), sd - sd.mean()
     denom = math.sqrt(float(ec @ ec) * float(sc @ sc))
+    step_matrix = (1.0 + penalty) * np.eye(log_scales.size)[None]
     if denom == 0.0:
-        return math.inf, None, None
+        return (np.array([math.inf]), np.full((1, log_scales.size), math.nan),
+                step_matrix)
     corr = float(ec @ sc) / denom
     d_sd = ec / denom - corr * sc / float(sc @ sc)
     # d sd_i / d log s_k = parts_ik / (2 sd_i); rows with sd_i = 0 never move
     d_rows = d_sd / (2.0 * np.where(sd > 0.0, sd, np.inf))
-    return (0.5 * penalty * float(log_scales @ log_scales) - corr,
-            penalty * log_scales - d_rows @ parts,
-            (1.0 + penalty) * np.eye(log_scales.size))
+    return (np.array([0.5 * penalty * float(log_scales @ log_scales) - corr]),
+            (penalty * log_scales - d_rows @ parts)[None], step_matrix)

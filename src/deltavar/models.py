@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import ParameterVector
 from .exceptions import NumericalError, StructuralError, TrainingError
-from .util import NewtonResult, damped_newton, lbfgs, single_point
+from .util import NewtonResult, damped_newton, lbfgs
 
 MODEL_KINDS = ("bernoulli-rate", "linear-regression", "logistic", "mlp")
 
@@ -500,12 +500,12 @@ class TrainConfig:
 @np.errstate(over="ignore", invalid="ignore")
 def _loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
                    wsum: float, theta: np.ndarray):
-    """The weighted NLL over wsum and its gradient at theta, (+inf, None)
+    """The weighted NLL over wsum and its gradient at theta, (+inf, NaN)
     outside the domain: with wsum the weight sum, the mean NLL and the bits
     of -mean_loglik_grad. The mlp gradient reuses the value's forward pass."""
     if not (np.isfinite(theta).all() and (model.kind != "bernoulli-rate"
                                           or 0.0 < theta[0] < 1.0)):
-        return math.inf, None
+        return math.inf, np.full(theta.shape, math.nan)
     X, Y = data.inputs, data.targets
     if model.kind == "mlp":
         out, h_ins, layers = _mlp_forward_cache(model, X, theta)
@@ -514,7 +514,7 @@ def _loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
         ll = loglik(model, X, Y, theta)
     value = float(-np.einsum("n,n->", weights, ll) / wsum)
     if not math.isfinite(value):
-        return math.inf, None
+        return math.inf, np.full(theta.shape, math.nan)
     if model.kind == "mlp":
         return value, -_mlp_mean_grad(model, h_ins, layers, Y - out,
                                       weights, wsum)
@@ -544,12 +544,10 @@ def _stacked_loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
         ll = _gaussian_loglik(resid.reshape(-1, model.d_out),
                               model.d_out).reshape(k, -1)
     else:
-        values, grads = np.empty(k), np.full(thetas.shape, math.nan)
+        values, grads = np.empty(k), np.empty(thetas.shape)
         for r in range(k):
-            values[r], grad = _loss_and_grad(model, data, weights[r],
-                                             float(wsums[r]), thetas[r])
-            if grad is not None:
-                grads[r] = grad
+            values[r], grads[r] = _loss_and_grad(model, data, weights[r],
+                                                 float(wsums[r]), thetas[r])
         return values, grads
     values = -np.einsum("kn,kn->k", weights, ll) / wsums
     values[~(np.isfinite(values) & np.isfinite(thetas).all(axis=1))] = math.inf
@@ -628,11 +626,15 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
     mlp, step, theta = model.kind == "mlp", 0, model.params.data.copy()
 
     def evaluate(th):
-        value, grad = _loss_and_grad(model, data, weights, wsum, th)
-        if mlp:
-            return value, grad
-        return value, grad, (None if grad is None else nll_hessian(
-            model.with_params(th), data.inputs, data.targets, weights) / wsum)
+        return _loss_and_grad(model, data, weights, wsum, th)
+
+    def newton_point(x, rows):
+        value, grad = evaluate(x[0])
+        matrix = (nll_hessian(model.with_params(x[0]), data.inputs,
+                              data.targets, weights) / wsum
+                  if math.isfinite(value) else np.full((x.shape[1],) * 2,
+                                                       math.nan))
+        return np.array([value]), grad[None], matrix[None]
 
     grad_tol = (cfg.grad_tol if cfg.grad_tol is not None
                 else 1e-3 if mlp else 1e-10)
@@ -644,14 +646,14 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
     try:
         if outcomes in ([0.0], [1.0]):
             theta[0] = abs(outcomes[0] - 2.0 ** -53)
-            value, grad = _loss_and_grad(model, data, weights, wsum, theta)
+            value, grad = evaluate(theta)
             result = NewtonResult(theta, value, 0, False,
                                   float(np.linalg.norm(grad)))
         elif mlp:
             result = lbfgs(evaluate, theta, polish, grad_tol)
         else:
-            result = damped_newton(single_point(evaluate), theta[None],
-                                   cfg.steps, grad_tol).row(0)
+            result = damped_newton(newton_point, theta[None], cfg.steps,
+                                   grad_tol).row(0)
     except NumericalError as exc:
         raise TrainingError("non-finite loss or gradient where the full-batch "
                             "solve starts", step=step) from exc

@@ -21,7 +21,7 @@ from .models import (Dataset, Model, TrainConfig, _loss_and_grad,
                      _stacked_loss_and_grad, loglik_grad_batch, nll_hessian,
                      per_example_nll_hessians)
 from .qoi import QuantityOfInterest, qoi_value_and_delta, value_batch_params
-from .util import damped_newton, ridged_cholesky, single_point
+from .util import damped_newton, ridged_cholesky
 
 LOO_POINT_GUARD = 500
 RICHARDSON_BASE_EPS = 1e-2
@@ -277,22 +277,23 @@ def _augmented_descent(model: Model, data: Dataset, u: QuantityOfInterest,
     plus the Gauss-Newton term eps * delta delta' of the penalty; points
     outside the model's domain count as +inf and never pass.
     """
-    ones = np.ones(data.n)
+    ones, d = np.ones(data.n), model.params.dim
 
-    def evaluate(th):
-        nll, nll_grad = _loss_and_grad(model, data, ones, 1.0, th)
-        if nll_grad is None:
-            return math.inf, None, None
-        bound = model.with_params(th)
+    def evaluate(x, rows):
+        nll, nll_grad = _loss_and_grad(model, data, ones, 1.0, x[0])
+        if not math.isfinite(nll):
+            return np.array([nll]), nll_grad[None], np.full((1, d, d), math.nan)
+        bound = model.with_params(x[0])
         value, delta = qoi_value_and_delta(
             QuantityOfInterest(u.kind, bound, u.config), z)
         grad = nll_grad + eps * (value - y_adv) * delta.vector
         curvature = (loss_hessian(bound, data).values
                      + eps * np.outer(delta.vector, delta.vector))
-        return nll + 0.5 * eps * (value - y_adv) ** 2, grad, curvature
+        return (np.array([nll + 0.5 * eps * (value - y_adv) ** 2]),
+                grad[None], curvature[None])
 
-    result = damped_newton(single_point(evaluate), model.params.data[None],
-                           steps, grad_tol=grad_tol).row(0)
+    result = damped_newton(evaluate, model.params.data[None], steps,
+                           grad_tol=grad_tol).row(0)
     if result.grad_norm > 1e-6:
         raise ConvergenceError(
             "adversarial retraining did not converge; gradient norm "

@@ -126,19 +126,6 @@ class NewtonStack(NamedTuple):
                             float(self.grad_norm[i]))
 
 
-def single_point(evaluate):
-    """damped_newton's evaluate for one problem whose evaluate(x) returns
-    (value, gradient, step matrix), a None gradient outside its domain."""
-    def stacked(x, rows):
-        value, grad, matrix = evaluate(x[0])
-        if grad is None:
-            d = x.shape[1]
-            return (np.array([math.inf]), np.full((1, d), math.nan),
-                    np.full((1, d, d), math.nan))
-        return np.array([value]), grad[None], matrix[None]
-    return stacked
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i . b_i of each row pair of a and b (m, d), with the bits of a
     1-d a_i @ b_i (a stacked matmul makes one dot call per row)."""
@@ -174,17 +161,11 @@ def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
     grad_tol, on an accepted step that lowered the value by at most rel_tol
     times its magnitude (if given), when no step makes progress, or after
     max_iter steps.
-
-    A stack of one runs these rules as a loop on scalars (_newton_one):
-    the stack's array bookkeeping costs about 50 us per trial point, more
-    than a small problem's evaluation.
     """
     x = np.array(x0, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x0 must be (problems, dimension), got {x.shape}")
     k = x.shape[0]
-    if k == 1:
-        return _newton_one(evaluate, x[0], max_iter, grad_tol, rel_tol)
     value, grad, matrix = (np.array(a, dtype=np.float64)
                            for a in evaluate(x, np.arange(k)))
     if not _usable(value, grad, matrix).all():
@@ -271,54 +252,6 @@ def _usable(value, grad, matrix) -> np.ndarray:
     """Rows with a finite value, gradient and step matrix."""
     return (np.isfinite(value) & np.isfinite(grad).all(axis=1)
             & np.isfinite(matrix).all(axis=(1, 2)))
-
-
-def _newton_one(evaluate, x, max_iter, grad_tol, rel_tol) -> NewtonStack:
-    """damped_newton of the one problem x (d,), its rules on scalars."""
-    row = np.zeros(1, dtype=np.intp)
-
-    def point(at):
-        value, grad, matrix = evaluate(at[None], row)
-        usable = bool(math.isfinite(value[0]) and np.isfinite(grad).all()
-                      and np.isfinite(matrix).all())
-        return usable, value[0], grad[0], matrix[0]
-
-    def result(x, value, iterations, converged, gnorm):
-        return NewtonStack(x[None], np.array([value]), np.array([iterations]),
-                           np.array([converged]), np.array([gnorm]))
-
-    usable, value, grad, matrix = point(x)
-    if not usable:
-        raise NumericalError("the starting point lies outside its domain")
-    gnorm = float(np.linalg.norm(grad))
-    for it in range(max_iter):
-        if gnorm <= grad_tol:
-            return result(x, value, it, True, gnorm)
-        chol, _ = ridged_cholesky(matrix[None], "the Newton step matrix")
-        direction = -np.linalg.solve(chol[0].T,
-                                     np.linalg.solve(chol[0], grad))
-        slope = float(grad @ direction)
-        for by_grad, t in ((r, 0.5 ** j) for r in (False, True)
-                           for j in range(60)):
-            if not (by_grad or value + 0.5 * t * slope < value):
-                continue  # the predicted decrease no longer resolves
-            cand = point(x + t * direction)
-            if cand[0] and (np.linalg.norm(cand[2]) < gnorm if by_grad
-                            else cand[1] < value):
-                break
-        else:
-            return result(x, value, it, True, gnorm)  # at the optimum
-        while not by_grad and 1.0 <= t < 2.0 ** 60:
-            more = point(x + 2.0 * t * direction)
-            if not (more[0] and more[1] < cand[1]):
-                break
-            t, cand = 2.0 * t, more
-        previous, x = value, x + t * direction
-        _, value, grad, matrix = cand
-        gnorm = float(np.linalg.norm(grad))
-        if rel_tol is not None and previous - value <= rel_tol * abs(previous):
-            return result(x, value, it + 1, True, gnorm)
-    return result(x, value, max_iter, gnorm <= grad_tol, gnorm)
 
 
 def lbfgs(evaluate, x0, max_iter: int, grad_tol: float = 0.0) -> NewtonResult:

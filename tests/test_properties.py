@@ -8,8 +8,9 @@ central differences of the analytic gradient are the reference for the
 loss Hessian and the Laplace objective; train() is the reference for the
 Newton eps-LOO retraining; mean_loglik_grad is the reference, byte for
 byte, for the gradient training builds from its objective's forward pass;
-a problem solved alone is the reference, bit for bit, for the same problem
-in a stack of Laplace calibrations or eps-LOO retrains.
+the scalar Newton loop of newton_reference is the reference, bit for bit,
+for a problem in a stack of Laplace calibrations or eps-LOO retrains and for
+each one-problem fit (training, the correlation fine-tune).
 Strategies draw seeds and shapes, and numpy draws the floats from the seed.
 """
 import io
@@ -22,13 +23,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import central_diff_grad, central_diff_hessian
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from deltavar.cli import main as cli_main
 from deltavar.covariance import (KINDS, CovarianceEstimate, load_covariance,
                                  loss_hessian, save_covariance)
-from deltavar.delta_variance import (GradientDelta, block_variances,
+from deltavar.delta_variance import (CORRELATION_PENALTY, GradientDelta,
+                                     _neg_correlation, block_variances,
                                      delta_variance, finetune_scales)
 from deltavar.evaluation import (LaplaceCalibration, fit_laplace_calibration,
                                  laplace_loglik, laplace_scale_nll)
@@ -43,6 +45,7 @@ from deltavar.qoi import (ROLLOUT_FUNCTIONALS, make_qoi, parse_qoi,
                           qoi_value, qoi_value_and_delta, value_batch_params,
                           values_and_deltas)
 from deltavar.util import damped_newton
+from newton_reference import newton, one_of
 from tape_reference import qoi_tape_delta
 
 EXPONENTS = (1.0, 2.0, 3.0, -1.0, 0.5, 2.5)
@@ -480,9 +483,7 @@ def test_a_stacked_calibration_row_is_solved_as_if_alone(case):
     stacked = damped_newton(evaluate, x0, 300, rel_tol=1e-10)
     fits = fit_laplace_calibration(errors, np.zeros_like(errors), nus)
     for r in range(len(errors)):
-        alone = damped_newton(
-            lambda x, rows, r=r: evaluate(x, np.array([r])), x0[[r]], 300,
-            rel_tol=1e-10).row(0)
+        alone = newton(one_of(evaluate, r), x0[r], 300, rel_tol=1e-10)
         assert _same_bits(stacked, r, alone)
         assert [fits[r]] == fit_laplace_calibration(
             errors[[r]], 0.0 * errors[[r]], nus[[r]])
@@ -498,7 +499,7 @@ def test_a_stacked_eps_loo_retrain_is_solved_as_if_alone(data):
     eps = data.draw(st.sampled_from((1e-2, 0.5, 1.0)))
     hess = nll_hessian(model, problem.inputs, problem.targets)
     evaluate = _retrain_stack(model, problem, eps, hess, np.arange(problem.n))
-    # two or more rows: a stack of one runs damped_newton's scalar loop
+    # two or more rows, so that the retrains share each evaluate call
     sub = np.array(data.draw(st.lists(st.integers(0, problem.n - 1),
                                       min_size=2, max_size=6, unique=True)))
     stacked = damped_newton(lambda x, rows: evaluate(x, sub[rows]),
@@ -506,11 +507,94 @@ def test_a_stacked_eps_loo_retrain_is_solved_as_if_alone(data):
                             grad_tol=1e-12)
     every, _ = _downweighted_thetas(model, problem, eps, None)
     for r, i in enumerate(sub):
-        alone = damped_newton(lambda x, rows, i=i: evaluate(x, np.array([i])),
-                              model.params.data[None], 2000,
-                              grad_tol=1e-12).row(0)
+        alone = newton(one_of(evaluate, i), model.params.data, 2000,
+                       grad_tol=1e-12)
         assert _same_bits(stacked, r, alone)
         assert every[i].tobytes() == alone.x.tobytes()
+
+
+def convex_training_problem(kind: str, seed: int):
+    """A model with its starting parameters, a data set and example
+    weights. A bernoulli rate starts in (0.3, 0.95) with outcomes mostly
+    1, so its first full Newton step leaves the domain in about one draw in
+    five."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 80))
+    weights = rng.choice([1.0, rng.exponential()], size=n)
+    if kind == "bernoulli-rate":
+        y = (rng.random(n) < rng.uniform(0.8, 1.0)).astype(float)
+        y[:2] = 1.0, 0.0  # never all alike: that rate is set, not solved
+        model = make_model(kind).with_params([rng.uniform(0.3, 0.95)])
+        return model, Dataset(np.zeros((n, 1)), y), weights
+    d = int(rng.integers(1, 4))
+    if kind == "logistic":
+        data = nonseparable_logistic(rng, n, d)
+        weights = np.concatenate([weights, np.ones(2 * d)])
+    else:
+        x = rng.standard_normal((n + d, d))
+        data = Dataset(x, x @ rng.standard_normal(d)
+                       + rng.standard_normal(n + d))
+        weights = np.concatenate([weights, np.ones(d)])
+    model = make_model(kind, d_in=d).with_params(rng.standard_normal(d))
+    return model, data, weights
+
+
+@given(st.sampled_from(("bernoulli-rate", "logistic", "linear-regression")),
+       st.integers(0, 2**16))
+@example("bernoulli-rate", 1)  # its first full step leaves (0, 1)
+def test_training_a_convex_model_is_the_scalar_newton_loop(kind, seed):
+    """train() solves one problem as a stack of one; the scalar reference
+    on the same objective gives the same bits, with a point outside the
+    domain (+inf and a NaN gradient) rejected as a trial."""
+    model, data, weights = convex_training_problem(kind, seed)
+    wsum = float(np.einsum("n->", weights))
+    outside = []
+
+    def objective(theta):
+        value, grad = _loss_and_grad(model, data, weights, wsum, theta)
+        if not math.isfinite(value):
+            outside.append(theta)
+            assert np.isnan(grad).all()
+            return value, grad, np.full((theta.size,) * 2, math.nan)
+        return value, grad, nll_hessian(model.with_params(theta), data.inputs,
+                                        data.targets, weights) / wsum
+
+    fitted = train(model, data, TrainConfig(steps=200,
+                                            example_weights=weights))
+    reference = newton(objective, model.params.data, 200, grad_tol=1e-10)
+    diag = fitted.diagnostics
+    assert fitted.params.data.tobytes() == reference.x.tobytes()
+    assert np.float64(diag["final_loss"]).tobytes() == \
+        np.float64(reference.value).tobytes()
+    assert diag["steps"] == reference.iterations
+    assert diag["final_grad_norm"] == reference.grad_norm
+    assert diag["converged"] == (reference.grad_norm <= 1e-6)
+    if kind == "bernoulli-rate":  # where the first full step lands
+        rate = model.params.data[0]
+        _, grad, matrix = objective(model.params.data)
+        if not 0.0 < rate - grad[0] / matrix[0, 0] < 1.0:
+            assert outside
+
+
+@given(laplace_problems())
+def test_a_correlation_finetune_is_the_scalar_newton_loop(case):
+    errors, columns = case
+    assume(errors.size >= columns.shape[1] and np.ptp(errors) > 0.0
+           and np.ptp(np.sqrt(columns.sum(axis=1))) > 0.0)
+    names = [f"b{j}" for j in range(columns.shape[1])]
+    scales = finetune_scales(columns, names, errors, objective="correlation")
+    objective = one_of(lambda x, rows: _neg_correlation(
+        errors, columns, x[0], CORRELATION_PENALTY), 0)
+    start = np.zeros(len(names))
+    reference = newton(objective, start, 500, rel_tol=1e-10)
+    # a fit that ends above its start (a step accepted by gradient norm)
+    # keeps the start
+    end = reference.x if reference.value <= objective(start)[0] else start
+    assert scales.log_scales.tobytes() == end.tobytes()
+    assert scales.steps_taken == reference.iterations
+    assert scales.converged == reference.converged
+    plain = _neg_correlation(errors, columns, end)[0][0]
+    assert scales.objective_value == -plain
 
 
 @given(laplace_problems(), st.sampled_from(("loglik", "correlation")))
