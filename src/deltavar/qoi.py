@@ -302,7 +302,8 @@ def _power_values_and_deltas(u: QuantityOfInterest, xs: np.ndarray):
 
 
 def _set_product_value_and_delta(u: QuantityOfInterest, xs: np.ndarray):
-    """prod_i out(x_i) over the whole set and its gradient.
+    """prod_i out(x_i) over the whole set and its gradient, shapes (1,) and
+    (1, d).
 
     d prod / d out_i = prod_{j != i} out_j comes from prefix and suffix
     products, never by division, so zero outputs stay exact.
@@ -310,7 +311,7 @@ def _set_product_value_and_delta(u: QuantityOfInterest, xs: np.ndarray):
     outs, jac = output_jacobian(u.model, xs)
     prefix = np.concatenate([[1.0], np.cumprod(outs[:-1])])
     suffix = np.concatenate([np.cumprod(outs[:0:-1])[::-1], [1.0]])
-    return float(np.prod(outs)), (prefix * suffix) @ jac
+    return np.prod(outs, keepdims=True), ((prefix * suffix) @ jac)[None]
 
 
 def qoi_values(u: QuantityOfInterest, zs, forward=None) -> np.ndarray:
@@ -375,15 +376,10 @@ def qoi_value_and_delta(u: QuantityOfInterest, z=None):
     _no_input(u, z)
     if u.kind in EXPLICIT_KINDS:
         zb = _as_input_matrix(u.model, z)
-        if u.kind == "set-product":
-            value, vector = _set_product_value_and_delta(u, zb)
-        else:
-            batched = (_power_values_and_deltas if u.kind == "power"
-                       else _rollout_values_and_deltas)
-            values, deltas = batched(u, zb[:1])
-            value, vector = float(values[0]), deltas[0]
-        return value, GradientDelta(vector, source=u.qoi_id,
-                                    input_id=_input_label(z))
+        values, deltas = values_and_deltas(
+            u, zb if u.kind == "set-product" else zb[:1])
+        return float(values[0]), GradientDelta(deltas[0], source=u.qoi_id,
+                                               input_id=_input_label(z))
     if u.kind == "fixed-point":
         problem = u.config["problem"]
         w_star, _ = solve_fixed_point(problem)
@@ -404,13 +400,12 @@ def _input_label(z) -> str:
 
 
 def values_and_deltas(u: QuantityOfInterest, zs):
-    """Batched values and gradients, one row per input.
+    """Batched values and gradients: one row per input for power and
+    rollouts, one row for a set-product, whose rows form one set.
 
     Explicit kinds run a single vectorized forward/backward over the whole
-    batch. A set-product treats each row as a one-element set here, so its
-    rows are the model outputs and their Jacobians. The implicit kinds have
-    no inputs to batch over and are refused; qoi_value_and_delta gives
-    their one value and gradient.
+    batch. The implicit kinds have no inputs to batch over and are refused;
+    qoi_value_and_delta gives their one value and gradient.
     """
     if u.kind not in EXPLICIT_KINDS:
         raise StructuralError(
@@ -420,7 +415,7 @@ def values_and_deltas(u: QuantityOfInterest, zs):
     if u.kind == "power":
         return _power_values_and_deltas(u, zb)
     if u.kind == "set-product":
-        return output_jacobian(u.model, zb)
+        return _set_product_value_and_delta(u, zb)
     return _rollout_values_and_deltas(u, zb)
 
 

@@ -98,6 +98,19 @@ class TestDeltavarCommand:
         assert len(lines) == 2
         assert lines[0] == lines[1]  # bernoulli quantities ignore the input
 
+    def test_set_product_prints_one_line_for_the_set(self, model_dir, capsys):
+        code = main(["deltavar", "--model", str(model_dir),
+                     "--sigma", "fisher-full", "--qoi", "set-product",
+                     "--input", "0.9", "--input", "0.5", "--input", "0.1"])
+        assert code == 0
+        printed = capsys.readouterr().out.strip().splitlines()
+
+        model, data = load_model_dir(model_dir)
+        u = make_qoi("set-product", model)
+        _, delta = qoi_value_and_delta(u, np.array([[0.9], [0.5], [0.1]]))
+        nu = delta_variance(delta, canonical_sigma(model, data, mode="full"))
+        assert printed == [repr(nu)]
+
     def test_input_dimension_mismatch_exits_2(self, model_dir, capsys):
         code = main(["deltavar", "--model", str(model_dir),
                      "--sigma", "fisher-diag", "--qoi", "power10",

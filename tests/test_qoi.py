@@ -101,6 +101,17 @@ class TestSetProduct:
         np.testing.assert_allclose(delta.vector, [theta[1], theta[0]],
                                    rtol=1e-12)
 
+    def test_batch_is_one_value_for_the_set(self):
+        theta = np.array([0.6, -1.3])
+        model = make_model("linear-regression", d_in=2).with_params(theta)
+        zs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        u = make_qoi("set-product", model)
+        values, deltas = values_and_deltas(u, zs)
+        assert values.shape == (1,) and deltas.shape == (1, 2)
+        assert values[0] == qoi_values(u, zs)[0]
+        _, delta = qoi_value_and_delta(u, zs)
+        assert deltas[0].tobytes() == delta.vector.tobytes()
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         theta = rng.normal(size=3)
