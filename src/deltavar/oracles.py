@@ -147,6 +147,9 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
     A stack holds as many retrains as _RETRAIN_STACK_BYTES of step
     matrices allow (all N for a small model, one at a time for a large
     mlp), so memory stays O(d^2) per retrain in flight, not O(N d^2).
+    Raises ConvergenceError when no retrain takes a step: the model already
+    meets the tolerance under every down-weighting, so the retrains would
+    measure nothing.
     """
     n = data.n
     if model.kind == "linear-regression" and model.d_out == 1:
@@ -168,7 +171,7 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
     d = model.params.dim
     hess = nll_hessian(model, data.inputs, data.targets)
     per_stack = max(1, _RETRAIN_STACK_BYTES // (8 * d * d))
-    thetas, grad_norm = np.empty((n, d)), 0.0
+    thetas, grad_norm, moved = np.empty((n, d)), 0.0, False
     for start in range(0, n, per_stack):
         examples = np.arange(start, min(start + per_stack, n))
         result = damped_newton(
@@ -177,6 +180,13 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
             grad_tol=grad_tol)
         thetas[examples] = result.x
         grad_norm = max(grad_norm, float(result.grad_norm.max()))
+        moved = moved or bool(result.iterations.any())
+    if not moved:
+        raise ConvergenceError(
+            f"no retrain took a step: the model already meets grad_tol="
+            f"{grad_tol:g} with any one example's weight cut to "
+            f"{1.0 - eps:g}, so the retrains measure nothing; a smaller "
+            "train_cfg.grad_tol tightens it")
     return thetas, grad_norm
 
 

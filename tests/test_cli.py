@@ -176,6 +176,29 @@ def test_undefined_power_exits_1_with_a_message(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_eps_loo_that_measures_nothing_exits_1(tmp_path, capsys):
+    """An mlp trained below the default mlp tolerance: no eps-LOO retrain
+    takes a step, and the oracle refuses instead of printing 0."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, size=(100, 1))
+    np.savez(tmp_path / "wave.npz", inputs=x,
+             targets=np.sin(3.0 * x) + 0.1 * rng.normal(size=(100, 1)))
+    out = tmp_path / "wave"
+    assert main(["train", "--set", "model.kind=mlp",
+                 "--set", "model.hidden=[8]", "--set", "data.kind=file",
+                 "--set", f"data.path={tmp_path / 'wave.npz'}",
+                 "--set", "train.steps=200", "--set", "train.grad_tol=1e-6",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["oracle", "--model", str(out), "--kind", "eps-loo",
+                 "--qoi", "power1", "--input", "0.0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "grad_tol" in captured.err
+
+
 MLP_TRAIN = ["train", "--set", "model.kind=mlp", "--set", "model.d_in=3",
              "--set", "model.d_out=3", "--set", "model.hidden=[3]",
              "--set", "data.kind=dynamics", "--set", "data.n=100",

@@ -11,8 +11,8 @@ from deltavar import oracles
 from deltavar.covariance import (CovarianceEstimate, empirical_fisher, invert,
                                  laplace_sigma, sandwich)
 from deltavar.delta_variance import delta_variance
-from deltavar.exceptions import (NumericalError, ResourceError,
-                                 StructuralError)
+from deltavar.exceptions import (ConvergenceError, NumericalError,
+                                 ResourceError, StructuralError)
 from deltavar.models import Dataset, TrainConfig, make_model, train
 from deltavar.oracles import (OracleReport, _downweighted_thetas,
                               adversarial_shift, eps_loo_variance,
@@ -299,6 +299,20 @@ class TestEpsLoo:
         split, split_norm = _downweighted_thetas(model, data, 0.1, None)
         assert split.tobytes() == whole.tobytes()
         assert split_norm == whole_norm
+
+    def test_retrains_that_take_no_step_are_refused(self):
+        """An mlp trained below the default mlp tolerance (1e-3) meets it
+        under every down-weighting: no retrain takes a step, and the
+        variance those retrains would give is 0."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, size=(100, 1))
+        data = Dataset(x, np.sin(3.0 * x) + 0.1 * rng.normal(size=(100, 1)))
+        model = train(make_model("mlp", d_in=1, d_out=1, hidden=(8,), seed=0),
+                      data, TrainConfig(steps=200, grad_tol=1e-6))
+        assert model.diagnostics["final_grad_norm"] < 1e-3
+        u = make_qoi("power", model, exponent=1)
+        with pytest.raises(ConvergenceError, match="train_cfg.grad_tol"):
+            eps_loo_variance(model, data, u, z=np.zeros(1))
 
     def test_eps_validation(self):
         data = linear_dataset(seed=1, n=10, d=2)
