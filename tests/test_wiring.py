@@ -5,13 +5,18 @@ there names it (a Name or an Attribute anywhere in src/, calls and
 references alike) or when the package exports it in __all__. Dunder methods
 are called by Python itself and are exempt. A helper that only the tests
 use belongs in tests/.
+
+The benchmark's tracer (perfbench/tracing.py) wraps package functions by
+name, so each of its TARGETS must still resolve in the package.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import deltavar
 
 SRC = Path(deltavar.__file__).parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # Unreferenced in src/ but kept on purpose, with the reason.
 ALLOWED = {
@@ -66,3 +71,22 @@ def test_allowlist_is_current():
     """Each allowed name still exists and is still unreferenced, so the list
     cannot outlive its reasons."""
     assert set(ALLOWED) <= set(_unwired())
+
+
+def test_traced_targets_exist():
+    """Read TARGETS from the tracer's source, importing nothing from
+    perfbench/, and resolve each module and attribute in deltavar."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets
+                        if isinstance(t, ast.Name)] == ["TARGETS"])
+    missing = []
+    for module_name, attr, _ in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert targets and not missing, (
+        f"perfbench/tracing.py traces names the package lacks: {missing}")
