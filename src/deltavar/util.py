@@ -161,6 +161,13 @@ def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
     grad_tol, on an accepted step that lowered the value by at most rel_tol
     times its magnitude (if given), when no step makes progress, or after
     max_iter steps.
+
+    One-problem fits (training a convex model, the correlation fine-tune,
+    the adversarial retrain) run as a stack of one. The stack's array
+    bookkeeping then costs about 45 us per trial point on a 1-d problem,
+    against about 17 us for the same rules written on scalars
+    (tests/newton_reference.py, the tests' reference for these rules;
+    Python 3.11, numpy 2.4, one core of a shared 2-core machine).
     """
     x = np.array(x0, dtype=np.float64)
     if x.ndim != 2:
@@ -176,8 +183,9 @@ def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
     run = np.arange(k)  # the problems still running
     for it in range(max_iter):
         done = gnorm[run] <= grad_tol
-        iterations[run[done]], converged[run[done]] = it, True
-        run = run[~done]
+        if done.any():
+            iterations[run[done]], converged[run[done]] = it, True
+            run = run[~done]
         if not run.size:
             break
         chol, _ = ridged_cholesky(matrix[run], "the Newton step matrix")
@@ -186,17 +194,19 @@ def damped_newton(evaluate, x0, max_iter: int, grad_tol: float = 0.0,
         t, cand = _line_search(evaluate, run, x, direction, value, gnorm,
                                grad, matrix)
         stuck = np.isnan(t)  # no step makes progress: at the optimum
-        iterations[run[stuck]], converged[run[stuck]] = it, True
-        run, t, cand, direction = (a[~stuck] for a in (run, t, cand,
-                                                        direction))
+        if stuck.any():
+            iterations[run[stuck]], converged[run[stuck]] = it, True
+            run, t, cand, direction = (a[~stuck] for a in (run, t, cand,
+                                                            direction))
         previous = value[run]
         x[run] = x[run] + t[:, None] * direction
         value[run] = cand
         gnorm[run] = _row_norms(grad[run])
         if rel_tol is not None:
             done = previous - cand <= rel_tol * np.abs(previous)
-            iterations[run[done]], converged[run[done]] = it + 1, True
-            run = run[~done]
+            if done.any():
+                iterations[run[done]], converged[run[done]] = it + 1, True
+                run = run[~done]
     converged[run] = gnorm[run] <= grad_tol
     return NewtonStack(x, value, iterations, converged, gnorm)
 
@@ -222,9 +232,15 @@ def _line_search(evaluate, run, x, direction, value, gnorm, grad, matrix):
         step = _HALVES[tr % halvings]
         c_value, c_grad, c_matrix = evaluate(
             x0[todo] + step[:, None] * direction[todo], run[todo])
-        ok = _usable(c_value, c_grad, c_matrix) & np.where(
-            tr < halvings, c_value < value0[todo],
-            _row_norms(c_grad) < gnorm0[todo])
+        by_value = tr < halvings
+        ok = c_value < value0[todo]
+        if not by_value.all():  # the gradient rule only where it applies
+            ok = np.where(by_value, ok, _row_norms(c_grad) < gnorm0[todo])
+        ok &= _usable(c_value, c_grad, c_matrix)
+        if ok.all():  # the common case: every row accepts this trial
+            t[todo], cand[todo] = step, c_value
+            grad[run[todo]], matrix[run[todo]] = c_grad, c_matrix
+            break
         if ok.any():
             won = todo[ok]
             t[won], cand[won] = step[ok], c_value[ok]
