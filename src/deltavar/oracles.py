@@ -292,7 +292,8 @@ def _augmented_descent(model: Model, data: Dataset, u: QuantityOfInterest,
     def evaluate(x, rows):
         nll, nll_grad = _loss_and_grad(model, data, ones, 1.0, x[0])
         if not math.isfinite(nll):
-            return np.array([nll]), nll_grad[None], np.full((1, d, d), math.nan)
+            return (np.array([nll]), nll_grad[None],
+                    np.full((1, d, d), math.nan))
         bound = model.with_params(x[0])
         value, delta = qoi_value_and_delta(
             QuantityOfInterest(u.kind, bound, u.config), z)
