@@ -42,12 +42,6 @@ _SIN = 11
 _COS = 12
 _MAX = 13
 
-_OP_NAMES = {
-    _CONST: "const", _INPUT: "input", _ADD: "add", _SUB: "sub", _MUL: "mul",
-    _DIV: "div", _POW: "pow", _POWC: "powc", _EXP: "exp", _LOG: "log",
-    _TANH: "tanh", _SIN: "sin", _COS: "cos", _MAX: "max",
-}
-
 
 class Var:
     """Handle to one tape node. Supports the usual arithmetic operators."""
@@ -196,12 +190,6 @@ class Tape:
         if op == _COS:
             return self._emit(op, (a.idx,), math.cos(va), (-math.sin(va),))
         raise StructuralError(f"unknown unary op {op}")
-
-    # ---- evaluation ----------------------------------------------------
-
-    def value(self, var: Var) -> float:
-        self._check(var)
-        return self._vals[var.idx]
 
     # ---- differentiation -----------------------------------------------
 

@@ -135,17 +135,16 @@ def fit_log_weights(evaluate, x0, max_iter: int, baseline=None):
     return result, start
 
 
-def fit_laplace_calibration(y, mu, nu, fit_beta: bool = True, alpha0=None,
-                            steps: int = 2000) -> list[LaplaceCalibration]:
+def fit_laplace_calibration(y, mu, nu, steps: int = 2000
+                            ) -> list[LaplaceCalibration]:
     """Fit (alpha, beta) of K problems by damped Newton in log space (at
     most `steps` iterations) on the exact Hessian of the mean Laplace log
     density: y, mu and nu are (K, n), and the K calibrations, solved as one
     stack, come back as a list, each with the bits of its fit alone.
 
-    Starts from the homoscedastic scale estimate for alpha (unless alpha0
-    overrides it) and, when beta is fitted, a tiny positive beta (else
-    beta = 0). Each calibration never scores worse than its own starting
-    point on the data it was fit to.
+    Starts from the homoscedastic scale estimate for alpha and a tiny
+    positive beta. Each calibration never scores worse than its own
+    starting point on the data it was fit to.
     """
     abs_err = np.abs(as_float_array(y) - as_float_array(mu))
     nv = as_float_array(nu)
@@ -156,24 +155,18 @@ def fit_laplace_calibration(y, mu, nu, fit_beta: bool = True, alpha0=None,
         raise StructuralError("need at least two calibration points")
     if np.any(nv < 0.0):
         raise StructuralError("variances must be nonnegative")
-    if alpha0 is not None and alpha0 <= 0.0:
-        raise StructuralError("alpha0 must be positive")
 
     x0 = []
     for err_mean, nu_mean in zip(abs_err.mean(axis=1), nv.mean(axis=1)):
-        alpha = (max(2.0 * float(err_mean) ** 2, 1e-12) if alpha0 is None
-                 else float(alpha0))
-        x0.append([math.log(alpha)] + (
-            [math.log(1e-6 * alpha / (float(nu_mean) + 1e-30))]
-            if fit_beta else []))
-    columns = np.ones(abs_err.shape + (1,))
-    if fit_beta:
-        columns = np.concatenate([columns, nv[:, :, None]], axis=2)
+        alpha = max(2.0 * float(err_mean) ** 2, 1e-12)
+        x0.append([math.log(alpha),
+                   math.log(1e-6 * alpha / (float(nu_mean) + 1e-30))])
+    columns = np.concatenate([np.ones(abs_err.shape + (1,)), nv[:, :, None]],
+                             axis=2)
     fit, _ = fit_log_weights(
         lambda x, rows: laplace_scale_nll(abs_err[rows], columns[rows], x),
         x0, steps)
-    return [LaplaceCalibration(alpha=math.exp(x[0]),
-                               beta=math.exp(x[1]) if fit_beta else 0.0,
+    return [LaplaceCalibration(alpha=math.exp(x[0]), beta=math.exp(x[1]),
                                iterations=int(its), converged=bool(conv))
             for x, its, conv in zip(fit.x, fit.iterations, fit.converged)]
 

@@ -212,24 +212,15 @@ def _parse_scalar(text: str):
 # explicit kinds: values
 # ---------------------------------------------------------------------------
 
-def _as_input_matrix(model: Model, z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 0:
-        z = z[None]
-    if z.ndim == 1:
-        z = z[None, :]
-    if z.shape[1] != model.d_in:
-        raise StructuralError(f"inputs must have width {model.d_in}")
-    return z
-
-
 def input_rows(model: Model, zs) -> np.ndarray:
     """A batch of inputs as rows; a flat vector is a column of scalar inputs
-    for a one-input model."""
+    for a one-input model and one input otherwise."""
     zb = np.asarray(zs, dtype=np.float64)
-    if zb.ndim == 1 and model.d_in == 1:
-        zb = zb[:, None]
-    return _as_input_matrix(model, zb)
+    if zb.ndim < 2:
+        zb = zb.reshape((-1, 1) if model.d_in == 1 else (1, -1))
+    if zb.ndim != 2 or zb.shape[1] != model.d_in:
+        raise StructuralError(f"inputs must have width {model.d_in}")
+    return zb
 
 
 def _rollout(u: QuantityOfInterest, zb: np.ndarray, forward,
@@ -347,11 +338,12 @@ def _no_input(u: QuantityOfInterest, z) -> None:
 
 def qoi_value(u: QuantityOfInterest, z=None) -> float:
     """The scalar value at the trained parameters (no gradient work): power
-    and rollouts at the first row of z, set-product over all rows. Fixed
-    points ignore z; eigenvalues refuse one."""
+    and rollouts at the first row of z, set-product over all rows, with
+    rows as input_rows reads them. Fixed points ignore z; eigenvalues
+    refuse one."""
     _no_input(u, z)
     if u.kind in EXPLICIT_KINDS:
-        zb = _as_input_matrix(u.model, z)
+        zb = input_rows(u.model, z)
         return float(qoi_values(u, zb if u.kind == "set-product"
                                 else zb[:1])[0])
     if u.kind == "fixed-point":
@@ -369,13 +361,14 @@ def qoi_value_and_delta(u: QuantityOfInterest, z=None):
     """Value and parameter gradient at the model's trained parameters.
 
     Explicit kinds run a vectorized reverse pass: power and rollouts on the
-    first row of z, set-product over all rows as one set. Implicit kinds use
+    first row of z, set-product over all rows as one set, with rows as
+    input_rows reads them. Implicit kinds use
     their dedicated formulas: fixed points ignore z, eigenvalues refuse one.
     Returns the value and a GradientDelta labeled with the quantity id.
     """
     _no_input(u, z)
     if u.kind in EXPLICIT_KINDS:
-        zb = _as_input_matrix(u.model, z)
+        zb = input_rows(u.model, z)
         values, deltas = values_and_deltas(
             u, zb if u.kind == "set-product" else zb[:1])
         return float(values[0]), GradientDelta(deltas[0], source=u.qoi_id,
@@ -457,7 +450,7 @@ def _closed_form_value_batch(u: QuantityOfInterest, thetas: np.ndarray,
                              z) -> np.ndarray:
     """Vectorized power / set-product values for the generalized linear kinds."""
     model = u.model
-    xs = _as_input_matrix(model, z)
+    xs = input_rows(model, z)
     if model.kind == "bernoulli-rate":
         outs = np.broadcast_to(thetas[:, :1], (thetas.shape[0], xs.shape[0]))
     else:
@@ -540,115 +533,11 @@ def implicit_delta(problem: FixedPointProblem, w_star: np.ndarray | None = None,
 # eigenvalues of the mass chain
 # ---------------------------------------------------------------------------
 
-def chain_system(masses: np.ndarray, stiffnesses: np.ndarray):
-    """M, K and A = M^-1 K for the wall-to-wall spring chain."""
-    n = masses.size
-    k = np.zeros((n, n))
-    for j in range(n + 1):
-        s = np.zeros(n)
-        if j > 0:
-            s[j - 1] = -1.0
-        if j < n:
-            s[j] = 1.0
-        k += stiffnesses[j] * np.outer(s, s)
-    m = np.diag(masses)
-    a = k / masses[:, None]
-    return m, k, a
-
-
-def chain_parameter_jacobians(masses: np.ndarray, stiffnesses: np.ndarray):
-    """dA/d(theta_j) for theta = (masses, stiffnesses), as a list."""
-    n = masses.size
-    _, k, _ = chain_system(masses, stiffnesses)
-    jacobians = []
-    for j in range(n):
-        da = np.zeros((n, n))
-        da[j, :] = -k[j, :] / masses[j] ** 2
-        jacobians.append(da)
-    for j in range(n + 1):
-        s = np.zeros(n)
-        if j > 0:
-            s[j - 1] = -1.0
-        if j < n:
-            s[j] = 1.0
-        jacobians.append(np.outer(s, s) / masses[:, None])
-    return jacobians
-
-
-def eigen_gradient(a: np.ndarray, das, index: int,
-                   gap_tol: float = EIGEN_GAP_TOL):
-    """Eigenvalue and its gradient for a parameterized matrix A(theta).
-
-    `das` is a sequence of dA/d(theta_j). Uses left and right eigenvectors,
-    so A need not be symmetric; the left ones are the rows of inv(R) for
-    the matrix R of right eigenvectors. Eigenvalues are sorted ascending by
-    real part; complex pairs and near-degenerate values are refused because
-    the derivative formula breaks down there.
-    """
-    values, right = np.linalg.eig(a)
-    order = np.argsort(values.real, kind="stable")
-    values = values[order]
-    right = right[:, order]
-    if np.max(np.abs(values.imag)) > gap_tol * max(1.0, np.max(np.abs(values.real))):
-        raise DegenerateEigenvalueError(
-            "complex eigenvalues; the chain matrix should be similar to a "
-            "symmetric one, check the inputs")
-    lam = values.real
-    gaps = []
-    if index > 0:
-        gaps.append(lam[index] - lam[index - 1])
-    if index < lam.size - 1:
-        gaps.append(lam[index + 1] - lam[index])
-    gap = min(gaps) if gaps else np.inf
-    if gap < gap_tol:
-        raise DegenerateEigenvalueError(
-            f"eigenvalue {index} is within {gap:.3e} of its neighbor; "
-            "sensitivities are undefined at a crossing")
-    try:
-        l_vec = np.linalg.inv(right)[index]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateEigenvalueError(
-            "the eigenvectors are linearly dependent") from exc
-    r_vec = right[:, index]
-    # l' r is 1 only up to rounding, so the formula still divides by it
-    grad = (np.array([l_vec @ (da @ r_vec) for da in das])
-            / (l_vec @ r_vec)).real
-    return float(lam[index]), grad
-
-
-def eigenvalue_delta(problem: EigenProblem, theta: np.ndarray | None = None):
-    """Selected chain eigenvalue and its gradient in (masses, stiffnesses)."""
-    if theta is None:
-        masses, stiffnesses = problem.masses, problem.stiffnesses
-    else:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != 2 * problem.n + 1:
-            raise StructuralError(
-                "parameter vector must hold n masses then n+1 stiffnesses")
-        masses, stiffnesses = theta[:problem.n], theta[problem.n:]
-        if np.any(masses <= 0.0) or np.any(stiffnesses <= 0.0):
-            raise StructuralError("masses and stiffnesses must be positive")
-    _, _, a = chain_system(masses, stiffnesses)
-    das = chain_parameter_jacobians(masses, stiffnesses)
-    lam, grad = eigen_gradient(a, das, problem.index)
-    delta = GradientDelta(grad, source="eigenvalue",
-                          input_id=f"index={problem.index}")
-    return lam, delta
-
-
-def _eigen_value_batch(problem: EigenProblem, thetas: np.ndarray) -> np.ndarray:
-    """Selected eigenvalue at many (masses, stiffnesses) points, vectorized."""
-    return eigen_spectra(problem.n, thetas)[:, problem.index]
-
-
-def eigen_spectra(n: int, thetas: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (draws, n) of n-mass chains at many
-    (masses, stiffnesses) points; column i is the index-i quantity.
-
-    A = M^-1 K is similar to the symmetric M^-1/2 K M^-1/2, which is built
-    in place and handed to one batched symmetric eigensolve; its spectrum
-    is real and sorted. That needs positive masses: a draw with a mass
-    <= 0 is refused.
+def _chain_forms(n: int, thetas: np.ndarray) -> np.ndarray:
+    """The symmetric forms M^-1/2 K M^-1/2 (draws, n, n) of n-mass chains at
+    many (masses, stiffnesses) rows; each is similar to A = M^-1 K, so its
+    spectrum is A's, real and sorted by a symmetric eigensolve. M^-1/2 needs
+    positive masses: a row with a mass <= 0 is refused.
     """
     if thetas.shape[1] != 2 * n + 1:
         raise StructuralError(
@@ -665,4 +554,43 @@ def eigen_spectra(n: int, thetas: np.ndarray) -> np.ndarray:
         coupling = -stiff[:, 1:-1] * scale[:, :-1] * scale[:, 1:]
         sym[:, idx[:-1], idx[1:]] = coupling
         sym[:, idx[1:], idx[:-1]] = coupling
-    return np.linalg.eigvalsh(sym)
+    return sym
+
+
+def eigenvalue_delta(problem: EigenProblem, theta: np.ndarray | None = None):
+    """Selected chain eigenvalue and its gradient in (masses, stiffnesses).
+
+    For K phi = lambda M phi with phi' M phi = 1, d lambda = phi' (dK -
+    lambda dM) phi, and phi = M^-1/2 v for the unit eigenvector v of the
+    symmetric form: -lambda phi_j^2 for mass j and (phi_j - phi_{j-1})^2
+    for spring j, both walls at 0. An eigenvalue within EIGEN_GAP_TOL of a
+    neighbor is refused: the derivative is undefined at a crossing.
+    """
+    n, index = problem.n, problem.index
+    theta = (problem.parameter_vector().data if theta is None
+             else np.asarray(theta, dtype=np.float64).ravel())
+    if not np.all(theta > 0.0):
+        raise StructuralError("masses and stiffnesses must be positive")
+    values, vectors = np.linalg.eigh(_chain_forms(n, theta[None, :])[0])
+    gap = np.diff(values[max(index - 1, 0):index + 2]).min(initial=np.inf)
+    if gap < EIGEN_GAP_TOL:
+        raise DegenerateEigenvalueError(
+            f"eigenvalue {index} is within {gap:.3e} of its neighbor; "
+            "sensitivities are undefined at a crossing")
+    phi = vectors[:, index] / np.sqrt(theta[:n])
+    spring_stretch = np.diff(np.concatenate([[0.0], phi, [0.0]]))
+    grad = np.concatenate([-values[index] * phi ** 2, spring_stretch ** 2])
+    delta = GradientDelta(grad, source="eigenvalue", input_id=f"index={index}")
+    return float(values[index]), delta
+
+
+def _eigen_value_batch(problem: EigenProblem, thetas: np.ndarray) -> np.ndarray:
+    """Selected eigenvalue at many (masses, stiffnesses) points, vectorized."""
+    return eigen_spectra(problem.n, thetas)[:, problem.index]
+
+
+def eigen_spectra(n: int, thetas: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (draws, n) of n-mass chains at many
+    (masses, stiffnesses) points; column i is the index-i quantity. One
+    batched symmetric eigensolve of the chains' symmetric forms."""
+    return np.linalg.eigvalsh(_chain_forms(n, thetas))

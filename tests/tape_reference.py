@@ -15,7 +15,7 @@ from deltavar import autodiff as ad
 from deltavar.autodiff import Tape, Var
 from deltavar.exceptions import StructuralError
 from deltavar.models import Model
-from deltavar.qoi import QuantityOfInterest, _as_input_matrix
+from deltavar.qoi import QuantityOfInterest, input_rows
 
 
 def record_predict(model: Model, tape: Tape, theta: Sequence[Var], x) -> list[Var]:
@@ -73,18 +73,18 @@ def record_qoi(u: QuantityOfInterest, tape: Tape, theta, z) -> Var:
     first row, set-product over all rows."""
     model = u.model
     if u.kind == "power":
-        x = _as_input_matrix(model, z)[0]
+        x = input_rows(model, z)[0]
         out = record_predict(model, tape, theta, x)[0]
         return out ** u.config["exponent"]
     if u.kind == "set-product":
-        xs = _as_input_matrix(model, z)
+        xs = input_rows(model, z)
         prod = None
         for x in xs:
             out = record_predict(model, tape, theta, x)[0]
             prod = out if prod is None else prod * out
         return prod
     if u.kind == "rollout":
-        x = _as_input_matrix(model, z)[0]
+        x = input_rows(model, z)[0]
         cfg = u.config
         h = [tape.const(float(v)) for v in x]
         trajectory = []

@@ -252,8 +252,8 @@ class TestEigenScenario:
     def test_report_digest_is_pinned(self, tmp_path):
         """The report bytes at seed 5 with the default 1e5 draws, as they
         were when every index recomputed the spectra of the draws; the
-        eigen gradients come from numpy's eig since scipy left the runtime,
-        and the Monte Carlo spectra from eigvalsh on the symmetric form.
+        eigen gradients come from the eigenvectors of the chain's symmetric
+        form (eigh), and the Monte Carlo spectra from eigvalsh on that form.
 
         The pin holds for one Python, numpy and BLAS environment:
         provenance.json records the versions, and the eigen solver's last
@@ -263,7 +263,7 @@ class TestEigenScenario:
         for name in ("report.csv", "metrics.json", "provenance.json"):
             digest.update((tmp_path / name).read_bytes())
         assert digest.hexdigest() == (
-            "50928a5c388d68a694dda5f8e6da3ad22dbb7005a097fa28f25579d83a40fb61")
+            "b2716a130329b3fda9dd1d4f65d12afa4e2ac4a7fc597b485d6fb23e640da755")
 
     def test_sample_count_validation(self):
         with pytest.raises(ConfigError):

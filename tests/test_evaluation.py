@@ -139,27 +139,15 @@ class TestLaplaceLoglik:
 
 
 class TestFitCalibration:
-    def test_recovers_homoscedastic_scale_mle(self):
-        rng = np.random.default_rng(5)
-        y = rng.laplace(scale=1.7, size=400)
-        mu = np.zeros(400)
-        nu = np.zeros(400)
-        [fit] = fit_laplace_calibration(
-            [y], [mu], [nu], fit_beta=False,
-            alpha0=10.0 * 2 * np.abs(y).mean() ** 2)
-        closed_form = 2.0 * np.abs(y).mean() ** 2
-        assert fit.alpha == pytest.approx(closed_form, rel=1e-4)
-        assert fit.beta == 0.0
-
     def test_fitting_beta_improves_on_homoscedastic_start(self):
         rng = np.random.default_rng(11)
         nu = rng.exponential(scale=2.0, size=500)
         b = np.sqrt((0.3 + 1.5 * nu) / 2.0)
         y = rng.laplace(scale=b)
         mu = np.zeros(500)
-        [alpha_only] = fit_laplace_calibration([y], [mu], [nu],
-                                               fit_beta=False)
-        [fit] = fit_laplace_calibration([y], [mu], [nu], fit_beta=True)
+        # the closed-form homoscedastic scale MLE, beta = 0
+        alpha_only = LaplaceCalibration(2.0 * np.abs(y).mean() ** 2, 0.0)
+        [fit] = fit_laplace_calibration([y], [mu], [nu])
         start = laplace_loglik(y, mu, nu, alpha_only)
         tuned = laplace_loglik(y, mu, nu, fit)
         assert tuned > start

@@ -10,7 +10,8 @@ Newton eps-LOO retraining; mean_loglik_grad is the reference, byte for
 byte, for the gradient training builds from its objective's forward pass;
 the scalar Newton loop of newton_reference is the reference, bit for bit,
 for a problem in a stack of Laplace calibrations or eps-LOO retrains and for
-each one-problem fit (training, the correlation fine-tune).
+each one-problem fit (training, the correlation fine-tune); Euler's identity
+for homogeneous functions is the reference for the chain eigenvalue gradient.
 Strategies draw seeds and shapes, and numpy draws the floats from the seed.
 """
 import io
@@ -41,8 +42,9 @@ from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
                              nll_hessian, predict, train)
 from deltavar.oracles import (_augmented_descent, _downweighted_thetas,
                               _retrain_stack, adversarial_shift)
-from deltavar.qoi import (ROLLOUT_FUNCTIONALS, make_qoi, parse_qoi,
-                          qoi_value, qoi_value_and_delta, value_batch_params,
+from deltavar.qoi import (ROLLOUT_FUNCTIONALS, EigenProblem,
+                          eigenvalue_delta, make_qoi, parse_qoi, qoi_value,
+                          qoi_value_and_delta, value_batch_params,
                           values_and_deltas)
 from deltavar.util import damped_newton
 from newton_reference import newton, one_of
@@ -188,6 +190,20 @@ def test_negative_output_with_fractional_exponent_is_refused(data):
         qoi_value_and_delta(u, z)
     with pytest.raises(NumericalError):
         values_and_deltas(u, z[None, :])
+
+
+@given(st.integers(1, 8), st.integers(0, 2**16))
+def test_chain_eigenvalue_gradient_obeys_euler_identity(n, seed):
+    """lambda is homogeneous of degree 1 in the stiffnesses and -1 in the
+    masses, so sum_j k_j dlambda/dk_j = lambda and
+    sum_j m_j dlambda/dm_j = -lambda, at every index."""
+    rng = np.random.default_rng(seed)
+    masses = rng.uniform(0.3, 3.0, n)
+    stiff = rng.uniform(0.3, 6.0, n + 1)
+    for index in range(n):
+        lam, delta = eigenvalue_delta(EigenProblem(masses, stiff, index))
+        assert stiff @ delta.vector[n:] == pytest.approx(lam, rel=1e-12)
+        assert masses @ delta.vector[:n] == pytest.approx(-lam, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +443,14 @@ def test_calibration_never_ends_below_its_start(case):
     errors, columns = case
     nu = columns[:, 0]
     alpha0 = max(2.0 * float(errors.mean()) ** 2, 1e-12)
+    beta0 = 1e-6 * alpha0 / (float(nu.mean()) + 1e-30)
     zeros = np.zeros_like(errors)
-    for fit_beta in (True, False):
-        beta0 = 1e-6 * alpha0 / (float(nu.mean()) + 1e-30) if fit_beta else 0.0
-        start = laplace_loglik(errors, zeros, nu,
-                               LaplaceCalibration(alpha0, beta0))
-        [fit] = fit_laplace_calibration([errors], [zeros], [nu],
-                                        fit_beta=fit_beta)
-        # boundary optima (alpha -> 0) included: a few Newton iterations
-        assert fit.converged and fit.iterations <= 30
-        # alpha and beta round-trip through log space
-        assert laplace_loglik(errors, zeros, nu, fit) >= start - 1e-12 * abs(start)
+    start = laplace_loglik(errors, zeros, nu, LaplaceCalibration(alpha0, beta0))
+    [fit] = fit_laplace_calibration([errors], [zeros], [nu])
+    # boundary optima (alpha -> 0) included: a few Newton iterations
+    assert fit.converged and fit.iterations <= 30
+    # alpha and beta round-trip through log space
+    assert laplace_loglik(errors, zeros, nu, fit) >= start - 1e-12 * abs(start)
 
 
 def _same_bits(stacked, r, alone) -> bool:

@@ -11,10 +11,9 @@ from deltavar.exceptions import (ConfigError, ConvergenceError,
                                  DegenerateEigenvalueError, NumericalError,
                                  StructuralError)
 from deltavar.models import make_model, predict
-from deltavar.qoi import (EigenProblem, FixedPointProblem,
-                          chain_parameter_jacobians, chain_system,
-                          eigen_gradient, eigen_spectra, eigenvalue_delta, implicit_delta,
-                          make_qoi, parse_qoi, qoi_value,
+from deltavar.qoi import (EigenProblem, FixedPointProblem, eigen_spectra,
+                          eigenvalue_delta, implicit_delta, make_qoi,
+                          parse_qoi, qoi_value,
                           qoi_value_and_delta, qoi_values, solve_fixed_point,
                           value_batch_params, values_and_deltas)
 from tape_reference import qoi_tape_delta
@@ -111,6 +110,18 @@ class TestSetProduct:
         assert values[0] == qoi_values(u, zs)[0]
         _, delta = qoi_value_and_delta(u, zs)
         assert deltas[0].tobytes() == delta.vector.tobytes()
+
+    def test_flat_vector_is_one_set_of_scalar_inputs_everywhere(self):
+        """Every entry point reads a flat vector for a one-input model as a
+        column of scalar inputs: the set {0.9, 0.5} under w = 2."""
+        model = make_model("linear-regression", d_in=1).with_params(
+            np.array([2.0]))
+        u = make_qoi("set-product", model)
+        zs = [0.9, 0.5]
+        values = [values_and_deltas(u, zs)[0][0], qoi_values(u, zs)[0],
+                  qoi_value(u, zs), qoi_value_and_delta(u, zs)[0],
+                  value_batch_params(u, model.params.data, zs)[0]]
+        np.testing.assert_allclose(values, 1.8, rtol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -383,36 +394,35 @@ class TestFixedPoint:
         assert delta.vector.shape == (2,)
 
 
+def chain_reference(theta, n):
+    """Dense K = sum_j k_j s_j s_j' and A = M^-1 K of an n-mass chain, with
+    the spring vectors s_j = e_j - e_{j-1} (both walls fixed) as rows."""
+    springs = np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)
+    k = springs.T @ (theta[n:, None] * springs)
+    return k, k / theta[:n, None], springs
+
+
+def chain_eigenvalue(theta, n, index):
+    """The index-th ascending eigenvalue of the dense A = M^-1 K."""
+    return np.sort(np.linalg.eigvals(chain_reference(theta, n)[1]).real)[index]
+
+
 class TestEigen:
-    def test_diagonal_matrix_selects_basis_vector(self):
-        a = np.diag([1.0, 2.0, 5.0])
-        das = [np.zeros((3, 3)) for _ in range(3)]
-        for j in range(3):
-            das[j][j, j] = 1.0
-        lam, grad = eigen_gradient(a, das, index=1)
-        assert lam == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_allclose(grad, [0.0, 1.0, 0.0], atol=1e-12)
-
-    def test_symmetric_two_by_two_hand_case(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        da = np.array([[0.0, 1.0], [0.0, 0.0]])
-        lam, grad = eigen_gradient(a, [da], index=1)
-        assert lam == pytest.approx(3.0, abs=1e-12)
-        # top eigenvector is (1, 1) / sqrt(2) so l^T da r = 1/2
-        assert grad[0] == pytest.approx(0.5, abs=1e-12)
-
     def test_chain_stiffness_matrix_structure(self):
         masses = np.array([1.0, 2.0, 4.0])
         stiff = np.array([1.0, 2.0, 3.0, 4.0])
-        m, k, a = chain_system(masses, stiff)
+        theta = np.concatenate([masses, stiff])
         expected_k = np.array([
             [3.0, -2.0, 0.0],
             [-2.0, 5.0, -3.0],
             [0.0, -3.0, 7.0],
         ])
-        np.testing.assert_allclose(k, expected_k, atol=1e-14)
-        np.testing.assert_allclose(m, np.diag(masses), atol=1e-14)
-        np.testing.assert_allclose(a, expected_k / masses[:, None], atol=1e-14)
+        np.testing.assert_array_equal(chain_reference(theta, 3)[0],
+                                      expected_k)
+        np.testing.assert_allclose(
+            eigen_spectra(3, theta[None, :])[0],
+            np.sort(np.linalg.eigvals(expected_k / masses[:, None]).real),
+            rtol=1e-12)
 
     def test_five_mass_chain_matches_finite_differences(self):
         masses = np.array([1.2, 0.8, 1.0, 1.5, 0.9])
@@ -422,8 +432,7 @@ class TestEigen:
         theta = np.concatenate([masses, stiff])
 
         def f(th):
-            _, _, a = chain_system(th[:5], th[5:])
-            return np.sort(np.linalg.eigvals(a).real)[2]
+            return chain_eigenvalue(th, 5, 2)
 
         assert lam == pytest.approx(f(theta), rel=1e-12)
         np.testing.assert_allclose(delta.vector, fd_gradient(f, theta),
@@ -435,24 +444,27 @@ class TestEigen:
         lam, delta = eigenvalue_delta(problem, theta)
 
         def f(th):
-            _, _, a = chain_system(th[:3], th[3:])
-            return np.sort(np.linalg.eigvals(a).real)[0]
+            return chain_eigenvalue(th, 3, 0)
 
         assert lam == pytest.approx(f(theta), rel=1e-12)
         np.testing.assert_allclose(delta.vector, fd_gradient(f, theta),
                                    rtol=1e-5)
 
     def test_left_vectors_match_scipy_eig(self):
-        """The left eigenvectors come from inv(R) of numpy's right ones; the
-        gradient agrees with scipy.linalg.eig's left/right formula."""
+        """The gradient agrees with scipy.linalg.eig's left/right formula
+        l' dA r / l' r on the dense A = M^-1 K, for every index."""
         scipy_linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(21)
         for _ in range(50):
             n = int(rng.integers(2, 8))
-            masses = rng.uniform(0.5, 2.0, n)
-            stiff = rng.uniform(0.5, 6.0, n + 1)
-            _, _, a = chain_system(masses, stiff)
-            das = chain_parameter_jacobians(masses, stiff)
+            theta = np.concatenate([rng.uniform(0.5, 2.0, n),
+                                    rng.uniform(0.5, 6.0, n + 1)])
+            _, a, springs = chain_reference(theta, n)
+            masses = theta[:n]
+            # dA/dm_j scales row j of A by -1/m_j; dA/dk_j = M^-1 s_j s_j'
+            das = ([np.outer(np.eye(n)[j], -a[j] / masses[j])
+                    for j in range(n)]
+                   + [np.outer(s / masses, s) for s in springs])
             values, left, right = scipy_linalg.eig(a, left=True, right=True)
             order = np.argsort(values.real, kind="stable")
             for index in range(n):
@@ -460,11 +472,12 @@ class TestEigen:
                 r_vec = right[:, order[index]]
                 expected = np.array([l_vec @ (da @ r_vec) for da in das]
                                     ).real / (l_vec @ r_vec).real
-                lam, grad = eigen_gradient(a, das, index)
+                lam, delta = eigenvalue_delta(EigenProblem(
+                    masses, theta[n:], index))
                 assert lam == pytest.approx(values.real[order[index]],
                                             rel=1e-12)
                 np.testing.assert_allclose(
-                    grad, expected, rtol=0.0,
+                    delta.vector, expected, rtol=0.0,
                     atol=1e-12 * np.max(np.abs(expected)))
 
     def test_near_crossing_refused(self):
@@ -473,6 +486,20 @@ class TestEigen:
                                np.array([1.0, 1e-12, 1.0]), index=0)
         with pytest.raises(DegenerateEigenvalueError):
             eigenvalue_delta(problem)
+
+    def test_delta_refuses_bad_parameter_vectors(self):
+        """A wrong parameter count and a zero, negative or NaN mass or
+        stiffness are refused before any eigensolve."""
+        problem = EigenProblem(np.array([1.0, 2.0]), np.ones(3), index=1)
+        base = problem.parameter_vector().data
+        with pytest.raises(StructuralError, match="n masses then n\\+1"):
+            eigenvalue_delta(problem, base[:-1])
+        for position in (1, 3):
+            for bad in (0.0, -0.5, np.nan):
+                theta = base.copy()
+                theta[position] = bad
+                with pytest.raises(StructuralError, match="positive"):
+                    eigenvalue_delta(problem, theta)
 
     def test_batch_values_match_loop(self):
         problem = EigenProblem(np.array([1.0, 2.0, 1.5]),
@@ -522,9 +549,9 @@ class TestEigen:
         spectra = eigen_spectra(4, thetas)
         assert np.all(np.diff(spectra, axis=1) >= 0.0)
         for theta, values in zip(thetas[:20], spectra[:20]):
-            _, _, a = chain_system(theta[:4], theta[4:])
             np.testing.assert_allclose(
-                values, np.sort(np.linalg.eigvals(a).real), rtol=1e-12)
+                values, [chain_eigenvalue(theta, 4, i) for i in range(4)],
+                rtol=1e-12)
 
     def test_problem_validation(self):
         with pytest.raises(StructuralError):

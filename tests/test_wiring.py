@@ -1,10 +1,12 @@
-"""Every function and method in the package is reached from the package.
+"""Every function, method and module-level name in the package is reached
+from the package.
 
 An AST scan of src/deltavar: a definition counts as wired when some module
-there names it (a Name or an Attribute anywhere in src/, calls and
-references alike) or when the package exports it in __all__. Dunder methods
-are called by Python itself and are exempt. A helper that only the tests
-use belongs in tests/.
+there names it (an Attribute, or a Name that is read rather than assigned,
+anywhere in src/, calls and references alike) or when the package exports it
+in __all__. A module-level name is one bound by an assignment at the top of
+a module. Dunders are called or read by Python itself and are exempt. A
+helper that only the tests use belongs in tests/.
 
 The benchmark's tracer (perfbench/tracing.py) wraps package functions by
 name, so each of its TARGETS must still resolve in the package.
@@ -29,7 +31,17 @@ ALLOWED = {
 
 
 def _definitions(tree):
-    """(qualified name, name) of every function and method in a module."""
+    """(qualified name, name) of every function and method in a module and
+    of every name its top-level assignments bind."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, name.id
+
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -39,7 +51,7 @@ def _definitions(tree):
                 yield from visit(child, f"{prefix}{child.name}.")
             else:
                 yield from visit(child, prefix)
-    return visit(tree, "")
+    yield from visit(tree, "")
 
 
 def _unwired():
@@ -48,7 +60,8 @@ def _unwired():
     referenced = set(deltavar.__all__)
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -63,7 +76,7 @@ def test_every_function_is_wired_or_allowed():
     unwired = _unwired()
     stray = sorted(f"{module}: {name}" for name, module in unwired.items()
                    if name not in ALLOWED)
-    assert not stray, ("functions nothing in src/ references; wire them, "
+    assert not stray, ("definitions nothing in src/ references; wire them, "
                        f"export them or move them to tests/: {stray}")
 
 
