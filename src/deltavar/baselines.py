@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import StructuralError
-from .models import Dataset, Model, TrainConfig, make_model, predict, train
+from .models import (Dataset, Model, TrainConfig, _train_stack, make_model,
+                     predict)
 from .qoi import QuantityOfInterest, input_rows, qoi_values
 
 ENSEMBLE_MODES = ("init-only", "bootstrap-resample")
@@ -53,7 +54,9 @@ def train_ensemble(model: Model, data: Dataset, k: int = DEFAULT_MEMBERS,
     init-only reinitializes parameters per member (a fresh draw for the mlp;
     deterministic inits make convex members identical, which is the honest
     degenerate case). bootstrap-resample additionally refits each member on
-    an N-out-of-N with-replacement resample.
+    an N-out-of-N with-replacement resample. The mlp members run their SGD
+    in lockstep as one stack (models._train_stack), each on the bits it
+    would reach trained alone; the polish stays per member.
     """
     if k < 2:
         raise StructuralError("an ensemble needs at least two members")
@@ -61,27 +64,20 @@ def train_ensemble(model: Model, data: Dataset, k: int = DEFAULT_MEMBERS,
         raise StructuralError(f"unknown ensemble mode {mode!r}")
     cfg = train_cfg or TrainConfig()
     children = np.random.SeedSequence(seed).spawn(k)
-    members = []
-    seeds = []
-    for child in children:
-        member_seed = int(child.generate_state(1)[0])
-        seeds.append(member_seed)
-        if model.kind == "mlp":
-            widths = model.hyper["widths"]
-            template = make_model(
-                "mlp", d_in=model.d_in, d_out=model.d_out,
-                hidden=tuple(widths[1:-1]), seed=member_seed,
-                dropout_rate=model.hyper.get("dropout_rate", 0.0))
-        else:
-            template = model.with_params(model.params.data)
-        if mode == "bootstrap-resample":
-            rng = np.random.default_rng(child)
-            idx = rng.integers(0, data.n, data.n)
-            member_data = Dataset(data.inputs[idx], data.targets[idx])
-        else:
-            member_data = data
-        member_cfg = replace(cfg, seed=member_seed)
-        members.append(train(template, member_data, member_cfg))
+    seeds = [int(child.generate_state(1)[0]) for child in children]
+    templates = [model] * k
+    if model.kind == "mlp":
+        templates = [make_model(
+            "mlp", d_in=model.d_in, d_out=model.d_out,
+            hidden=tuple(model.hyper["widths"][1:-1]), seed=member_seed,
+            dropout_rate=model.hyper.get("dropout_rate", 0.0))
+            for member_seed in seeds]
+    datas = [data] * k
+    if mode == "bootstrap-resample":
+        rows = [np.random.default_rng(child).integers(0, data.n, data.n)
+                for child in children]
+        datas = [Dataset(data.inputs[idx], data.targets[idx]) for idx in rows]
+    members = _train_stack(templates, datas, cfg, seeds)
     return EnsembleState(members=tuple(members), seeds=tuple(seeds),
                          mode=mode)
 

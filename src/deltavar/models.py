@@ -10,10 +10,11 @@ convention.
 Gradients and loss Hessians are closed-form vectorized numpy (training,
 Fisher and Hessian accumulation, and the output Jacobians behind the
 explicit quantities of interest). The mlp has one forward pass,
-_mlp_forward_cache, behind prediction (with or without dropout masks),
-the log-likelihood, training and the curvature, and one backward pass,
-mlp_vjp. Training runs damped Newton on the exact loss Hessian for the
-convex kinds, mini-batch SGD and an L-BFGS polish for the mlp (train).
+_mlp_forward_cache, and one backward pass, mlp_vjp, for one parameter
+vector or a stack of them. Training runs damped Newton on the exact loss
+Hessian for the convex kinds, mini-batch SGD and an L-BFGS polish for the
+mlp (train). An ensemble's mlp members run their SGD in lockstep as one
+stack (_sgd), each on the bits it reaches trained alone.
 """
 from __future__ import annotations
 
@@ -131,16 +132,13 @@ def make_model(kind: str, d_in: int = 1, d_out: int = 1,
     elif kind == "mlp":
         widths = [d_in, *[int(h) for h in hidden], d_out]
         rng = np.random.default_rng(seed)
-        chunks, blocks, cursor = [], [], 0
-        for layer, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-            w = rng.standard_normal((n_in, n_out)) / math.sqrt(n_in)
-            chunks.append(w.ravel())
-            blocks.append((f"layer{layer}.W", cursor, n_in * n_out))
-            cursor += n_in * n_out
-            chunks.append(np.zeros(n_out))
-            blocks.append((f"layer{layer}.b", cursor, n_out))
-            cursor += n_out
-        params = ParameterVector(np.concatenate(chunks), tuple(blocks))
+        layout = _mlp_layout(tuple(widths))
+        theta, blocks = np.zeros(layout[-1][4]), []
+        for layer, (n_in, n_out, s0, s1, s2) in enumerate(layout):
+            theta[s0:s1] = rng.standard_normal(n_in * n_out) / math.sqrt(n_in)
+            blocks += [(f"layer{layer}.W", s0, s1 - s0),
+                       (f"layer{layer}.b", s1, s2 - s1)]
+        params = ParameterVector(theta, tuple(blocks))
         hyper = {"d_in": d_in, "d_out": d_out, "widths": widths,
                  "dropout_rate": float(dropout_rate), "init_seed": int(seed)}
     else:
@@ -160,21 +158,18 @@ def _mlp_layout(widths: tuple) -> tuple:
     return tuple(layout)
 
 
-def _layout_of(model: Model) -> tuple:
-    return _mlp_layout(tuple(model.hyper["widths"]))
-
-
 def _mlp_layers(model: Model, theta: np.ndarray | None = None
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (W, b) views of theta (default: the model's parameters).
 
-    Leading axes of theta are kept, so a stack of parameter directions
-    (k, d) splits into (k, n_in, n_out) weights and (k, n_out) biases.
+    Leading axes of theta are kept: a stack (k, d) splits into (k, n_in,
+    n_out) weights and (k, 1, n_out) biases, whose row axis broadcasts.
     """
     theta = model.params.data if theta is None else theta
-    lead = theta.shape[:-1]
-    return [(theta[..., s0:s1].reshape(*lead, n_in, n_out), theta[..., s1:s2])
-            for n_in, n_out, s0, s1, s2 in _layout_of(model)]
+    return [(theta[..., s0:s1].reshape(*theta.shape[:-1], n_in, n_out),
+             theta[..., None, s1:s2])
+            for n_in, n_out, s0, s1, s2
+            in _mlp_layout(tuple(model.hyper["widths"]))]
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +209,9 @@ def predict(model: Model, x, rng: np.random.Generator | None = None,
         out = _sigmoid(xb @ theta)[:, None]
     else:
         rate = model.hyper.get("dropout_rate", 0.0) if dropout_rate is None else dropout_rate
-        masks = None
-        if rng is not None and rate > 0.0:
-            masks = [(rng.random((xb.shape[0], width)) >= rate).astype(np.float64)
-                     for width in model.hyper["widths"][1:-1]]
+        masks = None if rng is None or rate <= 0.0 else [
+            (rng.random((xb.shape[0], width)) >= rate).astype(np.float64)
+            for width in model.hyper["widths"][1:-1]]
         out, _, _ = _mlp_forward_cache(model, xb, theta, masks=masks, rate=rate)
     return out[0] if single else out
 
@@ -230,8 +224,7 @@ def loglik(model: Model, x, y, theta=None) -> np.ndarray:
     """Per-example log-likelihoods log f_theta(x, y); shape (n,)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
+    y = y[:, None] if y.ndim == 1 else y
     theta = model.params.data if theta is None else theta
     if model.kind == "bernoulli-rate":
         t = theta[0]
@@ -247,23 +240,24 @@ def _logistic_loglik(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(np.logaddexp(0.0, -s) * y + np.logaddexp(0.0, s) * (1.0 - y))
 
 
-def _gaussian_loglik(resid: np.ndarray, d_out: int) -> np.ndarray:
-    """Unit-variance Gaussian log-likelihoods of residuals (n, d_out)."""
-    return -0.5 * np.einsum("nj,nj->n", resid, resid) - d_out * _HALF_LOG_2PI
+def _gaussian_loglik(r: np.ndarray, d_out: int) -> np.ndarray:
+    """Unit-variance Gaussian log-likelihoods of residuals r (..., d_out)."""
+    return -0.5 * np.einsum("...j,...j->...", r, r) - d_out * _HALF_LOG_2PI
 
 
 def _mlp_forward_cache(model: Model, xb: np.ndarray, theta=None, layers=None,
                        masks=None, rate: float = 0.0):
     """The mlp forward pass: (outputs, per-layer inputs, (W, b) per layer).
 
-    layers, if given, are the (W, b) views to use instead of splitting theta.
-    masks, one (n, width) 0/1 array per hidden layer, apply inverted dropout
-    at the given rate (prediction with dropout); training passes none.
+    A stack theta (k, d) maps inputs xb (n, d_in), or (k, n, d_in), to
+    (k, n, d_out) by the products each row would run alone. layers, if
+    given, are the (W, b) views to use instead of splitting theta. masks,
+    one (n, width) 0/1 array per hidden layer, apply inverted dropout at the
+    given rate (prediction with dropout); training passes none.
     """
     if layers is None:
         layers = _mlp_layers(model, theta)
-    h_ins = [xb]
-    h = xb
+    h, h_ins = xb, [xb]
     for layer, (w, b) in enumerate(layers[:-1]):
         h = np.tanh(h @ w + b)
         if masks is not None:
@@ -278,38 +272,40 @@ def mlp_vjp(model: Model, h_ins: list[np.ndarray], layers, gout: np.ndarray,
             per_example: bool = False):
     """Vector-Jacobian products of the mlp output.
 
-    gout has shape (n, d_out). Returns (gparams, ginput) where gparams is the
-    summed gradient (d,) or the per-example matrix (n, d) when per_example is
-    set, and ginput is (n, d_in).
+    gout has shape (n, d_out), or (k, n, d_out) for a stack of k parameter
+    vectors, whose leading axis carries through. Returns (gparams, ginput)
+    where gparams is the summed gradient (..., d) or the per-example matrix
+    (..., n, d) when per_example is set, and ginput is (..., n, d_in), or
+    None for the summed gradient, which no caller pairs with it.
 
     The summed weight gradient is an einsum over n with the wider factor
     last: einsum's inner loop runs over the last output axis, so a (24, 3)
-    gradient is computed as the transpose of a (3, 24) one, about 3x faster
-    at n = 220. Either order sums over n in the same order and gives the same
-    bytes; BLAS (h_in.T @ g) would not.
+    gradient is the transpose of a (3, 24) one, about 3x faster at n = 220.
+    Either order sums over n in the same order and gives the same bytes,
+    alone or in a stack; BLAS (h_in.T @ g) would not.
     """
-    n = gout.shape[0]
-    g = gout
-    layout = _layout_of(model)
-    out = np.zeros((n, model.params.dim) if per_example else model.params.dim)
-    for layer in range(len(layers) - 1, -1, -1):
-        w, _b = layers[layer]
+    lead, n, g = gout.shape[:-2], gout.shape[-2], gout
+    out = np.empty((*lead, n, model.params.dim) if per_example
+                   else (*lead, model.params.dim))
+    layout = _mlp_layout(tuple(model.hyper["widths"]))
+    for layer, (n_in, n_out, s0, s1, s2) in reversed(list(enumerate(layout))):
         h_in = h_ins[layer]
-        _, _, s0, s1, s2 = layout[layer]
         if per_example:
-            out[:, s0:s1] = np.einsum("ni,nj->nij", h_in, g).reshape(n, -1)
-            out[:, s1:s2] = g
-        else:
-            if h_in.shape[1] > g.shape[1]:
-                gw = np.einsum("nj,ni->ji", g, h_in).T
+            out[..., s0:s1] = np.einsum("...ni,...nj->...nij", h_in,
+                                        g).reshape(*lead, n, -1)
+        else:  # a view: reshape splits the contiguous last axis
+            gw = out[..., s0:s1].reshape(*lead, n_in, n_out)
+            if n_in > n_out:
+                gw[...] = np.einsum("...nj,...ni->...ji", g,
+                                    h_in).swapaxes(-1, -2)
             else:
-                gw = np.einsum("ni,nj->ij", h_in, g)
-            out[s0:s1] = gw.ravel()
-            out[s1:s2] = np.einsum("nj->j", g)
-        g = g @ w.T
+                gw[...] = np.einsum("...ni,...nj->...ij", h_in, g)
+        out[..., s1:s2] = g if per_example else np.einsum("...nj->...j", g)
+        if layer > 0 or per_example:
+            g = g @ layers[layer][0].swapaxes(-1, -2)
         if layer > 0:
             g = g * (1.0 - h_in * h_in)
-    return out, g
+    return out, g if per_example else None
 
 
 def output_jacobian(model: Model, X) -> tuple[np.ndarray, np.ndarray]:
@@ -326,9 +322,8 @@ def output_jacobian(model: Model, X) -> tuple[np.ndarray, np.ndarray]:
         raise StructuralError(f"input has {X.shape[1]} features, expected {model.d_in}")
     if model.kind == "mlp":
         out, h_ins, layers = _mlp_forward_cache(model, X)
-        jac, _ = mlp_vjp(model, h_ins, layers, np.ones_like(out),
-                         per_example=True)
-        return out[:, 0], jac
+        return out[:, 0], mlp_vjp(model, h_ins, layers, np.ones_like(out),
+                                  per_example=True)[0]
     if model.kind == "logistic":
         s = X @ model.params.data
         p = _sigmoid(s)
@@ -344,8 +339,7 @@ def loglik_grad_batch(model: Model, X, Y, theta=None) -> np.ndarray:
     """Per-example log-likelihood gradients, shape (n, d)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    Y = Y[:, None] if Y.ndim == 1 else Y
     n = X.shape[0]
     theta = model.params.data if theta is None else theta
     if model.kind == "bernoulli-rate":
@@ -359,9 +353,8 @@ def loglik_grad_batch(model: Model, X, Y, theta=None) -> np.ndarray:
         p = _sigmoid(X @ theta)
         return (Y[:, 0] - p)[:, None] * X
     out, h_ins, layers = _mlp_forward_cache(model, X, theta)
-    gout = Y - out  # d loglik / d out for the unit-variance Gaussian
-    gparams, _ = mlp_vjp(model, h_ins, layers, gout, per_example=True)
-    return gparams
+    # d loglik / d out = Y - out for the unit-variance Gaussian
+    return mlp_vjp(model, h_ins, layers, Y - out, per_example=True)[0]
 
 
 def mean_loglik_grad(model: Model, X, Y, weights: np.ndarray | None = None,
@@ -369,8 +362,7 @@ def mean_loglik_grad(model: Model, X, Y, weights: np.ndarray | None = None,
     """Weighted mean of per-example log-likelihood gradients (fast path)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    Y = Y[:, None] if Y.ndim == 1 else Y
     if weights is None:
         weights = np.ones(X.shape[0])
     wsum = float(np.einsum("n->", weights))
@@ -378,17 +370,10 @@ def mean_loglik_grad(model: Model, X, Y, weights: np.ndarray | None = None,
         raise StructuralError("example weights sum to zero")
     if model.kind == "mlp":
         out, h_ins, layers = _mlp_forward_cache(model, X, theta)
-        return _mlp_mean_grad(model, h_ins, layers, Y - out, weights, wsum)
+        return mlp_vjp(model, h_ins, layers,
+                       (Y - out) * weights[:, None])[0] / wsum
     grads = loglik_grad_batch(model, X, Y, theta)
     return np.einsum("n,nd->d", weights, grads) / wsum
-
-
-def _mlp_mean_grad(model: Model, h_ins, layers, resid: np.ndarray,
-                   weights: np.ndarray, wsum: float) -> np.ndarray:
-    """mean_loglik_grad of the mlp from a forward pass already run: its
-    per-layer inputs and layers, and the residual targets - outputs."""
-    gparams, _ = mlp_vjp(model, h_ins, layers, resid * weights[:, None])
-    return gparams / wsum
 
 
 _HESSIAN_CHUNK = 32  # parameter directions per batch of the mlp R-op
@@ -421,18 +406,17 @@ def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray,
         return np.einsum("ni,nj->ij", (curv[:, None] * wcol) * X, X)
     out, h_ins, layers = _mlp_forward_cache(model, X)
     d = model.params.dim
-    layout = _layout_of(model)
+    layout = _mlp_layout(tuple(model.hyper["widths"]))
     hess = np.empty((d, d))
     for start in range(0, d, _HESSIAN_CHUNK):
         rows = slice(start, min(start + _HESSIAN_CHUNK, d))
-        units = np.zeros((rows.stop - start, d))  # rows of the identity
-        units[:, rows] = np.eye(rows.stop - start)
-        dlayers = _mlp_layers(model, units)
+        # rows start.. of the identity: unit parameter directions
+        dlayers = _mlp_layers(model, np.eye(rows.stop - start, d, start))
         # forward: r is the tangent of each layer's input, zero at the data
         r, r_ins = np.zeros((rows.stop - start, *X.shape)), []
         for layer, ((w, _), (dw, db)) in enumerate(zip(layers, dlayers)):
             r_ins.append(r)
-            r = r @ w + h_ins[layer] @ dw + db[:, None, :]
+            r = r @ w + h_ins[layer] @ dw + db
             if layer + 1 < len(layers):
                 r = r * (1.0 - h_ins[layer + 1] ** 2)
         # backward: g = d NLL / d out = out - Y, r its tangent
@@ -516,8 +500,8 @@ def _loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
     if not math.isfinite(value):
         return math.inf, np.full(theta.shape, math.nan)
     if model.kind == "mlp":
-        return value, -_mlp_mean_grad(model, h_ins, layers, Y - out,
-                                      weights, wsum)
+        gout = (Y - out) * weights[:, None]
+        return value, -(mlp_vjp(model, h_ins, layers, gout)[0] / wsum)
     grads = loglik_grad_batch(model, X, Y, theta)
     return value, -np.einsum("n,nd->d", weights, grads) / wsum
 
@@ -527,72 +511,76 @@ def _stacked_loss_and_grad(model: Model, data: Dataset, weights: np.ndarray,
                            thetas: np.ndarray):
     """_loss_and_grad of K weightings at once: weights (K, N) and
     parameters thetas (K, d), each row over its own weight sum. Returns the
-    values (K,), +inf outside the domain, and the gradients (K, d).
-    Vectorized for the logistic and linear kinds on loglik's formulas, with
-    stacked matmuls (one BLAS call per row) and einsum reductions along
-    each row, so no row depends on another; other kinds (the mlp) run
-    _loss_and_grad row by row."""
-    k = thetas.shape[0]
+    values (K,), +inf outside the domain, and the gradients (K, d), by
+    stacked matmuls (one BLAS call per row) and einsums along each row, so
+    no row depends on another; the bernoulli rate runs row by row."""
+    k, X, Y = thetas.shape[0], data.inputs, data.targets
     wsums = np.einsum("kn->k", weights)
-    X, Y = data.inputs, data.targets
-    if model.kind == "logistic":
-        s = (X @ thetas[:, :, None])[:, :, 0]
-        ll = _logistic_loglik(s, Y[:, 0])
-        gout = Y[:, 0] - _sigmoid(s)
-    elif model.kind == "linear-regression":
-        resid = Y - X @ thetas.reshape(k, model.d_in, model.d_out)
-        ll = _gaussian_loglik(resid.reshape(-1, model.d_out),
-                              model.d_out).reshape(k, -1)
-    else:
+    if model.kind == "bernoulli-rate":
         values, grads = np.empty(k), np.empty(thetas.shape)
         for r in range(k):
             values[r], grads[r] = _loss_and_grad(model, data, weights[r],
                                                  float(wsums[r]), thetas[r])
         return values, grads
+    if model.kind == "logistic":
+        s = (X @ thetas[:, :, None])[:, :, 0]
+        ll = _logistic_loglik(s, Y[:, 0])
+        gout = weights * (Y[:, 0] - _sigmoid(s))
+        grads = -(gout[:, None, :] @ X)[:, 0, :]
+    elif model.kind == "mlp":
+        out, h_ins, layers = _mlp_forward_cache(model, X, thetas)
+        resid = Y - out
+        grads = -mlp_vjp(model, h_ins, layers, resid * weights[..., None])[0]
+    else:
+        resid = Y - X @ thetas.reshape(k, model.d_in, model.d_out)
+        grads = -np.einsum("kn,ni,knj->kij", weights, X, resid).reshape(k, -1)
+    if model.kind != "logistic":
+        ll = _gaussian_loglik(resid, model.d_out)
     values = -np.einsum("kn,kn->k", weights, ll) / wsums
     values[~(np.isfinite(values) & np.isfinite(thetas).all(axis=1))] = math.inf
-    if model.kind == "logistic":
-        grads = -((weights * gout)[:, None, :] @ X)[:, 0, :]
-    else:
-        grads = -np.einsum("kn,ni,knj->kij", weights, X, resid).reshape(k, -1)
     return values, grads / wsums[:, None]
 
 
-def _sgd(model: Model, data: Dataset, weights: np.ndarray, theta: np.ndarray,
-         cfg: TrainConfig) -> int:
-    """Seeded mini-batch SGD of the mlp on theta, in place; returns steps."""
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _sgd(model: Model, datas: Sequence[Dataset], weights: np.ndarray,
+         thetas: np.ndarray, seeds: Sequence[int], cfg: TrainConfig) -> int:
+    """Seeded mini-batch SGD of mlp parameter vectors thetas (k, d), row r
+    on datas[r], in place and in lockstep; returns the steps. Row r orders
+    each epoch by default_rng(seeds[r]) and runs the products it would run
+    alone, to the bits of training alone; it skips a zero-weight batch."""
+    k, n = thetas.shape[0], datas[0].n
     lr = 0.05 if cfg.learning_rate is None else cfg.learning_rate
-    batch = min(32 if cfg.batch is None else cfg.batch, data.n)
-    rng = np.random.default_rng(cfg.seed)
-    X, Y = data.inputs, data.targets
-    # views of theta, which the SGD steps update in place
-    layers = _mlp_layers(model, theta)
-    step = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < cfg.steps:
-            order = rng.permutation(data.n)
-            for start in range(0, data.n, batch):
-                if step >= cfg.steps:
-                    break
-                idx = order[start:start + batch]
-                w_batch = weights[idx]
-                # nonnegative weights: a zero sum means an all-zero batch
-                wsum = float(np.einsum("n->", w_batch))
-                if wsum > 0.0:
-                    out, h_ins, _ = _mlp_forward_cache(model, X[idx],
-                                                       layers=layers)
-                    g = -_mlp_mean_grad(model, h_ins, layers, Y[idx] - out,
-                                        w_batch, wsum)
-                    if not np.isfinite(g).all():
-                        raise TrainingError(
-                            "training diverged (non-finite gradient)", step=step)
-                    np.subtract(theta, lr * g, out=theta)
-                    if not np.isfinite(theta).all():
-                        raise TrainingError(
-                            "training diverged (non-finite parameters)",
-                            step=step)
-                step += 1
-    return step
+    batch = min(32 if cfg.batch is None else cfg.batch, n)
+    per_epoch = -(-n // batch)  # batches per epoch, the last one short
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # row r's example i is row r * n + i of the stacked data sets
+    X = np.concatenate([data.inputs for data in datas])
+    Y = np.concatenate([data.targets for data in datas])
+    offsets = (np.arange(k) * n)[:, None]
+    all_live = bool(np.all(weights > 0.0))
+    layers = _mlp_layers(model, thetas)  # views, updated in place
+    for step in range(cfg.steps):
+        start = step % per_epoch * batch
+        if start == 0:
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            xs, ys = (np.take(a, order + offsets, axis=0) for a in (X, Y))
+            ws = np.take(weights, order)
+        rows = slice(start, start + batch)
+        wsums = np.einsum("kn->k", ws[:, rows])
+        out, h_ins, _ = _mlp_forward_cache(model, xs[:, rows], layers=layers)
+        gout = (ys[:, rows] - out) * ws[:, rows, None]
+        g = mlp_vjp(model, h_ins, layers, gout)[0] / wsums[:, None]
+        if all_live:
+            thetas += lr * g
+        else:  # nonnegative weights: a zero sum is an all-zero batch
+            thetas[wsums > 0.0] += lr * g[wsums > 0.0]
+        if not np.isfinite(thetas).all():
+            r = int(np.argmin(np.isfinite(thetas).all(axis=1)))
+            what = "parameters" if np.isfinite(g[r]).all() else "gradient"
+            member = f" of member {r}" if k > 1 else ""
+            raise TrainingError(f"training{member} diverged (non-finite "
+                                f"{what})", step=step)
+    return cfg.steps
 
 
 def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
@@ -600,16 +588,26 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
 
     Convex kinds minimize the weighted mean NLL by damped Newton on the
     exact loss Hessian (util.damped_newton). The mlp runs seeded mini-batch
-    SGD, then a full-batch L-BFGS polish (util.lbfgs). Convergence is the
-    mean-gradient norm against grad_tol, measured where training stops (the
-    SGD end point when no polish step runs), never the step count alone.
-    Per-example weights reweight the objective (a zero weight removes that
-    point). A bernoulli rate whose weighted outcomes are all 1 (or all 0)
-    peaks on the domain's boundary, which Newton steps only creep toward,
-    one halving search per bit; it is set in 0 steps to 1 - 2^-53, the
-    float next to 1 (or to 2^-53).
+    SGD (_sgd, a stack of one), then a full-batch L-BFGS polish (util.lbfgs).
+    Convergence is the mean-gradient norm against grad_tol, measured where
+    training stops (the SGD end point when no polish step runs), never the
+    step count alone. Per-example weights reweight the objective (a zero
+    weight removes that point). A bernoulli rate whose weighted outcomes
+    are all 1 (or all 0) peaks on the domain's boundary, which Newton steps
+    only creep toward, one halving search per bit; it is set in 0 steps to
+    1 - 2^-53, the float next to 1 (or to 2^-53).
     """
     cfg = cfg or TrainConfig()
+    return _train_stack([model], [data], cfg, [cfg.seed])[0]
+
+
+def _train_stack(models: Sequence[Model], datas: Sequence[Dataset],
+                 cfg: TrainConfig, seeds: Sequence[int]) -> list[Model]:
+    """train() of each models[r] on datas[r] under cfg with seed seeds[r],
+    as if alone. The models share a kind and an architecture, the data sets
+    a size (checked on the first). The mlp's SGD runs the rows in lockstep
+    (_sgd); the full-batch solve and its diagnostics are per row."""
+    model, data = models[0], datas[0]
     if data.d_in != model.d_in or data.d_out != model.d_out:
         raise StructuralError(
             f"dataset is ({data.d_in} -> {data.d_out}) but the model is "
@@ -623,44 +621,46 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
     wsum = float(np.einsum("n->", weights))
     if wsum <= 0.0:
         raise StructuralError("example weights sum to zero")
-    mlp, step, theta = model.kind == "mlp", 0, model.params.data.copy()
-
-    def evaluate(th):
-        return _loss_and_grad(model, data, weights, wsum, th)
-
-    def newton_point(x, rows):
-        value, grad = evaluate(x[0])
-        matrix = (nll_hessian(model.with_params(x[0]), data.inputs,
-                              data.targets, weights) / wsum
-                  if math.isfinite(value) else np.full((x.shape[1],) * 2,
-                                                       math.nan))
-        return np.array([value]), grad[None], matrix[None]
-
+    mlp = model.kind == "mlp"
+    thetas = np.stack([model.params.data for model in models])
+    step = _sgd(model, datas, weights, thetas, seeds, cfg) if mlp else 0
     grad_tol = (cfg.grad_tol if cfg.grad_tol is not None
                 else 1e-3 if mlp else 1e-10)
-    if mlp:
-        step = _sgd(model, data, weights, theta, cfg)
-    polish = cfg.steps if cfg.polish_steps is None else cfg.polish_steps
-    outcomes = (np.unique(data.targets[weights > 0.0, 0]).tolist()
-                if model.kind == "bernoulli-rate" else None)
-    try:
-        if outcomes in ([0.0], [1.0]):
-            theta[0] = abs(outcomes[0] - 2.0 ** -53)
-            value, grad = evaluate(theta)
-            result = NewtonResult(theta, value, 0, False,
-                                  float(np.linalg.norm(grad)))
-        elif mlp:
-            result = lbfgs(evaluate, theta, polish, grad_tol)
-        else:
-            result = damped_newton(newton_point, theta[None], cfg.steps,
-                                   grad_tol).row(0)
-    except NumericalError as exc:
-        raise TrainingError("non-finite loss or gradient where the full-batch "
-                            "solve starts", step=step) from exc
     tol = grad_tol if mlp else max(grad_tol, 1e-6)
-    diagnostics = {"final_grad_norm": result.grad_norm,
-                   "final_loss": result.value,
-                   "steps": step + result.iterations,
-                   "converged": result.grad_norm <= tol}
-    return replace(model, params=model.params.replace_data(result.x),
-                   diagnostics=diagnostics)
+    polish = cfg.steps if cfg.polish_steps is None else cfg.polish_steps
+    trained = []
+    for model, data, theta in zip(models, datas, thetas.copy()):
+        evaluate = functools.partial(_loss_and_grad, model, data, weights,
+                                     wsum)
+
+        def newton_point(x, rows):
+            value, grad = evaluate(x[0])
+            matrix = (nll_hessian(model.with_params(x[0]), data.inputs,
+                                  data.targets, weights) / wsum
+                      if math.isfinite(value) else np.full((x.shape[1],) * 2,
+                                                           math.nan))
+            return np.array([value]), grad[None], matrix[None]
+
+        outcomes = (np.unique(data.targets[weights > 0.0, 0]).tolist()
+                    if model.kind == "bernoulli-rate" else None)
+        try:
+            if outcomes in ([0.0], [1.0]):
+                theta[0] = abs(outcomes[0] - 2.0 ** -53)
+                value, grad = evaluate(theta)
+                result = NewtonResult(theta, value, 0, False,
+                                      float(np.linalg.norm(grad)))
+            elif mlp:
+                result = lbfgs(evaluate, theta, polish, grad_tol)
+            else:
+                result = damped_newton(newton_point, theta[None], cfg.steps,
+                                       grad_tol).row(0)
+        except NumericalError as exc:
+            raise TrainingError("non-finite loss or gradient where the "
+                                "full-batch solve starts", step=step) from exc
+        diagnostics = {"final_grad_norm": result.grad_norm,
+                       "final_loss": result.value,
+                       "steps": step + result.iterations,
+                       "converged": result.grad_norm <= tol}
+        trained.append(replace(model, diagnostics=diagnostics,
+                               params=model.params.replace_data(result.x)))
+    return trained

@@ -215,6 +215,8 @@ def _parse_scalar(text: str):
 def input_rows(model: Model, zs) -> np.ndarray:
     """A batch of inputs as rows; a flat vector is a column of scalar inputs
     for a one-input model and one input otherwise."""
+    if zs is None:
+        raise StructuralError("an explicit quantity needs an input z")
     zb = np.asarray(zs, dtype=np.float64)
     if zb.ndim < 2:
         zb = zb.reshape((-1, 1) if model.d_in == 1 else (1, -1))
@@ -384,8 +386,6 @@ def qoi_value_and_delta(u: QuantityOfInterest, z=None):
 
 
 def _input_label(z) -> str:
-    if z is None:
-        return ""
     arr = np.asarray(z, dtype=np.float64).ravel()
     if arr.size == 1:
         return repr(float(arr[0]))
@@ -439,9 +439,8 @@ def value_batch_params(u: QuantityOfInterest, thetas: np.ndarray,
         return _closed_form_value_batch(u, thetas, z)
     values = np.empty(thetas.shape[0])
     for i, theta in enumerate(thetas):
-        bound = QuantityOfInterest(
-            u.kind, None if u.model is None else u.model.with_params(theta),
-            u.config)
+        bound = QuantityOfInterest(u.kind, u.model.with_params(theta),
+                                   u.config)
         values[i] = qoi_value(bound, z)
     return values
 

@@ -1,5 +1,6 @@
 """Tests for the ensemble and dropout baselines and the cost profiles."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from deltavar.baselines import (EnsembleState, cost_accounting,
                                 dropout_variance_batch,
                                 ensemble_variance_batch, train_ensemble)
-from deltavar.exceptions import NumericalError, StructuralError
-from deltavar.models import Dataset, TrainConfig, make_model, predict, train
+from deltavar.exceptions import NumericalError, StructuralError, TrainingError
+from deltavar.models import (Dataset, TrainConfig, _train_stack, make_model,
+                             predict, train)
 from deltavar.qoi import QuantityOfInterest, make_qoi, qoi_value, qoi_values
 
 
@@ -74,6 +76,33 @@ class TestTrainEnsemble:
                            seed=9)
         for ma, mb in zip(a.members, b.members):
             assert np.array_equal(ma.params.data, mb.params.data)
+
+    def test_diverging_sgd_raises_and_names_the_member_and_step(self):
+        data = dynamics_dataset()
+        model = make_model("mlp", d_in=2, d_out=2, hidden=(4,), seed=0)
+        with pytest.raises(TrainingError, match=r"member \d+ diverged") as err:
+            train_ensemble(model, data, k=3, seed=4,
+                           train_cfg=TrainConfig(steps=300,
+                                                 learning_rate=1e3))
+        assert err.value.step is not None
+
+    def test_the_error_names_the_member_that_diverges_first(self):
+        """Every member diverges at this learning rate, member 2 (its
+        initial parameters scaled up) first: the lockstep stack stops at the
+        step at which that member, trained alone, stops, and names it."""
+        data = dynamics_dataset()
+        cfg = TrainConfig(steps=300, learning_rate=2.0)
+        templates = [make_model("mlp", d_in=2, d_out=2, hidden=(4,), seed=s)
+                     for s in range(3)]
+        templates[2] = templates[2].with_params(
+            5.0 * templates[2].params.data)
+        with pytest.raises(TrainingError) as alone:
+            train(templates[2], data, replace(cfg, seed=2))
+        with pytest.raises(TrainingError, match="member 2 diverged") as err:
+            _train_stack(templates, [data] * 3, cfg, [0, 1, 2])
+        assert "member" not in str(alone.value)
+        assert err.value.step == alone.value.step
+        assert str(err.value).split("(")[1] == str(alone.value).split("(")[1]
 
     def test_validation(self):
         data = bernoulli_dataset()

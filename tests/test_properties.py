@@ -6,14 +6,18 @@ The scalar tape is the reference for every vectorized explicit-quantity
 gradient; numpy's dense products are the reference for the quadratic form;
 central differences of the analytic gradient are the reference for the
 loss Hessian and the Laplace objective; train() is the reference for the
-Newton eps-LOO retraining; mean_loglik_grad is the reference, byte for
-byte, for the gradient training builds from its objective's forward pass;
-the scalar Newton loop of newton_reference is the reference, bit for bit,
-for a problem in a stack of Laplace calibrations or eps-LOO retrains and for
-each one-problem fit (training, the correlation fine-tune); Euler's identity
-for homogeneous functions is the reference for the chain eigenvalue gradient.
+Newton eps-LOO retraining and, bit for bit, for a member of an ensemble
+trained in lockstep; _loss_and_grad is the reference for an mlp or
+bernoulli row of the stacked objective; mean_loglik_grad is the reference,
+byte for byte, for the gradient training builds from its objective's
+forward pass; the scalar Newton loop of newton_reference is the reference,
+bit for bit, for a problem in a stack of Laplace calibrations or eps-LOO
+retrains and for each one-problem fit (training, the correlation
+fine-tune); Euler's identity for homogeneous functions is the reference for
+the chain eigenvalue gradient.
 Strategies draw seeds and shapes, and numpy draws the floats from the seed.
 """
+import hashlib
 import io
 import math
 import tempfile
@@ -36,8 +40,10 @@ from deltavar.delta_variance import (CORRELATION_PENALTY, GradientDelta,
 from deltavar.evaluation import (LaplaceCalibration, fit_laplace_calibration,
                                  laplace_loglik, laplace_scale_nll)
 from deltavar.exceptions import NumericalError
+from deltavar.baselines import ENSEMBLE_MODES, train_ensemble
 from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
                              _loss_and_grad, _mlp_forward_cache,
+                             _stacked_loss_and_grad, _train_stack,
                              loglik_grad_batch, make_model, mean_loglik_grad,
                              nll_hessian, predict, train)
 from deltavar.oracles import (_augmented_descent, _downweighted_thetas,
@@ -49,6 +55,7 @@ from deltavar.qoi import (ROLLOUT_FUNCTIONALS, EigenProblem,
 from deltavar.util import damped_newton
 from newton_reference import newton, one_of
 from tape_reference import qoi_tape_delta
+from test_models import PINNED_TRAINING, _pinned_training_cases
 
 EXPONENTS = (1.0, 2.0, 3.0, -1.0, 0.5, 2.5)
 
@@ -504,11 +511,23 @@ def test_a_stacked_calibration_row_is_solved_as_if_alone(case):
 
 @given(st.data())
 def test_a_stacked_eps_loo_retrain_is_solved_as_if_alone(data):
+    """Logistic and mlp retrains; the mlp rows share one stacked forward
+    and backward pass."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    problem = nonseparable_logistic(rng, data.draw(st.integers(10, 40)),
-                                    data.draw(st.integers(1, 3)))
-    model = train(make_model("logistic", d_in=problem.d_in), problem,
-                  TrainConfig(steps=2000, grad_tol=1e-12))
+    if data.draw(st.sampled_from(("logistic", "mlp"))) == "logistic":
+        problem = nonseparable_logistic(rng, data.draw(st.integers(10, 40)),
+                                        data.draw(st.integers(1, 3)))
+        model = train(make_model("logistic", d_in=problem.d_in), problem,
+                      TrainConfig(steps=2000, grad_tol=1e-12))
+        cfg = TrainConfig(steps=2000, grad_tol=1e-12)
+    else:
+        n, d_in = data.draw(st.integers(6, 24)), data.draw(st.integers(1, 2))
+        problem = Dataset(rng.standard_normal((n, d_in)),
+                          rng.standard_normal((n, 1)))
+        model = train(make_model("mlp", d_in=d_in, hidden=(3,),
+                                 seed=int(rng.integers(100))), problem,
+                      TrainConfig(steps=60, polish_steps=10))
+        cfg = TrainConfig(steps=25, grad_tol=1e-12)
     eps = data.draw(st.sampled_from((1e-2, 0.5, 1.0)))
     hess = nll_hessian(model, problem.inputs, problem.targets)
     evaluate = _retrain_stack(model, problem, eps, hess, np.arange(problem.n))
@@ -516,14 +535,123 @@ def test_a_stacked_eps_loo_retrain_is_solved_as_if_alone(data):
     sub = np.array(data.draw(st.lists(st.integers(0, problem.n - 1),
                                       min_size=2, max_size=6, unique=True)))
     stacked = damped_newton(lambda x, rows: evaluate(x, sub[rows]),
-                            np.tile(model.params.data, (sub.size, 1)), 2000,
-                            grad_tol=1e-12)
-    every, _ = _downweighted_thetas(model, problem, eps, None)
+                            np.tile(model.params.data, (sub.size, 1)),
+                            cfg.steps, grad_tol=cfg.grad_tol)
+    every, _ = _downweighted_thetas(model, problem, eps, cfg)
     for r, i in enumerate(sub):
-        alone = newton(one_of(evaluate, i), model.params.data, 2000,
-                       grad_tol=1e-12)
+        alone = newton(one_of(evaluate, i), model.params.data, cfg.steps,
+                       grad_tol=cfg.grad_tol)
         assert _same_bits(stacked, r, alone)
         assert every[i].tobytes() == alone.x.tobytes()
+
+
+@given(st.sampled_from(MODEL_KINDS), st.integers(0, 2**16))
+def test_a_stacked_objective_row_is_solved_as_if_alone(kind, seed):
+    """Row r of _stacked_loss_and_grad equals a stack of row r alone, byte
+    for byte, for every kind; for the mlp (one stacked forward and backward
+    pass) and the bernoulli rate (row by row) it also equals _loss_and_grad
+    of that row. The logistic and linear closed forms sum in another order
+    than _loss_and_grad. A row outside the domain reads +inf."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+    d_in, d_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    hidden = tuple(int(h) for h in rng.integers(1, 33, rng.integers(0, 3)))
+    if kind in ("bernoulli-rate", "logistic"):
+        d_out = 1
+    model = make_model(kind, d_in=d_in, d_out=d_out, hidden=hidden,
+                       seed=seed)
+    targets = (rng.standard_normal((n, d_out)) if kind in ("mlp",
+               "linear-regression") else rng.random((n, 1)) < 0.5)
+    problem = Dataset(rng.standard_normal((n, d_in)), targets * 1.0)
+    weights = rng.uniform(0.0, 2.0, (k, n)) * (rng.random((k, n)) < 0.7)
+    weights[:, 0] = 1.0  # every row a positive total
+    thetas = (rng.uniform(0.05, 0.95, (k, 1)) if kind == "bernoulli-rate"
+              else model.params.data
+              + 0.3 * rng.standard_normal((k, model.params.dim)))
+    if rng.random() < 0.3:
+        thetas[int(rng.integers(k)), 0] = math.inf
+    values, grads = _stacked_loss_and_grad(model, problem, weights, thetas)
+    for r in range(k):
+        value, grad = _stacked_loss_and_grad(model, problem, weights[r:r + 1],
+                                             thetas[r:r + 1])
+        assert value.tobytes() == values[r:r + 1].tobytes()
+        if math.isfinite(value[0]):
+            assert grad.tobytes() == grads[r:r + 1].tobytes()
+        if kind in ("mlp", "bernoulli-rate"):
+            value, grad = _loss_and_grad(model, problem, weights[r],
+                                         float(np.einsum("n->", weights[r])),
+                                         thetas[r])
+            assert np.float64(value).tobytes() == values[r].tobytes()
+            if math.isfinite(value):
+                assert grad.tobytes() == grads[r].tobytes()
+
+
+def _stack_templates(k: int, mode: str, problem: Dataset, hidden,
+                     seed: int):
+    """The members' templates, data sets and seeds as train_ensemble
+    derives them (its docstring's recipe)."""
+    children = np.random.SeedSequence(seed).spawn(k)
+    seeds = [int(child.generate_state(1)[0]) for child in children]
+    templates = [make_model("mlp", d_in=problem.d_in, d_out=problem.d_out,
+                            hidden=hidden, seed=s) for s in seeds]
+    datas = [problem] * k
+    if mode == "bootstrap-resample":
+        rows = [np.random.default_rng(child).integers(0, problem.n, problem.n)
+                for child in children]
+        datas = [Dataset(problem.inputs[i], problem.targets[i]) for i in rows]
+    return templates, datas, seeds
+
+
+def _same_training(a, b) -> bool:
+    return (a.params.data.tobytes() == b.params.data.tobytes()
+            and a.diagnostics["steps"] == b.diagnostics["steps"]
+            and np.float64(a.diagnostics["final_loss"]).tobytes()
+            == np.float64(b.diagnostics["final_loss"]).tobytes()
+            and a.diagnostics["final_grad_norm"]
+            == b.diagnostics["final_grad_norm"]
+            and a.diagnostics["converged"] == b.diagnostics["converged"])
+
+
+@given(st.data())
+def test_an_ensemble_member_trained_in_lockstep_is_trained_as_if_alone(data):
+    """train_ensemble runs its mlp members' SGD as one stack; each member
+    equals the same member trained alone by train(), bit for bit, in both
+    modes and with zero example weights, whatever the stack's size."""
+    seed = data.draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(2, 6))
+    mode = data.draw(st.sampled_from(ENSEMBLE_MODES))
+    n = data.draw(st.integers(3, 60))
+    d_in, d_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    hidden = tuple(data.draw(st.lists(st.integers(1, 12), max_size=2)))
+    problem = Dataset(rng.standard_normal((n, d_in)),
+                      np.tanh(rng.standard_normal((n, d_out))))
+    weights = None
+    if data.draw(st.booleans()):  # zero weights: all-zero batches happen
+        weights = (rng.random(n) < 0.4) * rng.uniform(0.5, 1.5, n)
+        weights[int(rng.integers(n))] = 1.0
+    cfg = TrainConfig(steps=data.draw(st.integers(0, 120)),
+                      batch=data.draw(st.integers(1, n + 4)),
+                      polish_steps=data.draw(st.integers(0, 12)),
+                      example_weights=weights)
+    template = make_model("mlp", d_in=d_in, d_out=d_out, hidden=hidden)
+    ens = train_ensemble(template, problem, k=k, mode=mode, seed=seed,
+                         train_cfg=cfg)
+    templates, datas, seeds = _stack_templates(k, mode, problem, hidden,
+                                               seed)
+    assert list(ens.seeds) == seeds
+    for member, tmpl, member_data, member_seed in zip(ens.members, templates,
+                                                      datas, seeds):
+        alone = train(tmpl, member_data, replace(cfg, seed=member_seed))
+        assert _same_training(member, alone)
+
+
+@pytest.mark.parametrize("name", ["mlp", "mlp-weighted"])
+def test_a_stack_of_one_reproduces_the_pinned_mlp_training(name):
+    model, data, cfg = _pinned_training_cases()[name]
+    trained, = _train_stack([model], [data], cfg, [cfg.seed])
+    digest = hashlib.sha256(trained.params.data.tobytes()).hexdigest()
+    assert digest == PINNED_TRAINING[name]
 
 
 def convex_training_problem(kind: str, seed: int):

@@ -176,6 +176,19 @@ class TestQoiValues:
         with pytest.raises(StructuralError):
             qoi_values(make_qoi("eigenvalue", problem=problem), [[0.0]])
 
+    def test_an_explicit_quantity_without_an_input_is_refused(self):
+        """None is no input: it was read as a NaN input (a nan value and a
+        NumericalError from the gradient)."""
+        model = make_model("linear-regression", d_in=1).with_params([2.0])
+        for kind in ("power", "set-product"):
+            u = make_qoi(kind, model)
+            for call in (lambda: qoi_value(u), lambda: qoi_value(u, None),
+                         lambda: qoi_value_and_delta(u),
+                         lambda: values_and_deltas(u, None),
+                         lambda: qoi_values(u, None)):
+                with pytest.raises(StructuralError, match="needs an input"):
+                    call()
+
 
 class TestRollout:
     def step_model(self, seed=3):
