@@ -560,9 +560,10 @@ def test_a_stacked_objective_row_is_solved_as_if_alone(kind, seed):
         d_out = 1
     model = make_model(kind, d_in=d_in, d_out=d_out, hidden=hidden,
                        seed=seed)
-    targets = (rng.standard_normal((n, d_out)) if kind in ("mlp",
-               "linear-regression") else rng.random((n, 1)) < 0.5)
-    problem = Dataset(rng.standard_normal((n, d_in)), targets * 1.0)
+    continuous = kind in ("mlp", "linear-regression")
+    targets = (rng.standard_normal((n, d_out)) if continuous
+               else (rng.random((n, 1)) < 0.5) * 1.0)
+    problem = Dataset(rng.standard_normal((n, d_in)), targets)
     weights = rng.uniform(0.0, 2.0, (k, n)) * (rng.random((k, n)) < 0.7)
     weights[:, 0] = 1.0  # every row a positive total
     thetas = (rng.uniform(0.05, 0.95, (k, 1)) if kind == "bernoulli-rate"
@@ -588,8 +589,8 @@ def test_a_stacked_objective_row_is_solved_as_if_alone(kind, seed):
 
 def _stack_templates(k: int, mode: str, problem: Dataset, hidden,
                      seed: int):
-    """The members' templates, data sets and seeds as train_ensemble
-    derives them (its docstring's recipe)."""
+    """The members' templates, data sets and seeds, derived from the
+    ensemble's seed as train_ensemble derives them."""
     children = np.random.SeedSequence(seed).spawn(k)
     seeds = [int(child.generate_state(1)[0]) for child in children]
     templates = [make_model("mlp", d_in=problem.d_in, d_out=problem.d_out,
