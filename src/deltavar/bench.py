@@ -442,9 +442,7 @@ def _dynamics_head(scenario: Scenario) -> _DynamicsHead:
     z_eval = splits.evaluation.inputs
 
     def model_side(u):
-        vv, dv = values_and_deltas(u, z_val)
-        ve, de = values_and_deltas(u, z_eval)
-        return vv, dv, ve, de
+        return (*values_and_deltas(u, z_val), *values_and_deltas(u, z_eval))
 
     sides = ordered_parallel_map(model_side, qois)
     y_val = [true_functional(u, z_val) for u in qois]
@@ -542,7 +540,6 @@ def _run_dynamics(scenario: Scenario):
     y_val, y_eval = head.y_val, head.y_eval
     n_qois = len(qois)
     drop_seeds = spawn_seeds(head.dropout_seed, 2 * n_qois)
-    reg = head.reg
     z_val = splits.validation.inputs
     z_eval = splits.evaluation.inputs
 
@@ -566,15 +563,11 @@ def _run_dynamics(scenario: Scenario):
                                         contrib_eval @ scale_vec)
         variances["ensemble"] = (ensemble_variance_batch(ens, u, z_val),
                                  ensemble_variance_batch(ens, u, z_eval))
-        variances["dropout"] = (
-            dropout_variance_batch(model, u, z_val,
-                                   k=int(p["dropout_passes"]),
+        variances["dropout"] = tuple(
+            dropout_variance_batch(model, u, zs, k=int(p["dropout_passes"]),
                                    rate=float(p["dropout_rate"]),
-                                   seed=drop_seeds[2 * qi]),
-            dropout_variance_batch(model, u, z_eval,
-                                   k=int(p["dropout_passes"]),
-                                   rate=float(p["dropout_rate"]),
-                                   seed=drop_seeds[2 * qi + 1]))
+                                   seed=drop_seeds[2 * qi + j])
+            for j, zs in enumerate((z_val, z_eval)))
 
         scores = {}
         logp = {}
@@ -643,18 +636,17 @@ def _run_dynamics(scenario: Scenario):
             "delta" if method.startswith("delta") else method,
             k=int(p["members"]) if method == "ensemble"
             else int(p["dropout_passes"]))
-        entry["cost_train_overhead"] = counted["train_overhead"]
-        entry["cost_inference_evals"] = counted["inference_evals"]
-        entry["cost_inference_grads"] = counted["inference_grads"]
-        entry["cost_memory_factor"] = counted["memory_factor"]
+        entry.update({f"cost_{key}": counted[key] for key in (
+            "train_overhead", "inference_evals", "inference_grads",
+            "memory_factor")})
         aggregate[method] = entry
 
     metrics = {"per_qoi": per_qoi_metrics, "aggregate": aggregate,
                "finetune": finetune_metrics,
                "calibration": calibration_metrics,
-               "regularizer": {"selected": reg,
+               "regularizer": {"selected": head.reg,
                                "score_curve": head.reg_curve}}
-    extra = {"sigma_kind": sigma.kind, "sigma_reg": reg,
+    extra = {"sigma_kind": sigma.kind, "sigma_reg": head.reg,
              "train_diagnostics": {k: float(v) if isinstance(v, float)
                                    else v
                                    for k, v in model.diagnostics.items()}}

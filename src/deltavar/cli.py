@@ -95,6 +95,11 @@ def _as(convert, value, key: str):
         raise ConfigError(f"setting {key}={value!r} is not valid: {exc}") from exc
 
 
+def _as_optional(convert, value, key: str):
+    """_as, with None (an unset option) passed through."""
+    return None if value is None else _as(convert, value, key)
+
+
 def _take(section: dict, allowed: dict, where: str) -> dict:
     unknown = set(section) - set(allowed)
     if unknown:
@@ -238,19 +243,14 @@ def _train_config(section: dict, seed_override) -> TrainConfig:
                            "polish_steps": None}, "train")
     if seed_override is not None:
         opts["seed"] = seed_override
-
-    def optional(key, convert):
-        value = opts[key]
-        return None if value is None else _as(convert, value, f"train.{key}")
-
+    optional = (("learning_rate", float), ("batch", int), ("grad_tol", float),
+                ("polish_steps", int))
     try:
         return TrainConfig(
             steps=_as(int, opts["steps"], "train.steps"),
-            learning_rate=optional("learning_rate", float),
-            batch=optional("batch", int),
             seed=_as(int, opts["seed"], "train.seed"),
-            grad_tol=optional("grad_tol", float),
-            polish_steps=optional("polish_steps", int))
+            **{key: _as_optional(convert, opts[key], f"train.{key}")
+               for key, convert in optional})
     except StructuralError as exc:
         raise ConfigError(f"bad train settings: {exc}") from exc
 
@@ -282,10 +282,8 @@ def _parse_input(text: str, model: Model) -> np.ndarray:
 def _resolve_sigma(spec: str, model: Model, data: Dataset, reg: float):
     if Path(spec).is_file():
         return load_covariance(spec)
-    if spec == "fisher-full":
-        return canonical_sigma(model, data, mode="full", reg=reg)
-    if spec == "fisher-diag":
-        return canonical_sigma(model, data, mode="diag", reg=reg)
+    if spec in ("fisher-full", "fisher-diag"):
+        return canonical_sigma(model, data, spec.removeprefix("fisher-"), reg)
     if spec == "hessian":
         return laplace_sigma(model, data, reg=reg)
     if spec == "sandwich":
@@ -366,8 +364,11 @@ def _cmd_oracle(args, cfg) -> int:
         report = gaussian_posterior_mc(u, model.params.data, cov, z,
                                        samples=samples, seed=seed)
     elif kind in ("loo", "eps-loo", "richardson"):
-        opts = _take(cfg, {"eps": 1e-2, "max_points": 500}, kind)
-        common = dict(max_points=_as(int, opts["max_points"], "max_points"))
+        opts = _take(cfg, {"eps": 1e-2, "max_points": 500, "grad_tol": None},
+                     kind)
+        common = dict(max_points=_as(int, opts["max_points"], "max_points"),
+                      train_cfg=TrainConfig(steps=2000, grad_tol=_as_optional(
+                          float, opts["grad_tol"], "grad_tol")))
         eps = _as(float, opts["eps"], "eps")
         if kind == "loo":
             report = loo_variance(model, data, u, z, **common)
@@ -378,13 +379,11 @@ def _cmd_oracle(args, cfg) -> int:
     elif kind == "adversarial":
         opts = _take(cfg, {"eps": 1e-2, "mode": "offset", "delta": None,
                            "noise": None, "draws": 1000}, "adversarial")
-        delta = (None if opts["delta"] is None
-                 else _as(float, opts["delta"], "delta"))
-        noise = (None if opts["noise"] is None
-                 else _as(float, opts["noise"], "noise"))
         report = adversarial_shift(
             model, data, u, z, eps=_as(float, opts["eps"], "eps"),
-            mode=str(opts["mode"]), delta=delta, sigma=noise,
+            mode=str(opts["mode"]),
+            delta=_as_optional(float, opts["delta"], "delta"),
+            sigma=_as_optional(float, opts["noise"], "noise"),
             draws=_as(int, opts["draws"], "draws"), seed=seed)
     elif kind == "mahalanobis":
         if cfg:

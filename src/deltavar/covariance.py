@@ -5,6 +5,9 @@ the per-datum mean of log-likelihood gradient outer products, the Hessian H is
 taken of the total (summed) negative log-likelihood, the canonical covariance
 is inv(F)/N, the curvature (Laplace) covariance is inv(H), and the sandwich is
 N * inv(H) F inv(H).
+
+A full Fisher adds one BLAS syrk per example chunk and a dense inverse is
+L^-T L^-1 from the Cholesky factor L, one more syrk: both exactly symmetric.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ KINDS = ("fisher-full", "fisher-diag", "hessian", "sandwich", "learned")
 # Examples are accumulated in fixed-size chunks so the floating-point
 # reduction order never depends on thread settings or dataset size.
 _CHUNK = 256
+_LEAF = 64  # triangular blocks this wide or narrower are inverted by one solve
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,10 @@ def empirical_fisher(model: Model, data: Dataset,
                      mode: str = "full") -> CovarianceEstimate:
     """Mean outer product of per-example log-likelihood gradients.
 
-    The diagonal mode accumulates the same products in the same order as the
-    full mode, so diag(full) and the diagonal estimate agree bit for bit.
+    Each chunk of gradients g adds g.T @ g, one syrk, exactly symmetric.
+    Both modes sum the diagonal by the same einsum in the same order, and
+    the full mode writes it over its own, so diag(full) and the diagonal
+    estimate agree bit for bit.
     """
     if mode not in ("full", "diag"):
         raise StructuralError(f"fisher mode must be 'full' or 'diag', got {mode!r}")
@@ -98,14 +104,14 @@ def empirical_fisher(model: Model, data: Dataset,
         raise ResourceError(
             f"dense covariance of dimension {d} exceeds the cap of "
             f"{HESSIAN_DIM_CAP}; use a diagonal mode")
+    diag = np.zeros(d)
+    acc = np.zeros((d, d)) if mode == "full" else diag
+    for g in _chunks(loglik_grad_batch, model, data):
+        diag += np.einsum("ni,ni->i", g, g)
+        if mode == "full":
+            acc += g.T @ g
     if mode == "full":
-        acc = np.zeros((d, d))
-        for g in _chunks(loglik_grad_batch, model, data):
-            acc += np.einsum("ni,nj->ij", g, g)
-    else:
-        acc = np.zeros(d)
-        for g in _chunks(loglik_grad_batch, model, data):
-            acc += np.einsum("ni,ni->i", g, g)
+        np.fill_diagonal(acc, diag)
     return CovarianceEstimate(kind=f"fisher-{mode}", values=acc / data.n,
                               n_points=data.n, blocks=model.params.blocks)
 
@@ -128,7 +134,22 @@ def loss_hessian(model: Model, data: Dataset) -> CovarianceEstimate:
                               blocks=model.params.blocks)
 
 
+def _invert_lower(chol: np.ndarray, out: np.ndarray) -> None:
+    """Write inv(chol), chol lower-triangular, into a zeroed out by halving
+    as LAPACK's trtri: [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
+    n = chol.shape[0]
+    if n <= _LEAF:
+        out[...] = np.linalg.solve(chol, np.eye(n))
+        return
+    h = n // 2
+    _invert_lower(chol[:h, :h], out[:h, :h])
+    _invert_lower(chol[h:, h:], out[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (chol[h:, :h] @ out[:h, :h]))
+
+
 def _solve_spd(matrix: np.ndarray, reg: float, what: str) -> np.ndarray:
+    """(matrix + reg*I)^-1 as L^-T L^-1 (one syrk, exactly symmetric) from
+    the Cholesky factor L, which is also the positive-definiteness check."""
     ridged = matrix + reg * np.eye(matrix.shape[0])
     try:
         chol = np.linalg.cholesky(ridged)
@@ -136,18 +157,29 @@ def _solve_spd(matrix: np.ndarray, reg: float, what: str) -> np.ndarray:
         raise NumericalError(
             f"{what} is not positive definite at reg={reg!r}; "
             "retry with a larger regularizer") from None
-    eye = np.eye(matrix.shape[0])
-    inv = np.linalg.solve(chol.T, np.linalg.solve(chol, eye))
-    return (inv + inv.T) / 2.0
+    chol_inv = np.zeros_like(chol)
+    _invert_lower(chol, chol_inv)
+    return chol_inv.T @ chol_inv
 
 
 def invert(sigma: CovarianceEstimate, reg: float = 0.0) -> CovarianceEstimate:
     """(M + reg*I)^-1 via Cholesky for full matrices, reciprocal for diagonals.
 
     The returned estimate flips `inverted` and records the regularizer.
+    Without a regularizer, an exact zero on the diagonal is refused by name.
     """
     if reg < 0.0:
         raise StructuralError("regularizer must be nonnegative")
+    diag = sigma.values if sigma.is_diagonal else np.diagonal(sigma.values)
+    if reg == 0.0 and not diag.all():
+        i = int(np.flatnonzero(diag == 0.0)[0])
+        where = next((f"{name}[{i - start}]" for name, start, length
+                      in sigma.blocks if start <= i < start + length),
+                     f"parameter {i}")
+        raise NumericalError(
+            f"{sigma.kind} curvature is exactly 0 at {where}: no example's "
+            "gradient moves that parameter, as in a saturated fit with "
+            "fitted probabilities exactly 0 or 1")
     if sigma.is_diagonal:
         ridged = sigma.values + reg
         if np.any(ridged <= 0.0):

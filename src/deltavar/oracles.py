@@ -186,7 +186,8 @@ def _downweighted_thetas(model: Model, data: Dataset, eps: float,
             f"no retrain took a step: the model already meets grad_tol="
             f"{grad_tol:g} with any one example's weight cut to "
             f"{1.0 - eps:g}, so the retrains measure nothing; a smaller "
-            "train_cfg.grad_tol tightens it")
+            "grad_tol (train_cfg.grad_tol, or the oracle command's grad_tol "
+            "key) tightens it")
     return thetas, grad_norm
 
 

@@ -320,7 +320,10 @@ def qoi_values(u: QuantityOfInterest, zs, forward=None) -> np.ndarray:
     if u.kind not in EXPLICIT_KINDS:
         raise StructuralError(f"{u.kind} quantities have no explicit value "
                               "under a model forward pass")
-    zb = input_rows(u.model, zs)
+    return _values_of_rows(u, input_rows(u.model, zs), forward)
+
+
+def _values_of_rows(u: QuantityOfInterest, zb: np.ndarray, forward=None):
     if forward is None:
         forward = functools.partial(predict, u.model)
     if u.kind == "rollout":
@@ -346,8 +349,8 @@ def qoi_value(u: QuantityOfInterest, z=None) -> float:
     _no_input(u, z)
     if u.kind in EXPLICIT_KINDS:
         zb = input_rows(u.model, z)
-        return float(qoi_values(u, zb if u.kind == "set-product"
-                                else zb[:1])[0])
+        return float(_values_of_rows(u, zb if u.kind == "set-product"
+                                     else zb[:1])[0])
     if u.kind == "fixed-point":
         problem = u.config["problem"]
         w_star, _ = solve_fixed_point(problem)
@@ -371,7 +374,7 @@ def qoi_value_and_delta(u: QuantityOfInterest, z=None):
     _no_input(u, z)
     if u.kind in EXPLICIT_KINDS:
         zb = input_rows(u.model, z)
-        values, deltas = values_and_deltas(
+        values, deltas = _values_and_deltas_of_rows(
             u, zb if u.kind == "set-product" else zb[:1])
         return float(values[0]), GradientDelta(deltas[0], source=u.qoi_id,
                                                input_id=_input_label(z))
@@ -404,7 +407,10 @@ def values_and_deltas(u: QuantityOfInterest, zs):
         raise StructuralError(
             f"{u.kind} quantities take no batch of inputs; use "
             "qoi_value_and_delta for their value and gradient")
-    zb = input_rows(u.model, zs)
+    return _values_and_deltas_of_rows(u, input_rows(u.model, zs))
+
+
+def _values_and_deltas_of_rows(u: QuantityOfInterest, zb: np.ndarray):
     if u.kind == "power":
         return _power_values_and_deltas(u, zb)
     if u.kind == "set-product":

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deltavar import cli
 from deltavar.cli import emit_plotdata, load_model_dir, main
 from deltavar.covariance import canonical_sigma, load_covariance
 from deltavar.delta_variance import delta_variance
 from deltavar.exceptions import ConfigError
-from deltavar.models import mean_loglik_grad
+from deltavar.models import TrainConfig, mean_loglik_grad
 from deltavar.qoi import make_qoi, qoi_value_and_delta
 
 
@@ -176,27 +177,61 @@ def test_undefined_power_exits_1_with_a_message(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
-def test_eps_loo_that_measures_nothing_exits_1(tmp_path, capsys):
-    """An mlp trained below the default mlp tolerance: no eps-LOO retrain
-    takes a step, and the oracle refuses instead of printing 0."""
+@pytest.fixture(scope="module")
+def wave_mlp(tmp_path_factory):
+    """An mlp trained below the default mlp retrain tolerance of 1e-3."""
+    tmp = tmp_path_factory.mktemp("wave")
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, size=(100, 1))
-    np.savez(tmp_path / "wave.npz", inputs=x,
+    np.savez(tmp / "wave.npz", inputs=x,
              targets=np.sin(3.0 * x) + 0.1 * rng.normal(size=(100, 1)))
-    out = tmp_path / "wave"
+    out = tmp / "wave"
     assert main(["train", "--set", "model.kind=mlp",
                  "--set", "model.hidden=[8]", "--set", "data.kind=file",
-                 "--set", f"data.path={tmp_path / 'wave.npz'}",
+                 "--set", f"data.path={tmp / 'wave.npz'}",
                  "--set", "train.steps=200", "--set", "train.grad_tol=1e-6",
                  "--out", str(out)]) == 0
+    return out
+
+
+def test_eps_loo_that_measures_nothing_exits_1(wave_mlp, capsys):
+    """No eps-LOO retrain takes a step at the default mlp tolerance, and the
+    oracle refuses instead of printing 0, naming the key that tightens it."""
     capsys.readouterr()
-    code = main(["oracle", "--model", str(out), "--kind", "eps-loo",
+    code = main(["oracle", "--model", str(wave_mlp), "--kind", "eps-loo",
                  "--qoi", "power1", "--input", "0.0"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "grad_tol" in captured.err
+
+
+def test_eps_loo_with_a_tighter_grad_tol_measures(wave_mlp, capsys,
+                                                  monkeypatch):
+    """--set grad_tol reaches the retrains as TrainConfig(steps=2000,
+    grad_tol=...). On this model they run to that cap without meeting
+    1e-10 (about 70 s), so the test records the settings and caps the
+    retrains at 20 steps."""
+    seen = []
+
+    def capped(**settings):
+        seen.append(settings)
+        return TrainConfig(**{**settings, "steps": 20})
+
+    monkeypatch.setattr(cli, "TrainConfig", capped)
+    capsys.readouterr()
+    code = main(["oracle", "--model", str(wave_mlp), "--kind", "eps-loo",
+                 "--qoi", "power1", "--input", "0.0",
+                 "--set", "grad_tol=1e-10"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "eps-loo"
+    assert report["estimate"] > 0.0
+    assert seen == [{"steps": 2000, "grad_tol": 1e-10}]
+    assert main(["oracle", "--model", str(wave_mlp), "--kind", "eps-loo",
+                 "--qoi", "power1", "--input", "0.0",
+                 "--set", "grad_tol=tight"]) == 2
 
 
 MLP_TRAIN = ["train", "--set", "model.kind=mlp", "--set", "model.d_in=3",

@@ -268,6 +268,41 @@ class TestSigmaHelpers:
         np.testing.assert_allclose(sigma.values, expected, rtol=1e-9)
 
 
+class TestZeroCurvature:
+    """A separable logistic fit saturates: every fitted probability is
+    exactly 0 or 1, so every per-example gradient and Hessian term is 0."""
+
+    @pytest.fixture(scope="class")
+    def saturated(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((50, 2))
+        data = Dataset(x, (x[:, 0] + 0.3 * x[:, 1] > 0) * 1.0)
+        model = train(make_model("logistic", d_in=2), data)
+        assert not loglik_grad_batch(model, data.inputs, data.targets).any()
+        return model, data
+
+    @pytest.mark.parametrize("build", [
+        lambda m, d: canonical_sigma(m, d, mode="full"),
+        lambda m, d: canonical_sigma(m, d, mode="diag"),
+        laplace_sigma,
+    ], ids=["fisher-full", "fisher-diag", "hessian"])
+    def test_every_builder_names_the_parameter(self, saturated, build):
+        with pytest.raises(NumericalError) as err:
+            build(*saturated)
+        message = str(err.value)
+        assert "exactly 0 at weights[0]" in message
+        assert "no example's gradient moves" in message
+        assert "larger regularizer" not in message
+
+    def test_unnamed_blocks_give_the_index_and_a_ridge_inverts(self):
+        est = CovarianceEstimate(kind="hessian",
+                                 values=np.diag([2.0, 1.0, 0.0]), n_points=3)
+        with pytest.raises(NumericalError, match="exactly 0 at parameter 2"):
+            invert(est)
+        np.testing.assert_allclose(invert(est, reg=0.5).values,
+                                   np.diag([0.4, 2.0 / 3.0, 2.0]))
+
+
 class TestSerialization:
     def test_roundtrip_full(self, tmp_path):
         rng = np.random.default_rng(23)

@@ -14,7 +14,9 @@ forward pass; the scalar Newton loop of newton_reference is the reference,
 bit for bit, for a problem in a stack of Laplace calibrations or eps-LOO
 retrains and for each one-problem fit (training, the correlation
 fine-tune); Euler's identity for homogeneous functions is the reference for
-the chain eigenvalue gradient.
+the chain eigenvalue gradient; two triangular solves against the identity
+are the reference for the blocked Cholesky inverse, and a per-example sum of
+outer products for the full Fisher.
 Strategies draw seeds and shapes, and numpy draws the floats from the seed.
 """
 import hashlib
@@ -32,8 +34,9 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from deltavar.cli import main as cli_main
-from deltavar.covariance import (KINDS, CovarianceEstimate, load_covariance,
-                                 loss_hessian, save_covariance)
+from deltavar.covariance import (KINDS, CovarianceEstimate, empirical_fisher,
+                                 invert, load_covariance, loss_hessian,
+                                 save_covariance)
 from deltavar.delta_variance import (CORRELATION_PENALTY, GradientDelta,
                                      _neg_correlation, block_variances,
                                      delta_variance, finetune_scales)
@@ -288,6 +291,71 @@ def test_covariance_files_round_trip_bit_exactly(case, data):
     for field in ("kind", "n_points", "reg", "inverted", "blocks",
                   "block_scales"):
         assert getattr(back, field) == getattr(sigma, field)
+
+
+# ---------------------------------------------------------------------------
+# dense covariance builds: the blocked inverse and the full Fisher
+# ---------------------------------------------------------------------------
+
+def two_solve_inverse(matrix: np.ndarray) -> np.ndarray:
+    """inv(matrix) of an SPD matrix by two solves against the identity
+    through its Cholesky factor, symmetrized."""
+    chol = np.linalg.cholesky(matrix)
+    eye = np.eye(matrix.shape[0])
+    inv = np.linalg.solve(chol.T, np.linalg.solve(chol, eye))
+    return (inv + inv.T) / 2.0
+
+
+@given(st.integers(1, 300), st.floats(0.0, 8.0), st.integers(0, 2**16))
+@example(63, 8.0, 0).via("the last single-solve block")
+@example(64, 8.0, 1).via("the widest single-solve block")
+@example(65, 8.0, 2).via("one halving")
+@example(128, 4.0, 3).via("two halvings, 64-wide leaves")
+@example(129, 8.0, 4).via("two halvings, a 65-wide half")
+@example(300, 8.0, 5).via("the largest size")
+def test_blocked_inverse_matches_two_solves_and_is_symmetric(d, log_cond,
+                                                             seed):
+    """SPD matrices of size 1..300 across the 64-wide leaf and 128 edges,
+    condition numbers 1 to 1e8: the inverse is exactly symmetric and within
+    1e-13 of the largest reference entry."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    m = (q * np.logspace(0.0, log_cond, d)) @ q.T
+    m = (m + m.T) / 2.0
+    inv = invert(CovarianceEstimate(kind="fisher-full", values=m,
+                                    n_points=1)).values
+    ref = two_solve_inverse(m)
+    assert np.array_equal(inv, inv.T)
+    assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@given(st.sampled_from(MODEL_KINDS), st.integers(0, 2**16))
+def test_full_fisher_is_symmetric_and_matches_per_example_sum(kind, seed):
+    """Over more than one 256-example chunk: exactly symmetric, within
+    1e-13 relative of the mean of per-example outer products, and with the
+    diagonal mode's diagonal bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 600))
+    d_in, d_out = 3, (2 if kind in ("mlp", "linear-regression") else 1)
+    x = rng.uniform(-1.5, 1.5, size=(n, d_in))
+    if kind == "mlp":
+        model = make_model("mlp", d_in=d_in, d_out=d_out, hidden=(6, 5),
+                           seed=seed)
+    else:
+        model = make_model(kind, d_in=d_in, d_out=d_out)
+        model = model.with_params(
+            [rng.uniform(0.05, 0.95)] if kind == "bernoulli-rate"
+            else rng.standard_normal(model.params.dim))
+    y = (rng.standard_normal((n, d_out)) if d_out == 2
+         else rng.random((n, 1)) < 0.5)
+    data = Dataset(x, y)
+    full = empirical_fisher(model, data, mode="full").values
+    g = loglik_grad_batch(model, data.inputs, data.targets)
+    ref = sum(np.outer(row, row) for row in g) / n
+    assert np.array_equal(full, full.T)
+    assert np.abs(full - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(np.diag(full),
+                          empirical_fisher(model, data, mode="diag").values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from deltavar import autodiff as ad
+from deltavar import qoi as qoi_module
 from deltavar.autodiff import ParameterVector
 from deltavar.exceptions import (ConfigError, ConvergenceError,
                                  DegenerateEigenvalueError, NumericalError,
                                  StructuralError)
 from deltavar.models import make_model, predict
 from deltavar.qoi import (EigenProblem, FixedPointProblem, eigen_spectra,
-                          eigenvalue_delta, implicit_delta, make_qoi,
-                          parse_qoi, qoi_value,
+                          eigenvalue_delta, implicit_delta, input_rows,
+                          make_qoi, parse_qoi, qoi_value,
                           qoi_value_and_delta, qoi_values, solve_fixed_point,
                           value_batch_params, values_and_deltas)
 from tape_reference import qoi_tape_delta
@@ -152,6 +153,26 @@ class TestQoiValues:
             np.testing.assert_array_equal(values, values_and_deltas(u, zs)[0])
             for z, value in zip(zs, values):
                 assert value == pytest.approx(qoi_value(u, z), rel=1e-12)
+
+    def test_single_answers_read_their_input_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        scalar = make_model("mlp", d_in=2, d_out=1, hidden=(5,), seed=1)
+        step = make_model("mlp", d_in=2, d_out=2, hidden=(5,), seed=2)
+        zs = rng.normal(size=(3, 2))
+        reads = []
+
+        def counted(model, z):
+            reads.append(z)
+            return input_rows(model, z)
+
+        monkeypatch.setattr(qoi_module, "input_rows", counted)
+        for u in (make_qoi("power", scalar, exponent=2.0),
+                  make_qoi("set-product", scalar),
+                  make_qoi("rollout", step, functional="mean", horizon=2)):
+            for single in (qoi_value, qoi_value_and_delta):
+                reads.clear()
+                single(u, zs)
+                assert len(reads) == 1, (u.kind, single.__name__)
 
     def test_set_product_is_one_value_for_the_set(self):
         theta = np.array([0.6, -1.3])
