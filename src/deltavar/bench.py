@@ -318,14 +318,14 @@ def _run_eigen(scenario: Scenario):
     thetas = base + math.sqrt(var) * rng.standard_normal((samples, dim))
 
     spectra = eigen_spectra(masses.size, thetas)
+    sigma = CovarianceEstimate(
+        kind="learned", values=np.full(dim, var), n_points=1, inverted=True,
+        blocks=(("masses", 0, masses.size),
+                ("stiffnesses", masses.size, stiff.size)))
     rows = []
     per_index = {}
     for index in range(masses.size):
-        problem = EigenProblem(masses, stiff, index)
-        _, delta = eigenvalue_delta(problem)
-        sigma = CovarianceEstimate(
-            kind="learned", values=np.full(dim, var), n_points=1,
-            inverted=True, blocks=problem.parameter_vector().blocks)
+        _, delta = eigenvalue_delta(EigenProblem(masses, stiff, index))
         nu = delta_variance(delta, sigma)
         draws = spectra[:, index]
         mc = float(np.var(draws, ddof=1))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -537,6 +538,9 @@ def emit_plotdata(report_dir) -> list:
 # parser
 # ---------------------------------------------------------------------------
 
+# Built on the first call to main, not at import, and reused: parse_args
+# keeps no state in the parser, so calls do not leak into one another.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltavar",

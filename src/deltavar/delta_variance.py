@@ -36,7 +36,7 @@ class GradientDelta:
         vec = np.asarray(self.vector, dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise StructuralError("gradient must be a nonempty vector")
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise NumericalError("gradient contains non-finite entries")
         object.__setattr__(self, "vector", vec)
 
@@ -55,13 +55,13 @@ def delta_variance(delta: GradientDelta, sigma: CovarianceEstimate) -> float:
     if not sigma.inverted:
         raise StructuralError(
             "sigma is a raw curvature estimate; invert it into a covariance first")
-    v = delta.vector
-    if sigma.dim != v.size:
+    v, values = delta.vector, sigma.values
+    if values.shape[0] != v.size:
         raise StructuralError(
-            f"gradient has dimension {v.size} but sigma has {sigma.dim}")
-    if sigma.is_diagonal:
-        return float(np.einsum("i,i,i->", v, sigma.values, v))
-    return float(v @ (sigma.values @ v))
+            f"gradient has dimension {v.size} but sigma has {values.shape[0]}")
+    if values.ndim == 1:
+        return float(np.einsum("i,i,i->", v, values, v))
+    return float(v @ (values @ v))
 
 
 def _off_block_mask(dim: int, blocks) -> np.ndarray:

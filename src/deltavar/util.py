@@ -68,7 +68,7 @@ def format_float(x: float) -> str:
 def as_float_array(x, name: str = "array") -> np.ndarray:
     """Coerce to a float64 ndarray, rejecting non-finite values."""
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 

@@ -127,6 +127,55 @@ class TestDeltavarCommand:
                      "--input", "0.9"]) == 2
 
 
+class TestRepeatedCalls:
+    """`main` builds its parser once per process; no call leaks into the
+    next."""
+
+    @staticmethod
+    def deltavar(model_dir, *inputs):
+        return ["deltavar", "--model", str(model_dir), "--sigma", "fisher-diag",
+                "--qoi", "power10", *(a for z in inputs for a in ("--input", z))]
+
+    def test_a_set_does_not_carry_into_the_next_call(self, model_dir, capsys):
+        argv = self.deltavar(model_dir, "0.9")
+        assert main(argv + ["--set", "reg=1"]) == 2
+        assert "takes no config" in capsys.readouterr().err
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 and err == ""
+
+    def test_inputs_do_not_carry_into_the_next_call(self, model_dir, capsys):
+        assert main(self.deltavar(model_dir, "0.9", "0.5")) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert main(self.deltavar(model_dir, "0.9")) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_a_usage_error_leaves_the_next_call_working(self, model_dir,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.deltavar(model_dir))  # --input is required
+        assert exc.value.code == 2
+        assert "--input" in capsys.readouterr().err
+        assert main(self.deltavar(model_dir, "0.9")) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_the_same_call_twice_prints_the_same_bytes(self, model_dir,
+                                                       capsys):
+        argv = self.deltavar(model_dir, "0.9", "0.5")
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_importing_the_cli_builds_no_parser(self):
+        script = ("import deltavar.cli as cli\n"
+                  "print(cli._build_parser.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+
 @pytest.mark.parametrize("text", ["{not json", "[]", '{"kind": "mlp"}',
                                   "no d_in"])
 def test_corrupt_model_json_exits_1_with_a_message(model_dir, tmp_path,

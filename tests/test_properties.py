@@ -42,7 +42,7 @@ from deltavar.delta_variance import (CORRELATION_PENALTY, GradientDelta,
                                      delta_variance, finetune_scales)
 from deltavar.evaluation import (LaplaceCalibration, fit_laplace_calibration,
                                  laplace_loglik, laplace_scale_nll)
-from deltavar.exceptions import NumericalError
+from deltavar.exceptions import NumericalError, StructuralError
 from deltavar.baselines import ENSEMBLE_MODES, train_ensemble
 from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
                              _loss_and_grad, _mlp_forward_cache,
@@ -55,7 +55,7 @@ from deltavar.qoi import (ROLLOUT_FUNCTIONALS, EigenProblem,
                           eigenvalue_delta, make_qoi, parse_qoi, qoi_value,
                           qoi_value_and_delta, value_batch_params,
                           values_and_deltas)
-from deltavar.util import damped_newton
+from deltavar.util import as_float_array, damped_newton
 from newton_reference import newton, one_of
 from tape_reference import qoi_tape_delta
 from test_models import PINNED_TRAINING, _pinned_training_cases
@@ -877,6 +877,43 @@ def test_gradient_from_the_objective_forward_equals_mean_loglik_grad(data):
         wide_last = np.einsum("nj,ni->ji", g, h_in).T
         assert (np.einsum("ni,nj->ij", h_in, g).tobytes()
                 == np.ascontiguousarray(wide_last).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# finiteness checks
+# ---------------------------------------------------------------------------
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40), st.data())
+def test_a_non_finite_entry_is_refused_at_any_position(values, data):
+    """GradientDelta and as_float_array refuse a NaN, +inf or -inf wherever
+    it sits, and accept the same vector with every entry finite. A gradient
+    must also be a nonempty vector: the same values as a row, a column or
+    an empty slice are refused."""
+    vec = np.array(values)
+    GradientDelta(vec)
+    as_float_array(values)
+    for bad in (vec[None, :], vec[:, None], vec[:0]):
+        with pytest.raises(StructuralError):
+            GradientDelta(bad)
+    at = data.draw(st.integers(0, len(values) - 1))
+    values[at] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    with pytest.raises(NumericalError):
+        GradientDelta(np.array(values))
+    with pytest.raises(ValueError):
+        as_float_array(values)
+
+
+@given(st.lists(st.sampled_from((1.7e308, -1.7e308)), min_size=2,
+                max_size=40))
+def test_finite_entries_whose_sum_overflows_are_accepted(values):
+    """The checks test each entry, not a sum: vectors of +-1.7e308 whose sum
+    overflows are finite and pass unchanged."""
+    vec = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assume(not np.isfinite(vec.sum()))
+    assert GradientDelta(vec).vector.tobytes() == vec.tobytes()
+    assert as_float_array(values).tobytes() == vec.tobytes()
 
 
 # ---------------------------------------------------------------------------
