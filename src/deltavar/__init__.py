@@ -24,6 +24,7 @@ from .covariance import (
     CovarianceEstimate,
     canonical_sigma,
     empirical_fisher,
+    invert,
     laplace_sigma,
     load_covariance,
     sandwich,
@@ -70,7 +71,8 @@ __all__ = [
     "ParameterVector", "Tape", "Var",
     "Dataset", "Model", "TrainConfig", "make_model", "predict", "train",
     "CovarianceEstimate", "empirical_fisher", "canonical_sigma",
-    "laplace_sigma", "sandwich", "save_covariance", "load_covariance",
+    "laplace_sigma", "sandwich", "invert", "save_covariance",
+    "load_covariance",
     "GradientDelta", "delta_variance", "block_variances",
     "BlockScales", "finetune_scales",
     "make_qoi", "parse_qoi", "qoi_value_and_delta", "eigenvalue_delta",

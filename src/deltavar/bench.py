@@ -126,7 +126,7 @@ def _dynamics_raw(seed: int, n: int, noise: float):
         raise StructuralError(
             f"pair count must be a multiple of {TRAJ_STEPS} "
             f"(whole trajectories), got {n}")
-    if noise < 0.0:
+    if not noise >= 0.0:
         raise StructuralError("observation noise must be nonnegative")
     n_traj = n // TRAJ_STEPS
     rng = np.random.default_rng(seed)
@@ -234,13 +234,15 @@ def make_scenario(kind: str, seed: int = 0, **overrides) -> Scenario:
             f"valid keys are {sorted(params)}")
     for key, value in overrides.items():
         # the runners convert each value like its default; one that does not
-        # convert is a configuration problem, found before anything runs
+        # convert, or is a string or a non-finite number, is a configuration
+        # problem, found before anything runs
         default = params[key]
         many = isinstance(default, tuple)
         convert = type(default[0] if many else default)
         try:
             for v in (value if many else (value,)):
-                convert(v)
+                if isinstance(v, str) or not math.isfinite(convert(v)):
+                    raise ValueError("not a finite number")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{kind} parameter {key}={value!r} is not "
                               f"valid: {exc}") from exc
@@ -302,12 +304,15 @@ def _run_survival(scenario: Scenario):
 # eigen scenario
 # ---------------------------------------------------------------------------
 
+_EIGEN_CHUNK = 8192  # Monte Carlo draws per batched eigensolve
+
+
 def _run_eigen(scenario: Scenario):
     p = scenario.params
     masses = np.asarray(p["masses"], dtype=np.float64)
     stiff = np.asarray(p["stiffnesses"], dtype=np.float64)
     var = float(p["perturb_var"])
-    if var <= 0.0:
+    if not var > 0.0:
         raise ConfigError("perturbation variance must be positive")
     samples = int(p["mc_samples"])
     if samples < 2:
@@ -315,9 +320,15 @@ def _run_eigen(scenario: Scenario):
     dim = masses.size + stiff.size
     base = np.concatenate([masses, stiff])
     rng = np.random.default_rng(spawn_seeds(scenario.seed, 1)[0])
-    thetas = base + math.sqrt(var) * rng.standard_normal((samples, dim))
-
-    spectra = eigen_spectra(masses.size, thetas)
+    # base + sqrt(var) * z, the same products and sums, made in place
+    thetas = rng.standard_normal((samples, dim))
+    thetas *= math.sqrt(var)
+    thetas += base
+    # each chain is solved alone, so row chunks bound the forms' memory
+    spectra = np.empty((samples, masses.size))
+    for start in range(0, samples, _EIGEN_CHUNK):
+        rows = slice(start, start + _EIGEN_CHUNK)
+        spectra[rows] = eigen_spectra(masses.size, thetas[rows])
     sigma = CovarianceEstimate(
         kind="learned", values=np.full(dim, var), n_points=1, inverted=True,
         blocks=(("masses", 0, masses.size),

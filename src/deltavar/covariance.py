@@ -8,6 +8,9 @@ N * inv(H) F inv(H).
 
 A full Fisher adds one BLAS syrk per example chunk and a dense inverse is
 L^-T L^-1 from the Cholesky factor L, one more syrk: both exactly symmetric.
+A dense build holds at most about two and a half d x d arrays at once (three
+and a half for the sandwich): each step works in place where the bits allow,
+and a curvature the builder made itself becomes the inverse's scratch.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .autodiff import HESSIAN_DIM_CAP
 from .exceptions import NumericalError, ResourceError, StructuralError
-from .models import Dataset, Model, loglik_grad_batch, nll_hessian
+from .models import Dataset, Model, _add_nll_hessian, loglik_grad_batch
 from .util import stable_json_dumps
 
 KINDS = ("fisher-full", "fisher-diag", "hessian", "sandwich", "learned")
@@ -81,11 +84,11 @@ class CovarianceEstimate:
         return np.diag(self.values) if self.is_diagonal else self.values
 
 
-def _chunks(fn, model: Model, data: Dataset) -> Iterable[np.ndarray]:
-    """fn(model, inputs, targets) over consecutive fixed-size example chunks."""
+def _chunks(data: Dataset) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """(inputs, targets) of consecutive fixed-size example chunks."""
     for start in range(0, data.n, _CHUNK):
         stop = min(start + _CHUNK, data.n)
-        yield fn(model, data.inputs[start:stop], data.targets[start:stop])
+        yield data.inputs[start:stop], data.targets[start:stop]
 
 
 def empirical_fisher(model: Model, data: Dataset,
@@ -106,13 +109,15 @@ def empirical_fisher(model: Model, data: Dataset,
             f"{HESSIAN_DIM_CAP}; use a diagonal mode")
     diag = np.zeros(d)
     acc = np.zeros((d, d)) if mode == "full" else diag
-    for g in _chunks(loglik_grad_batch, model, data):
+    for inputs, targets in _chunks(data):
+        g = loglik_grad_batch(model, inputs, targets)
         diag += np.einsum("ni,ni->i", g, g)
         if mode == "full":
             acc += g.T @ g
     if mode == "full":
         np.fill_diagonal(acc, diag)
-    return CovarianceEstimate(kind=f"fisher-{mode}", values=acc / data.n,
+    acc /= data.n
+    return CovarianceEstimate(kind=f"fisher-{mode}", values=acc,
                               n_points=data.n, blocks=model.params.blocks)
 
 
@@ -121,15 +126,20 @@ def loss_hessian(model: Model, data: Dataset) -> CovarianceEstimate:
 
     Exact and batched (models.nll_hessian: closed forms for the generalized
     linear kinds, a forward-over-reverse R-op for the mlp), summed over the
-    same fixed-size example chunks as the Fisher so memory stays bounded;
-    the result is made exactly symmetric.
+    same fixed-size example chunks as the Fisher into one zeroed array, so
+    the bits are those of a sum from 0; the result is made exactly
+    symmetric. numpy copies the overlapping h.T before adding it, so the
+    bits are (h + h.T) / 2.
     """
     d = model.params.dim
     if d > HESSIAN_DIM_CAP:
         raise ResourceError(
             f"dense Hessian of dimension {d} exceeds the cap of {HESSIAN_DIM_CAP}")
-    h = sum(_chunks(nll_hessian, model, data))
-    h = (h + h.T) / 2.0
+    h = np.zeros((d, d))
+    for inputs, targets in _chunks(data):
+        _add_nll_hessian(h, model, inputs, targets)
+    h += h.T
+    h /= 2.0
     return CovarianceEstimate(kind="hessian", values=h, n_points=data.n,
                               blocks=model.params.blocks)
 
@@ -147,27 +157,43 @@ def _invert_lower(chol: np.ndarray, out: np.ndarray) -> None:
     out[h:, :h] = -(out[h:, h:] @ (chol[h:, :h] @ out[:h, :h]))
 
 
-def _solve_spd(matrix: np.ndarray, reg: float, what: str) -> np.ndarray:
-    """(matrix + reg*I)^-1 as L^-T L^-1 (one syrk, exactly symmetric) from
-    the Cholesky factor L, which is also the positive-definiteness check."""
-    ridged = matrix + reg * np.eye(matrix.shape[0])
+def _solve_spd(work: np.ndarray, reg: float, what: str) -> np.ndarray:
+    """(work + reg*I)^-1 as L^-T L^-1 (one syrk, exactly symmetric) from
+    the Cholesky factor L, which is also the positive-definiteness check.
+
+    `work`, a C-ordered matrix the caller gives up, is ridged in place and
+    then holds L^-1, so the solve needs two more d x d arrays, not four.
+    Adding 0.0 first turns a -0.0 into +0.0 as adding reg * I did.
+    """
+    work += 0.0
+    work.flat[::work.shape[0] + 1] += reg
     try:
-        chol = np.linalg.cholesky(ridged)
+        chol = np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         raise NumericalError(
             f"{what} is not positive definite at reg={reg!r}; "
             "retry with a larger regularizer") from None
-    chol_inv = np.zeros_like(chol)
-    _invert_lower(chol, chol_inv)
-    return chol_inv.T @ chol_inv
+    work.fill(0.0)
+    _invert_lower(chol, work)
+    del chol
+    return work.T @ work
 
 
 def invert(sigma: CovarianceEstimate, reg: float = 0.0) -> CovarianceEstimate:
     """(M + reg*I)^-1 via Cholesky for full matrices, reciprocal for diagonals.
 
-    The returned estimate flips `inverted` and records the regularizer.
-    Without a regularizer, an exact zero on the diagonal is refused by name.
+    The returned estimate flips `inverted` and records the regularizer;
+    `sigma` is left as it was. Without a regularizer, an exact zero on the
+    diagonal is refused by name.
     """
+    return _invert_into(sigma, reg, sigma.values.copy())
+
+
+def _invert_into(sigma: CovarianceEstimate, reg: float,
+                 work: np.ndarray) -> CovarianceEstimate:
+    """invert(sigma, reg), with `work` (sigma's values or a C-ordered copy
+    of them) as the dense solve's scratch; a builder passes the values of an
+    estimate it made itself and drops, which saves the copy."""
     if reg < 0.0:
         raise StructuralError("regularizer must be nonnegative")
     diag = sigma.values if sigma.is_diagonal else np.diagonal(sigma.values)
@@ -188,7 +214,7 @@ def invert(sigma: CovarianceEstimate, reg: float = 0.0) -> CovarianceEstimate:
                 "retry with a larger regularizer")
         inv = 1.0 / ridged
     else:
-        inv = _solve_spd(sigma.values, reg, f"{sigma.kind} matrix")
+        inv = _solve_spd(work, reg, f"{sigma.kind} matrix")
     return replace(sigma, values=inv, reg=reg, inverted=not sigma.inverted)
 
 
@@ -201,8 +227,13 @@ def sandwich(model: Model, data: Dataset, reg: float = 0.0) -> CovarianceEstimat
     h = loss_hessian(model, data)
     f = empirical_fisher(model, data, mode="full")
     h_inv = _solve_spd(h.values, reg, "loss hessian")
-    values = data.n * (h_inv @ f.values @ h_inv)
-    values = (values + values.T) / 2.0
+    del h
+    values = h_inv @ f.values
+    del f
+    values = values @ h_inv
+    values *= data.n
+    values += values.T
+    values /= 2.0
     return CovarianceEstimate(kind="sandwich", values=values, n_points=data.n,
                               reg=reg, inverted=True, blocks=model.params.blocks)
 
@@ -211,17 +242,20 @@ def canonical_sigma(model: Model, data: Dataset, mode: str = "full",
                     reg: float = 0.0) -> CovarianceEstimate:
     """The default posterior surrogate inv(F + reg*I) / N."""
     fisher = empirical_fisher(model, data, mode=mode)
-    inv = invert(fisher, reg=reg)
-    return replace(inv, values=inv.values / data.n)
+    inv = _invert_into(fisher, reg, fisher.values)
+    np.divide(inv.values, data.n, out=inv.values)
+    return inv
 
 
 def laplace_sigma(model: Model, data: Dataset, reg: float = 0.0) -> CovarianceEstimate:
     """The curvature covariance inv(H + reg*I) of the total loss."""
-    return invert(loss_hessian(model, data), reg=reg)
+    h = loss_hessian(model, data)
+    return _invert_into(h, reg, h.values)
 
 
 def save_covariance(path, sigma: CovarianceEstimate) -> None:
-    """Write a single-line JSON header, a newline, then float64 payload bytes."""
+    """Write a single-line JSON header, a newline, then float64 payload bytes,
+    straight from the array without a bytes copy."""
     header = {
         "kind": sigma.kind,
         "layout": "diag" if sigma.is_diagonal else "full",
@@ -232,7 +266,7 @@ def save_covariance(path, sigma: CovarianceEstimate) -> None:
         "blocks": [[name, start, length] for name, start, length in sigma.blocks],
         "block_scales": sigma.block_scales,
     }
-    payload = np.ascontiguousarray(sigma.values, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(sigma.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(stable_json_dumps(header).encode("utf-8"))
         fh.write(b"\n")
@@ -245,34 +279,42 @@ _HEADER_TYPES = {"kind": (str,), "layout": (str,), "dim": (int,),
 
 
 def load_covariance(path) -> CovarianceEstimate:
-    """Inverse of save_covariance; validates the payload length."""
+    """Inverse of save_covariance; validates the header and the payload
+    length. The payload is read straight into the one array it becomes."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise StructuralError("covariance file has no header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StructuralError(f"covariance header is not valid JSON: {exc}") from exc
-    for key, types in _HEADER_TYPES.items():
-        if not isinstance(header, dict) or key not in header:
-            raise StructuralError(f"covariance header field {key!r} is missing")
-        value = header[key]
-        if not isinstance(value, types) or (bool not in types
-                                            and isinstance(value, bool)):
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise StructuralError("covariance file has no header line")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StructuralError(
-                f"covariance header field {key!r} is missing or mistyped")
-    if header["layout"] not in ("diag", "full"):
-        raise StructuralError(f"unknown covariance layout {header['layout']!r}")
-    dim = header["dim"]
-    shape = (dim,) if header["layout"] == "diag" else (dim, dim)
-    expected = int(np.prod(shape)) * 8
-    payload = raw[newline + 1:]
-    if len(payload) != expected:
-        raise StructuralError(
-            f"covariance payload holds {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+                f"covariance header is not valid JSON: {exc}") from exc
+        for key, types in _HEADER_TYPES.items():
+            if not isinstance(header, dict) or key not in header:
+                raise StructuralError(
+                    f"covariance header field {key!r} is missing")
+            value = header[key]
+            if not isinstance(value, types) or (bool not in types
+                                                and isinstance(value, bool)):
+                raise StructuralError(
+                    f"covariance header field {key!r} is missing or mistyped")
+        if header["layout"] not in ("diag", "full"):
+            raise StructuralError(
+                f"unknown covariance layout {header['layout']!r}")
+        dim = header["dim"]
+        if dim < 0:
+            raise StructuralError("covariance header field 'dim' is negative")
+        shape = (dim,) if header["layout"] == "diag" else (dim, dim)
+        expected = 8 * (dim if len(shape) == 1 else dim * dim)
+        start = fh.tell()
+        held = fh.seek(0, 2) - start  # whence 2: from the end of the file
+        if held != expected:
+            raise StructuralError(
+                f"covariance payload holds {held} bytes, expected {expected}")
+        fh.seek(start)
+        values = np.fromfile(fh, dtype="<f8", count=expected // 8)
+    values = values.astype(np.float64, copy=False).reshape(shape)
     try:
         blocks = tuple((str(n), int(s), int(l)) for n, s, l in header["blocks"])
     except (TypeError, ValueError) as exc:

@@ -404,10 +404,31 @@ def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray,
         s = X @ model.params.data
         curv = _sigmoid(s) * _sigmoid(-s)
         return np.einsum("ni,nj->ij", (curv[:, None] * wcol) * X, X)
+    hess = np.empty((model.params.dim,) * 2)
+    for rows, cols, block in _mlp_hessian_blocks(model, X, Y, wcol):
+        hess[rows, cols] = block
+    return hess
+
+
+def _add_nll_hessian(out: np.ndarray, model: Model, X: np.ndarray,
+                     Y: np.ndarray) -> None:
+    """out += nll_hessian(model, X, Y), bit for bit. The mlp's blocks are
+    added as the R-op makes them, so no second (d, d) array is held."""
+    if model.kind != "mlp":
+        out += nll_hessian(model, X, Y)
+        return
+    for rows, cols, block in _mlp_hessian_blocks(model, X, Y,
+                                                 np.ones((X.shape[0], 1))):
+        out[rows, cols] += block
+
+
+def _mlp_hessian_blocks(model: Model, X: np.ndarray, Y: np.ndarray,
+                        wcol: np.ndarray):
+    """(rows, cols, block) of the mlp nll Hessian, each block made once:
+    rows are parameter directions, cols one layer's weights or biases."""
     out, h_ins, layers = _mlp_forward_cache(model, X)
     d = model.params.dim
     layout = _mlp_layout(tuple(model.hyper["widths"]))
-    hess = np.empty((d, d))
     for start in range(0, d, _HESSIAN_CHUNK):
         rows = slice(start, min(start + _HESSIAN_CHUNK, d))
         # rows start.. of the identity: unit parameter directions
@@ -426,14 +447,13 @@ def nll_hessian(model: Model, X: np.ndarray, Y: np.ndarray,
             h, r_h = h_ins[layer], r_ins[layer]
             _, _, s0, s1, s2 = layout[layer]
             gw = h.T @ r + np.swapaxes(r_h, 1, 2) @ g
-            hess[rows, s0:s1] = gw.reshape(gw.shape[0], -1)
-            hess[rows, s1:s2] = r.sum(axis=1)
+            yield rows, slice(s0, s1), gw.reshape(gw.shape[0], -1)
+            yield rows, slice(s1, s2), r.sum(axis=1)
             if layer > 0:
                 back, slope = g @ w.T, 1.0 - h * h
                 r = ((r @ w.T + g @ np.swapaxes(dw, 1, 2)) * slope
                      - 2.0 * back * h * r_h)
                 g = back * slope
-    return hess
 
 
 def per_example_nll_hessians(model: Model, X: np.ndarray,

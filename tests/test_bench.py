@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from deltavar.bench import (REG_GRID, REPORT_COLUMNS, TRAJ_STEPS,
+from deltavar.bench import (REG_GRID, REPORT_COLUMNS, TRAJ_STEPS, Scenario,
                             beta_posterior_variance, gen_dynamics,
                             gen_dynamics_splits, make_scenario, run_scenario,
                             simulate, survival_analytic_variance,
@@ -77,6 +77,8 @@ class TestGenDynamics:
             gen_dynamics(0, 205)
         with pytest.raises(StructuralError):
             gen_dynamics(0, 200, noise=-0.1)
+        with pytest.raises(StructuralError, match="nonnegative"):
+            gen_dynamics(0, 200, noise=math.nan)
 
 
 class TestSplits:
@@ -270,6 +272,22 @@ class TestEigenScenario:
             run_scenario(make_scenario("eigen", mc_samples=1))
         with pytest.raises(ConfigError):
             run_scenario(make_scenario("eigen", perturb_var=0.0))
+
+    def test_nan_variance_is_refused_by_the_runner_too(self):
+        """A Scenario built without make_scenario still meets the runner's
+        check, not the eigensolver's "masses must be positive"."""
+        params = dict(make_scenario("eigen").params, perturb_var=math.nan)
+        with pytest.raises(ConfigError, match="variance must be positive"):
+            run_scenario(Scenario(kind="eigen", seed=0, params=params))
+
+    @pytest.mark.parametrize("key, value", [
+        ("perturb_var", math.nan), ("perturb_var", "0.01"),
+        ("masses", (1.0, math.inf)), ("mc_samples", math.nan),
+    ])
+    def test_make_scenario_refuses_strings_and_non_finite_values(self, key,
+                                                                 value):
+        with pytest.raises(ConfigError, match=f"eigen parameter {key}="):
+            make_scenario("eigen", **{key: value})
 
 
 def test_dynamics_report_digest_is_pinned(tmp_path):

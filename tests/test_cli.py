@@ -309,6 +309,25 @@ def test_unconvertible_settings_exit_2_before_writing(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("sets", [
+    ["scenario=survival", "params.rate=NaN", "params.n_grid=[10]"],
+    ["scenario=survival", "params.rate=nan", "params.n_grid=[10]"],
+    ["scenario=eigen", "params.perturb_var=nan"],
+    ["scenario=dynamics", "params.noise=NaN"],
+], ids=["rate-NaN", "rate-string", "perturb-var-nan", "noise-NaN"])
+def test_non_finite_or_string_scenario_values_exit_2(tmp_path, capsys, sets):
+    """A NaN or a string for a numeric scenario parameter raised a raw
+    ValueError or TypeError in the runner, or failed later naming the wrong
+    input; make_scenario refuses it by key before anything is written."""
+    out = tmp_path / "never"
+    argv = ["bench"] + [arg for s in sets for arg in ("--set", s)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert sets[1].split("=")[0].removeprefix("params.") + "=" in err
+
+
 def test_oracle_option_that_does_not_convert_exits_2(model_dir, capsys):
     assert main(["oracle", "--model", str(model_dir), "--kind", "posterior-mc",
                  "--qoi", "power2", "--input", "0.9",

@@ -1,5 +1,7 @@
 """Covariance surrogates: Fisher variants, Hessians, sandwich, inversion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,64 @@ class TestZeroCurvature:
                                    np.diag([0.4, 2.0 / 3.0, 2.0]))
 
 
+def peak_in_dxd(build, d: int) -> float:
+    """tracemalloc's peak over build(), in float64 d x d arrays."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * d * d)
+
+
+@pytest.fixture(scope="module")
+def wide_fits():
+    """A logistic model of d = 480 and an mlp of d = 353 at seeded
+    parameters. Each has fewer examples than parameters, so the (n, d)
+    gradient rows and the R-op's tangents stay small beside one d x d."""
+    rng = np.random.default_rng(41)
+    logistic = make_model("logistic", d_in=480)
+    logistic = logistic.with_params(0.05 * rng.standard_normal(480))
+    x = rng.standard_normal((60, 480))
+    mlp = make_model("mlp", d_in=3, d_out=1, hidden=(16, 16), seed=4)
+    z = rng.uniform(-1.5, 1.5, size=(40, 3))
+    return {"logistic": (logistic, Dataset(x, rng.random(60) < 0.5)),
+            "mlp": (mlp, Dataset(z, np.sin(z[:, 0])))}
+
+
+class TestBuildMemory:
+    """A dense build holds at most about 2.5 d x d arrays at once: the
+    curvature (ridged in place, then the factor's inverse), the factor and
+    the halved inverse's blocks; the sandwich adds the Fisher."""
+
+    @pytest.mark.parametrize("fit", ["logistic", "mlp"])
+    def test_canonical_sigma_holds_two_and_a_half(self, wide_fits, fit):
+        model, data = wide_fits[fit]
+        build = lambda: canonical_sigma(model, data, mode="full", reg=1e-3)
+        assert peak_in_dxd(build, model.params.dim) <= 2.6
+
+    @pytest.mark.parametrize("fit", ["logistic", "mlp"])
+    def test_laplace_sigma_holds_two_and_a_half(self, wide_fits, fit):
+        model, data = wide_fits[fit]
+        # above the mlp Hessian's most negative eigenvalue, about -55
+        build = lambda: laplace_sigma(model, data, reg=100.0)
+        assert peak_in_dxd(build, model.params.dim) <= 2.6
+
+    def test_sandwich_holds_three_and_a_half(self, wide_fits):
+        model, data = wide_fits["logistic"]
+        build = lambda: sandwich(model, data, reg=1e-3)
+        assert peak_in_dxd(build, model.params.dim) <= 3.6
+
+    def test_invert_holds_three_and_a_half_with_its_input(self, wide_fits):
+        model, data = wide_fits["logistic"]
+        fisher = empirical_fisher(model, data, mode="full")
+        before = fisher.values.copy()
+        peak = peak_in_dxd(lambda: invert(fisher, reg=1e-3), model.params.dim)
+        assert 1.0 + peak <= 3.6
+        assert fisher.values.tobytes() == before.tobytes()
+
+
 class TestSerialization:
     def test_roundtrip_full(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -351,6 +411,49 @@ class TestSerialization:
         with pytest.raises(StructuralError):
             load_covariance(path)
 
+    @pytest.mark.parametrize("values", [
+        np.array([[2.0, -0.0, 1e-300], [-0.0, np.pi, -7.5],
+                  [1e-300, -7.5, 5e300]]),
+        np.array([0.5, -0.0, 1e-310, 3.0]),
+    ], ids=["full", "diag"])
+    def test_file_bytes_and_loaded_values_are_bitwise(self, tmp_path, values):
+        """The file is the header line then the values' little-endian
+        bytes, and loading gives those bytes back, signed zeros and
+        subnormals included."""
+        est = CovarianceEstimate(kind="sandwich", values=values, n_points=3,
+                                 inverted=True)
+        path = tmp_path / "sigma.bin"
+        save_covariance(path, est)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        assert payload == values.astype("<f8").tobytes()
+        back = load_covariance(path)
+        assert back.values.dtype == np.float64
+        assert back.values.shape == values.shape
+        assert back.values.tobytes() == values.tobytes()
+        save_covariance(tmp_path / "again.bin", back)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("cut, held", [(8, 24), (1, 31), (32, 0)])
+    def test_short_payload_names_its_length(self, tmp_path, cut, held):
+        est = CovarianceEstimate(kind="fisher-diag", values=np.ones(4),
+                                 n_points=2)
+        path = tmp_path / "sigma.bin"
+        save_covariance(path, est)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(StructuralError, match=(
+                f"covariance payload holds {held} bytes, expected 32")):
+            load_covariance(path)
+
+    def test_long_payload_names_its_length(self, tmp_path):
+        est = CovarianceEstimate(kind="fisher-diag", values=np.ones(4),
+                                 n_points=2)
+        path = tmp_path / "sigma.bin"
+        save_covariance(path, est)
+        path.write_bytes(path.read_bytes() + b"\0" * 3)
+        with pytest.raises(StructuralError, match=(
+                "covariance payload holds 35 bytes, expected 32")):
+            load_covariance(path)
+
     @pytest.mark.parametrize("header", [
         b"{}", b"[]", b'"text"',
         b'{"kind": "fisher-diag", "layout": "diag", "dim": "2", '
@@ -361,11 +464,37 @@ class TestSerialization:
         b'"n_points": 2, "reg": 0.0, "inverted": false, "blocks": []}',
         b'{"kind": "fisher-diag", "layout": "diag", "dim": 2, '
         b'"n_points": 2, "reg": 0.0, "inverted": false, "blocks": [7]}',
+        b'{"kind": "fisher-diag", "layout": "diag", "dim": 2, '
+        b'"n_points": 2, "reg": 0.0, "inverted": false, "blocks": []',
     ])
     def test_malformed_header_is_a_structural_error(self, tmp_path, header):
         path = tmp_path / "sigma.bin"
         path.write_bytes(header + b"\n" + np.ones(2).tobytes())
         with pytest.raises(StructuralError):
+            load_covariance(path)
+
+    def test_negative_dimension_is_a_structural_error(self, tmp_path):
+        """dim = -1 asks for a (-1, -1) matrix of one entry: refused by
+        name rather than by a raw reshape error on an 8-byte payload."""
+        path = tmp_path / "sigma.bin"
+        path.write_bytes(b'{"kind": "fisher-full", "layout": "full", '
+                         b'"dim": -1, "n_points": 2, "reg": 0.0, '
+                         b'"inverted": false, "blocks": [], '
+                         b'"block_scales": null}\n' + np.ones(1).tobytes())
+        with pytest.raises(StructuralError, match="'dim' is negative"):
+            load_covariance(path)
+
+    def test_a_dimension_whose_square_wraps_is_a_structural_error(self,
+                                                                   tmp_path):
+        """2**32 squared is 2**64: counted in int64 it wrapped to 0 bytes,
+        which an empty payload matched, and the reshape failed raw."""
+        path = tmp_path / "sigma.bin"
+        path.write_bytes(b'{"kind": "fisher-full", "layout": "full", '
+                         b'"dim": 4294967296, "n_points": 2, "reg": 0.0, '
+                         b'"inverted": false, "blocks": [], '
+                         b'"block_scales": null}\n')
+        with pytest.raises(StructuralError, match="holds 0 bytes, expected "
+                                                  "147573952589676412928"):
             load_covariance(path)
 
 

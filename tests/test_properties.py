@@ -34,9 +34,10 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from deltavar.cli import main as cli_main
-from deltavar.covariance import (KINDS, CovarianceEstimate, empirical_fisher,
-                                 invert, load_covariance, loss_hessian,
-                                 save_covariance)
+from deltavar.covariance import (KINDS, CovarianceEstimate, _invert_lower,
+                                 canonical_sigma, empirical_fisher, invert,
+                                 laplace_sigma, load_covariance, loss_hessian,
+                                 sandwich, save_covariance)
 from deltavar.delta_variance import (CORRELATION_PENALTY, GradientDelta,
                                      _neg_correlation, block_variances,
                                      delta_variance, finetune_scales)
@@ -329,11 +330,9 @@ def test_blocked_inverse_matches_two_solves_and_is_symmetric(d, log_cond,
     assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@given(st.sampled_from(MODEL_KINDS), st.integers(0, 2**16))
-def test_full_fisher_is_symmetric_and_matches_per_example_sum(kind, seed):
-    """Over more than one 256-example chunk: exactly symmetric, within
-    1e-13 relative of the mean of per-example outer products, and with the
-    diagonal mode's diagonal bit for bit."""
+def seeded_fit(kind: str, seed: int):
+    """A model of `kind` at seeded parameters and 1..599 seeded examples it
+    can score, so the 256-example chunks split the data or not."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 600))
     d_in, d_out = 3, (2 if kind in ("mlp", "linear-regression") else 1)
@@ -348,7 +347,16 @@ def test_full_fisher_is_symmetric_and_matches_per_example_sum(kind, seed):
             else rng.standard_normal(model.params.dim))
     y = (rng.standard_normal((n, d_out)) if d_out == 2
          else rng.random((n, 1)) < 0.5)
-    data = Dataset(x, y)
+    return model, Dataset(x, y)
+
+
+@given(st.sampled_from(MODEL_KINDS), st.integers(0, 2**16))
+def test_full_fisher_is_symmetric_and_matches_per_example_sum(kind, seed):
+    """Over more than one 256-example chunk: exactly symmetric, within
+    1e-13 relative of the mean of per-example outer products, and with the
+    diagonal mode's diagonal bit for bit."""
+    model, data = seeded_fit(kind, seed)
+    n = data.n
     full = empirical_fisher(model, data, mode="full").values
     g = loglik_grad_batch(model, data.inputs, data.targets)
     ref = sum(np.outer(row, row) for row in g) / n
@@ -356,6 +364,101 @@ def test_full_fisher_is_symmetric_and_matches_per_example_sum(kind, seed):
     assert np.abs(full - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.array_equal(np.diag(full),
                           empirical_fisher(model, data, mode="diag").values)
+
+
+def out_of_place_builders(model, data, reg: float) -> dict:
+    """The dense builders as each step made a new array: the curvature sums
+    from 0, the ridge as matrix + reg * I, the factor's inverse in a zeroed
+    buffer of its own and every scaling out of place. Each entry computes
+    one builder's values or raises LinAlgError."""
+    d = model.params.dim
+    chunks = [(data.inputs[s:s + 256], data.targets[s:s + 256])
+              for s in range(0, data.n, 256)]
+    diag, fisher = np.zeros(d), np.zeros((d, d))
+    for x, y in chunks:
+        g = loglik_grad_batch(model, x, y)
+        diag += np.einsum("ni,ni->i", g, g)
+        fisher += g.T @ g
+    np.fill_diagonal(fisher, diag)
+    fisher = fisher / data.n
+    hess = sum(nll_hessian(model, x, y) for x, y in chunks)
+    hess = (hess + hess.T) / 2.0
+
+    def sandwich_values():
+        h_inv = out_of_place_inverse(hess, reg)
+        values = data.n * (h_inv @ fisher @ h_inv)
+        return (values + values.T) / 2.0
+
+    return {"canonical_sigma":
+            lambda: out_of_place_inverse(fisher, reg) / data.n,
+            "laplace_sigma": lambda: out_of_place_inverse(hess, reg),
+            "sandwich": sandwich_values,
+            "invert": lambda: out_of_place_inverse(fisher, reg)}
+
+
+def out_of_place_inverse(matrix: np.ndarray, reg: float) -> np.ndarray:
+    """(matrix + reg * I)^-1 as L^-T L^-1, each step into a new array."""
+    chol = np.linalg.cholesky(matrix + reg * np.eye(matrix.shape[0]))
+    chol_inv = np.zeros_like(chol)
+    _invert_lower(chol, chol_inv)
+    return chol_inv.T @ chol_inv
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes, so +0.0 and -0.0 differ."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(st.sampled_from(MODEL_KINDS), st.sampled_from((0.0, 1e-3, 1.0)),
+       st.integers(0, 2**16))
+@example("bernoulli-rate", 0.0, 0).via("a 1 x 1 curvature, no ridge")
+@example("bernoulli-rate", 1e-3, 1).via("a 1 x 1 curvature, ridged")
+@example("linear-regression", 0.0, 2).via("a Kronecker Hessian, no ridge")
+@example("linear-regression", 1.0, 3).via("a Kronecker Hessian, ridged")
+@example("logistic", 0.0, 4).via("closed forms, no ridge")
+@example("logistic", 1e-3, 5).via("closed forms, ridged")
+@example("mlp", 0.0, 6).via("the R-op Hessian, no ridge")
+@example("mlp", 1.0, 7).via("the R-op Hessian, ridged")
+def test_in_place_builders_keep_every_bit(kind, reg, seed):
+    """canonical_sigma, laplace_sigma, sandwich and invert give the bytes of
+    the out-of-place formulas, or both refuse the same matrix."""
+    model, data = seeded_fit(kind, seed)
+    built = {
+        "canonical_sigma": lambda: canonical_sigma(model, data,
+                                                   reg=reg).values,
+        "laplace_sigma": lambda: laplace_sigma(model, data, reg=reg).values,
+        "sandwich": lambda: sandwich(model, data, reg=reg).values,
+        "invert": lambda: invert(empirical_fisher(model, data),
+                                 reg=reg).values,
+    }
+    for name, reference in out_of_place_builders(model, data, reg).items():
+        try:
+            expected = reference()
+        except np.linalg.LinAlgError:
+            with pytest.raises(NumericalError):
+                built[name]()
+            continue
+        assert same_bits(built[name](), expected), name
+
+
+@given(st.integers(2, 150), st.integers(0, 2**16))
+@example(65, 0).via("one halving of the factor")
+def test_invert_of_a_matrix_with_negative_zeros_keeps_every_bit(d, seed):
+    """A block-diagonal SPD matrix whose off-block zeros are -0.0: the
+    ridge turns them into +0.0 as adding reg * I did, and the argument
+    keeps its bytes."""
+    rng = np.random.default_rng(seed)
+    split = int(rng.integers(1, d))
+    m = np.full((d, d), -0.0)
+    for block in (slice(0, split), slice(split, d)):
+        a = rng.standard_normal((d, block.stop - block.start))
+        m[block, block] = a.T @ a + np.eye(block.stop - block.start)
+    before = m.tobytes()
+    for reg in (0.0, 0.25):
+        est = CovarianceEstimate(kind="fisher-full", values=m, n_points=1)
+        assert same_bits(invert(est, reg=reg).values,
+                         out_of_place_inverse(m, reg))
+    assert m.tobytes() == before
 
 
 # ---------------------------------------------------------------------------
