@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import StructuralError
 from .models import (Dataset, Model, TrainConfig, _train_stack, make_model,
                      predict)
-from .qoi import QuantityOfInterest, input_rows, qoi_values
+from .qoi import QuantityOfInterest, qoi_values
 
 ENSEMBLE_MODES = ("init-only", "bootstrap-resample")
 DEFAULT_MEMBERS = 10
@@ -97,25 +97,20 @@ def ensemble_variance_batch(ens: EnsembleState, u: QuantityOfInterest,
 def _dropout_passes(model: Model, u: QuantityOfInterest, zs,
                     k: int, rate: float,
                     rng: np.random.Generator) -> np.ndarray:
-    """Values under k stochastic passes, shape (k, queries).
+    """Values under k stochastic passes, shape (k, queries), or (k, 1) for
+    a set-product, whose rows are one set per pass.
 
     The k passes share one tiled forward: dropout masks are independent per
-    row, so stacking k copies of the query batch into a single pass is the
-    cheap implementation the weight-sharing allows.
+    row, so k copies of the (n, d_in) query batch, or the (k, n, d_in)
+    states of a rollout, run as one (k n, d_in) masked pass whose outputs
+    split back into the k passes.
     """
-    zb = input_rows(model, zs)
-    tiled = np.tile(zb, (k, 1))
-
     def masked(x):
-        return predict(model, x, rng=rng, dropout_rate=rate)
+        rows = np.tile(x, (k, 1)) if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+        return predict(model, rows, rng=rng,
+                       dropout_rate=rate).reshape(k, -1, model.d_out)
 
-    if u.kind != "set-product":
-        return qoi_values(u, tiled, forward=masked).reshape(k, -1)
-    # each pass is one set: the copies share one masked forward, then each
-    # copy's outputs form its own product
-    outs = masked(tiled).reshape(k, zb.shape[0], -1)
-    return np.stack([qoi_values(u, zb, forward=lambda _, out=out: out)
-                     for out in outs])
+    return qoi_values(u, zs, forward=masked)
 
 
 def dropout_variance_batch(model: Model, u: QuantityOfInterest, zs,

@@ -90,21 +90,25 @@ def gaussian_posterior_mc(u: QuantityOfInterest, mean: np.ndarray,
     if samples < 2:
         raise StructuralError("need at least two posterior samples")
     mean = np.asarray(mean, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((samples, mean.size))
     if isinstance(cov, CovarianceEstimate):
         if not cov.inverted and cov.kind != "learned":
             raise StructuralError(
                 "the estimate holds a precision matrix; invert it into a "
                 "covariance first")
-        if cov.is_diagonal:
-            if np.any(cov.values < 0.0):
-                raise NumericalError("negative diagonal covariance entries")
-            thetas = mean + noise * np.sqrt(cov.values)
-        else:
-            thetas = mean + noise @ _psd_factor(cov.values).T
+        diagonal, cov = cov.is_diagonal, cov.values
     else:
-        cov = np.asarray(cov, dtype=np.float64)
+        diagonal, cov = False, np.asarray(cov, dtype=np.float64)
+    if cov.shape != (mean.size,) * (1 if diagonal else 2):
+        raise StructuralError(
+            f"a covariance of shape {cov.shape} does not fit a mean of "
+            f"{mean.size} parameters")
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((samples, mean.size))
+    if diagonal:
+        if np.any(cov < 0.0):
+            raise NumericalError("negative diagonal covariance entries")
+        thetas = mean + noise * np.sqrt(cov)
+    else:
         thetas = mean + noise @ _psd_factor(cov).T
     values = value_batch_params(u, thetas, z)
     estimate = float(np.var(values, ddof=1))

@@ -229,7 +229,13 @@ def _rollout(u: QuantityOfInterest, zb: np.ndarray, forward,
              with_grad: bool = False):
     """Run the trajectory zb -> forward(zb) -> ... for the horizon and apply
     the functional: the values and, with_grad, the injections
-    d value / d state_t as one (horizon+1, n, width) array."""
+    d value / d state_t as one (horizon+1, n, width) array.
+
+    The functionals read only the last (state) axis, so a forward that
+    returns a (K, n, width) stack, one trajectory per parameter row or
+    dropout pass, gives (K, n) values; the injections need a forward that
+    keeps the (n, width) shape.
+    """
     cfg = u.config
     horizon = cfg["horizon"]
     states = [zb]
@@ -238,23 +244,22 @@ def _rollout(u: QuantityOfInterest, zb: np.ndarray, forward,
     inject = np.zeros((horizon + 1,) + zb.shape) if with_grad else None
     if cfg["functional"] == "power":
         c, p = cfg["component"], cfg["exponent"]
-        base = states[horizon][:, c]
+        base = states[horizon][..., c]
         values = _power(base, p)
         if with_grad:
             inject[horizon, :, c] = p * _power(base, p - 1.0)
     elif cfg["functional"] == "mean":
-        values = states[horizon].mean(axis=1)
+        values = states[horizon].mean(axis=-1)
         if with_grad:
             inject[horizon] = 1.0 / zb.shape[1]
     else:  # max over the trailing window
         c, w = cfg["component"], cfg["window"]
         t0 = horizon - w + 1
-        rows = np.arange(zb.shape[0])
-        window_vals = np.stack([states[t][:, c] for t in range(t0, horizon + 1)])
+        window_vals = np.stack([states[t][..., c] for t in range(t0, horizon + 1)])
         best = np.argmax(window_vals, axis=0)  # first maximum on ties
-        values = window_vals[best, rows]
+        values = np.take_along_axis(window_vals, best[None], axis=0)[0]
         if with_grad:
-            inject[t0 + best, rows, c] = 1.0
+            inject[t0 + best, np.arange(zb.shape[0]), c] = 1.0
     return values, inject
 
 
@@ -315,7 +320,9 @@ def qoi_values(u: QuantityOfInterest, zs, forward=None) -> np.ndarray:
     scalar inputs for a one-input model. `forward` maps an (n, d_in) input
     matrix to the (n, d_out) outputs and defaults to the model's predict;
     the baselines pass resampled or masked networks and the scenarios the
-    true system, so every path evaluates the same quantity.
+    true system, so every path evaluates the same quantity. A forward that
+    returns a stack (K, n, d_out) instead, and for a rollout also maps
+    (K, n, d_in) states, gives K rows of values, one per stacked network.
     """
     if u.kind not in EXPLICIT_KINDS:
         raise StructuralError(f"{u.kind} quantities have no explicit value "
@@ -328,10 +335,35 @@ def _values_of_rows(u: QuantityOfInterest, zb: np.ndarray, forward=None):
         forward = functools.partial(predict, u.model)
     if u.kind == "rollout":
         return _rollout(u, zb, forward)[0]
-    outs = forward(zb)[:, 0]
+    outs = forward(zb)[..., 0]
     if u.kind == "power":
         return _power(outs, u.config["exponent"])
-    return np.prod(outs, keepdims=True)
+    return np.prod(outs, axis=-1, keepdims=True)
+
+
+def _stacked_forward(model: Model, thetas: np.ndarray):
+    """The forward of every parameter row at once: maps inputs (n, d_in),
+    or (K, n, d_in) for the mlp, to outputs (K, n, d_out) for the K rows of
+    thetas. On the mlp each row has the bits of its own predict; the
+    generalized linear kinds serve only the scalar quantities here, as one
+    closed-form product over all rows and inputs.
+    """
+    if thetas.ndim != 2 or thetas.shape[1] != model.params.dim:
+        raise StructuralError(
+            f"parameter rows of shape {thetas.shape} do not fit the "
+            f"{model.kind} model's parameters of shape "
+            f"{model.params.data.shape}")
+    if model.kind == "mlp":
+        return lambda xs: _mlp_forward_cache(model, xs, thetas)[0]
+
+    def forward(xs):
+        if model.kind == "bernoulli-rate":
+            return np.broadcast_to(thetas[:, None],
+                                   (thetas.shape[0], xs.shape[0], 1))
+        outs = thetas @ xs.T
+        return (_sigmoid(outs) if model.kind == "logistic" else outs)[..., None]
+
+    return forward
 
 
 def _no_input(u: QuantityOfInterest, z) -> None:
@@ -420,12 +452,17 @@ def _values_and_deltas_of_rows(u: QuantityOfInterest, zb: np.ndarray):
 
 def value_batch_params(u: QuantityOfInterest, thetas: np.ndarray,
                        z=None) -> np.ndarray:
-    """Quantity values at many parameter points (posterior sampling support).
+    """Quantity values at many parameter points, one per row of thetas
+    (posterior draws, leave-one-out and down-weighted retrains).
 
-    Vectorized for power and set-product on the generalized linear model kinds
-    (bernoulli-rate, linear-regression, logistic) and for eigenvalue chains;
-    the mlp kinds and fixed points re-bind the model per draw.
+    Explicit kinds run one stacked forward over all rows (_stacked_forward)
+    and read z as qoi_value does: power and rollouts at its first row,
+    set-product over all rows. On the mlp each value has the bits of
+    qoi_value on the model rebound to its row. Eigenvalue chains take one
+    batched eigensolve and refuse a z; fixed points re-bind the problem per
+    row.
     """
+    _no_input(u, z)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     if u.kind == "eigenvalue":
         return _eigen_value_batch(u.config["problem"], thetas)
@@ -441,30 +478,16 @@ def value_batch_params(u: QuantityOfInterest, thetas: np.ndarray,
             values[i] = qoi_value(
                 QuantityOfInterest(u.kind, None, {"problem": rebound}), z)
         return values
-    if u.kind in ("power", "set-product") and u.model.kind != "mlp":
-        return _closed_form_value_batch(u, thetas, z)
-    values = np.empty(thetas.shape[0])
-    for i, theta in enumerate(thetas):
-        bound = QuantityOfInterest(u.kind, u.model.with_params(theta),
-                                   u.config)
-        values[i] = qoi_value(bound, z)
-    return values
-
-
-def _closed_form_value_batch(u: QuantityOfInterest, thetas: np.ndarray,
-                             z) -> np.ndarray:
-    """Vectorized power / set-product values for the generalized linear kinds."""
-    model = u.model
-    xs = input_rows(model, z)
-    if model.kind == "bernoulli-rate":
-        outs = np.broadcast_to(thetas[:, :1], (thetas.shape[0], xs.shape[0]))
-    else:
-        outs = thetas @ xs.T  # (draws, inputs)
-        if model.kind == "logistic":
-            outs = _sigmoid(outs)
-    if u.kind == "power":
-        return _power(outs[:, 0], u.config["exponent"])
-    return np.prod(outs, axis=1)
+    zb = input_rows(u.model, z)
+    forward = _stacked_forward(u.model, thetas)
+    if u.kind == "set-product":
+        return _values_of_rows(u, zb, forward)[:, 0]
+    if u.model.kind != "mlp":
+        # the closed forms take every row of z in one product, whose first
+        # column keeps its bits; a one-row product can round differently
+        outs = forward(zb)[:, :1]
+        forward = lambda _: outs
+    return _values_of_rows(u, zb[:1], forward)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,50 @@ class TestOracleCommand:
                      "--set", "bogus=1"]) == 2
 
 
+@pytest.fixture(scope="module")
+def linear_dirs(tmp_path_factory):
+    """Trained linear-regression directories with 3 and 4 parameters."""
+    tmp = tmp_path_factory.mktemp("cli-linear")
+    rng = np.random.default_rng(4)
+    dirs = {}
+    for d in (3, 4):
+        x = rng.standard_normal((40, d))
+        np.savez(tmp / f"data{d}.npz", inputs=x,
+                 targets=x @ np.ones(d) + 0.1 * rng.standard_normal(40))
+        dirs[d] = tmp / f"linear{d}"
+        assert main(["train", "--set", "model.kind=linear-regression",
+                     "--set", f"model.d_in={d}", "--set", "data.kind=file",
+                     "--set", f"data.path={tmp / f'data{d}.npz'}",
+                     "--out", str(dirs[d])]) == 0
+    return dirs
+
+
+@pytest.mark.parametrize("kind", ["fisher-full", "fisher-diag"])
+@pytest.mark.parametrize("other", ["bernoulli", "linear4"])
+def test_posterior_mc_with_another_models_sigma_exits_1(
+        model_dir, linear_dirs, tmp_path, capsys, kind, other):
+    """A saved covariance of another dimension (1 or 4 against the model's
+    3) is refused with a message: a full one raised a raw ValueError, and a
+    one-parameter diagonal was broadcast over all three parameters."""
+    sigma = tmp_path / "sigma"
+    source = model_dir if other == "bernoulli" else linear_dirs[4]
+    assert main(["sigma", "--model", str(source), "--kind", kind,
+                 "--out", str(sigma)]) == 0
+    capsys.readouterr()
+    code = main(["oracle", "--model", str(linear_dirs[3]),
+                 "--kind", "posterior-mc", "--qoi", "power2",
+                 "--input", "0.1,0.2,0.3", "--set", "samples=100",
+                 "--set", f"sigma={sigma / 'sigma.bin'}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "does not fit a mean of 3" in err
+    assert "Traceback" not in err
+    assert main(["oracle", "--model", str(linear_dirs[3]),
+                 "--kind", "posterior-mc", "--qoi", "power2",
+                 "--input", "0.1,0.2,0.3", "--set", "samples=100",
+                 "--set", f"sigma={kind}"]) == 0
+
+
 class TestBenchCommand:
     def test_survival_writes_reports_and_plotdata(self, tmp_path, capsys):
         out = tmp_path / "surv"

@@ -122,6 +122,29 @@ class TestGaussianPosteriorMc:
             gaussian_posterior_mc(u2, [0.0, 0.0], indefinite, z=[1.0, 1.0],
                                   samples=10)
 
+    def test_covariance_of_another_dimension_is_refused(self):
+        """A covariance whose dimension differs from the mean's is refused
+        by name, as a dense or diagonal estimate or a plain array: the
+        sampling arithmetic raised a raw ValueError, or broadcast a
+        one-parameter diagonal over every parameter. A plain array must be
+        the (d, d) matrix."""
+        mean = np.array([0.2, -0.1, 0.4])
+        model = make_model("linear-regression", d_in=3).with_params(mean)
+        u = make_qoi("power", model, exponent=1)
+        z = [1.0, 0.0, 2.0]
+        for d in (1, 2, 4):
+            diag = CovarianceEstimate(kind="learned", values=np.full(d, 0.01),
+                                      n_points=10, inverted=True)
+            dense = CovarianceEstimate(kind="fisher-full",
+                                       values=0.01 * np.eye(d), n_points=10,
+                                       inverted=True)
+            for cov in (diag, dense, dense.values):
+                with pytest.raises(StructuralError,
+                                   match="does not fit a mean of 3"):
+                    gaussian_posterior_mc(u, mean, cov, z=z, samples=10)
+        with pytest.raises(StructuralError, match="does not fit a mean of 3"):
+            gaussian_posterior_mc(u, mean, np.full(3, 0.01), z=z, samples=10)
+
 
 class TestLooVariance:
     def test_single_repeated_point_has_zero_variance(self):

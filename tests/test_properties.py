@@ -16,7 +16,11 @@ retrains and for each one-problem fit (training, the correlation
 fine-tune); Euler's identity for homogeneous functions is the reference for
 the chain eigenvalue gradient; two triangular solves against the identity
 are the reference for the blocked Cholesky inverse, and a per-example sum of
-outer products for the full Fisher.
+outer products for the full Fisher; qoi_value of the rebound model is the
+reference, bit for bit, for the stacked mlp values of value_batch_params,
+the product thetas @ z.T over every row of z for its closed-form values,
+and k tiled copies of the batch through predict for the dropout passes of
+a rollout.
 Strategies draw seeds and shapes, and numpy draws the floats from the seed.
 """
 import hashlib
@@ -44,9 +48,10 @@ from deltavar.delta_variance import (CORRELATION_PENALTY, GradientDelta,
 from deltavar.evaluation import (LaplaceCalibration, fit_laplace_calibration,
                                  laplace_loglik, laplace_scale_nll)
 from deltavar.exceptions import NumericalError, StructuralError
-from deltavar.baselines import ENSEMBLE_MODES, train_ensemble
+from deltavar.baselines import (ENSEMBLE_MODES, _dropout_passes,
+                                train_ensemble)
 from deltavar.models import (MODEL_KINDS, Dataset, TrainConfig,
-                             _loss_and_grad, _mlp_forward_cache,
+                             _loss_and_grad, _mlp_forward_cache, _sigmoid,
                              _stacked_loss_and_grad, _train_stack,
                              loglik_grad_batch, make_model, mean_loglik_grad,
                              nll_hessian, predict, train)
@@ -183,6 +188,107 @@ def test_logistic_batch_params_equal_per_draw_loop(data):
                                         **config), zs) for th in thetas])
     np.testing.assert_allclose(value_batch_params(u, thetas, zs), loop,
                                rtol=1e-12)
+
+
+MLP_QUANTITIES = ("power", "set-product", "rollout-power", "rollout-mean",
+                  "rollout-max")
+
+
+def mlp_quantity(case: str, rng: np.random.Generator):
+    """A quantity of one of MLP_QUANTITIES on a seeded mlp: power or
+    set-product on a scalar-output mlp, a rollout functional on a step
+    model."""
+    d_in = int(rng.integers(1, 4))
+    hidden = tuple(int(h) for h in rng.integers(1, 7, rng.integers(1, 3)))
+    seed = int(rng.integers(2**16))
+    if not case.startswith("rollout"):
+        model = make_model("mlp", d_in=d_in, d_out=1, hidden=hidden,
+                           seed=seed)
+        config = ({"exponent": float(rng.choice((1.0, 2.0, 3.0, -1.0)))}
+                  if case == "power" else {})
+        return make_qoi(case, model, **config)
+    model = make_model("mlp", d_in=d_in, d_out=d_in, hidden=hidden, seed=seed)
+    horizon = int(rng.integers(1, 5))
+    return make_qoi("rollout", model, functional=case.removeprefix("rollout-"),
+                    horizon=horizon, component=int(rng.integers(d_in)),
+                    exponent=float(rng.choice((1.0, 2.0, 3.0))),
+                    window=int(rng.integers(1, horizon + 1)))
+
+
+@pytest.mark.parametrize("case", MLP_QUANTITIES)
+@given(k=st.integers(1, 8), seed=st.integers(0, 2**16))
+@example(k=1, seed=0).via("one draw")
+@example(k=6, seed=1).via("a stack of draws")
+def test_mlp_batch_params_equal_per_draw_values_bit_for_bit(case, k, seed):
+    """value_batch_params runs one stacked forward over the mlp draws; each
+    value equals, bit for bit, qoi_value of the model rebound to its draw,
+    with z read the same way (its first row, or the whole set)."""
+    rng = np.random.default_rng(seed)
+    u = mlp_quantity(case, rng)
+    zs = rng.standard_normal((int(rng.integers(1, 4)), u.model.d_in))
+    thetas = u.model.params.data + 0.5 * rng.standard_normal(
+        (k, u.model.params.dim))
+    per_draw = np.array([qoi_value(replace(u, model=u.model.with_params(th)),
+                                   zs) for th in thetas])
+    batch = value_batch_params(u, thetas, zs)
+    np.testing.assert_array_equal(batch, per_draw)
+    assert same_bits(batch, per_draw)
+
+
+@given(st.sampled_from(("bernoulli-rate", "linear-regression", "logistic")),
+       st.integers(0, 2**16))
+def test_closed_form_batch_params_keep_the_product_over_every_row(kind, seed):
+    """On the generalized linear kinds the draws' outputs come from one
+    closed-form product over all rows of z (thetas @ z.T): set-product
+    multiplies its rows and power reads its first column, bit for bit. A
+    product of the first row alone can round differently."""
+    rng = np.random.default_rng(seed)
+    d_in, n, k = (int(v) for v in rng.integers(1, 7, 3))
+    model = make_model(kind, d_in=d_in)
+    thetas = (rng.uniform(0.05, 0.95, (k, 1)) if kind == "bernoulli-rate"
+              else rng.standard_normal((k, model.params.dim)))
+    zs = rng.standard_normal((n, d_in))
+    outs = (np.broadcast_to(thetas, (k, n)) if kind == "bernoulli-rate"
+            else thetas @ zs.T)
+    if kind == "logistic":
+        outs = _sigmoid(outs)
+    for p in (1.0, 2.0, 3.0):
+        u = make_qoi("power", model, exponent=p)
+        assert same_bits(value_batch_params(u, thetas, zs), outs[:, 0] ** p)
+    assert same_bits(value_batch_params(make_qoi("set-product", model),
+                                        thetas, zs), np.prod(outs, axis=1))
+
+
+@pytest.mark.parametrize("functional", ROLLOUT_FUNCTIONALS)
+@given(seed=st.integers(0, 2**16))
+def test_rollout_dropout_passes_equal_the_tiled_predict_passes(functional,
+                                                               seed):
+    """The dropout passes of a rollout, a (k, n, d) stack of states through
+    the masked forward, equal bit for bit k tiled copies of the batch run
+    through predict as (k n, d) states, with the functional taken per row
+    and the values split into the k passes afterwards."""
+    rng = np.random.default_rng(seed)
+    u = mlp_quantity("rollout-" + functional, rng)
+    model, cfg = u.model, u.config
+    k, rate = int(rng.integers(2, 6)), float(rng.uniform(0.05, 0.6))
+    zs = rng.standard_normal((int(rng.integers(1, 5)), model.d_in))
+    masks = np.random.default_rng(seed)
+    states = [np.tile(zs, (k, 1))]
+    for _ in range(cfg["horizon"]):
+        states.append(predict(model, states[-1], rng=masks,
+                              dropout_rate=rate))
+    if functional == "power":
+        values = states[-1][:, cfg["component"]] ** cfg["exponent"]
+    elif functional == "mean":
+        values = states[-1].mean(axis=1)
+    else:  # the first maximum over the trailing window
+        window = np.stack([s[:, cfg["component"]]
+                           for s in states[-cfg["window"]:]])
+        values = window[np.argmax(window, axis=0), np.arange(window.shape[1])]
+    passes = _dropout_passes(model, u, zs, k, rate,
+                             np.random.default_rng(seed))
+    np.testing.assert_array_equal(passes, values.reshape(k, -1))
+    assert same_bits(passes, values.reshape(k, -1))
 
 
 @given(st.data())

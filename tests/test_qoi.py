@@ -1,6 +1,7 @@
 """Tests for scalar quantities of interest and their parameter gradients."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from deltavar.autodiff import ParameterVector
 from deltavar.exceptions import (ConfigError, ConvergenceError,
                                  DegenerateEigenvalueError, NumericalError,
                                  StructuralError)
-from deltavar.models import make_model, predict
+from deltavar.models import MODEL_KINDS, make_model, predict
 from deltavar.qoi import (EigenProblem, FixedPointProblem, eigen_spectra,
                           eigenvalue_delta, implicit_delta, input_rows,
                           make_qoi, parse_qoi, qoi_value,
@@ -561,6 +562,18 @@ class TestEigen:
         np.testing.assert_array_equal(delta.vector,
                                       eigenvalue_delta(problem)[1].vector)
 
+    def test_batch_values_refuse_an_input(self):
+        """value_batch_params takes the parameters as rows and, like
+        qoi_value and qoi_value_and_delta, refuses a z instead of ignoring
+        it."""
+        problem = EigenProblem(np.array([1.0, 2.0]), np.ones(3), index=1)
+        u = make_qoi("eigenvalue", problem=problem)
+        theta = problem.parameter_vector().data
+        for z in (theta, [0.0], 0.0):
+            with pytest.raises(StructuralError, match="take no input"):
+                value_batch_params(u, theta[None, :], z)
+        assert value_batch_params(u, theta[None, :])[0] == qoi_value(u)
+
     def test_spectra_refuse_non_positive_masses(self):
         """The symmetric form needs M^-1/2: a draw with a zero or negative
         mass is refused instead of yielding the real part of a complex
@@ -701,3 +714,26 @@ class TestBatchParams:
         np.testing.assert_allclose(batch, expected, atol=1e-10)
         with pytest.raises(StructuralError):
             value_batch_params(u, np.ones((2, 5)))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_draws_of_the_wrong_width_are_refused(self, kind):
+        """A stack of draws wider or narrower than the model's parameters
+        is refused by name for every kind, where the bernoulli rate read
+        its first column and the linear kinds raised a raw numpy error."""
+        model = make_model(kind, d_in=2, hidden=(3,))
+        z = [0.5, -0.5]
+        quantities = [make_qoi("power", model, exponent=2.0),
+                      make_qoi("set-product", model)]
+        if kind == "mlp":
+            step = make_model("mlp", d_in=2, d_out=2, hidden=(3,))
+            quantities.append(make_qoi("rollout", step, horizon=2))
+        for u in quantities:
+            dim = u.model.params.dim
+            for thetas in (np.full((2, dim + 2), 0.25), np.full((3, dim - 1),
+                                                                0.25)):
+                with pytest.raises(StructuralError,
+                                   match=re.escape(str(thetas.shape))
+                                   + ".*" + re.escape(str((dim,)))):
+                    value_batch_params(u, thetas, z)
+            assert value_batch_params(u, np.full((2, dim), 0.25),
+                                      z).shape == (2,)
