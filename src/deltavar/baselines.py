@@ -69,8 +69,7 @@ def train_ensemble(model: Model, data: Dataset, k: int = DEFAULT_MEMBERS,
     if model.kind == "mlp":
         templates = [make_model(
             "mlp", d_in=model.d_in, d_out=model.d_out,
-            hidden=tuple(model.hyper["widths"][1:-1]), seed=member_seed,
-            dropout_rate=model.hyper.get("dropout_rate", 0.0))
+            hidden=tuple(model.hyper["widths"][1:-1]), seed=member_seed)
             for member_seed in seeds]
     datas = [data] * k
     if mode == "bootstrap-resample":

@@ -28,7 +28,7 @@ from .covariance import CovarianceEstimate, canonical_sigma, empirical_fisher
 from .delta_variance import block_variances, delta_variance, finetune_scales
 from .evaluation import (error_correlation, fit_laplace_calibration,
                          improvement, laplace_logp, retention_auc,
-                         standard_error)
+                         retention_curve, standard_error)
 from .exceptions import ConfigError, StructuralError
 from .models import Dataset, Model, TrainConfig, make_model, train
 from .oracles import variance_standard_error
@@ -44,6 +44,8 @@ TRAJ_STEPS = 10
 INTEGRATION_STEP = 0.1
 REPORT_COLUMNS = ("scenario", "input_id", "qoi_id", "method", "sigma_kind",
                   "oracle_kind", "reg", "value", "error")
+_COST_KEYS = ("train_overhead", "inference_evals", "inference_grads",
+              "memory_factor")
 
 _DEFAULTS = {
     "survival": {
@@ -647,9 +649,7 @@ def _run_dynamics(scenario: Scenario):
             "delta" if method.startswith("delta") else method,
             k=int(p["members"]) if method == "ensemble"
             else int(p["dropout_passes"]))
-        entry.update({f"cost_{key}": counted[key] for key in (
-            "train_overhead", "inference_evals", "inference_grads",
-            "memory_factor")})
+        entry.update({f"cost_{key}": counted[key] for key in _COST_KEYS})
         aggregate[method] = entry
 
     metrics = {"per_qoi": per_qoi_metrics, "aggregate": aggregate,
@@ -668,32 +668,73 @@ def _run_dynamics(scenario: Scenario):
 # orchestration and report files
 # ---------------------------------------------------------------------------
 
-def _format_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format_float(x)
-    return str(x)
+def _write_csv(path: Path, header, rows) -> Path:
+    """One CSV table: floats in shortest round-trip decimals, None empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if x is None else format_float(x)
+                             if isinstance(x, float) else str(x)
+                             for x in row])
+    return path
 
 
 def write_report(out_dir, rows, metrics, provenance) -> list:
-    """Write report.csv, metrics.json and provenance.json under out_dir."""
+    """Write report.csv, metrics.json and provenance.json under out_dir;
+    returns their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    path = out / "report.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(x) for x in row])
-    paths.append(path)
+    paths = [_write_csv(out / "report.csv", REPORT_COLUMNS, rows)]
     for name, payload in (("metrics.json", metrics),
                           ("provenance.json", provenance)):
         path = out / name
         path.write_text(stable_json_dumps(payload) + "\n")
         paths.append(path)
     return paths
+
+
+def emit_plotdata(result, out_dir) -> list:
+    """Tidy plot-ready CSVs from a run_scenario result, written to out_dir.
+
+    Dynamics runs yield retention.csv (error-retention curves per quantity
+    and method, from the report rows) and cost_quality.csv (counted costs
+    against improvements vs the ensemble, with standard errors). Survival
+    runs yield convergence.csv. Returns the list of written paths.
+    """
+    out, metrics = Path(out_dir), result["metrics"]
+    scenario = result["provenance"]["scenario"]
+    if scenario == "dynamics":
+        groups: dict = {}
+        for row in result["rows"]:  # REPORT_COLUMNS order
+            groups.setdefault((row[2], row[3]), []).append(row[7:9])
+        retention = []
+        for (qoi_id, method), pairs in sorted(groups.items()):
+            values, errors = zip(*pairs)
+            tail_means = retention_curve(errors, values)
+            retention += [(qoi_id, method, i / len(pairs), mean)
+                          for i, mean in enumerate(tail_means)]
+        costs = [(method, metric,
+                  *(float(entry[f"cost_{key}"]) for key in _COST_KEYS),
+                  float(entry[f"improvement_{metric}_mean"]),
+                  float(entry[f"improvement_{metric}_stderr"]))
+                 for method, entry in sorted(metrics["aggregate"].items())
+                 for metric in ("auc", "corr", "loglik")]
+        return [
+            _write_csv(out / "retention.csv", ("qoi_id", "method",
+                       "fraction_removed", "mean_abs_error"), retention),
+            _write_csv(out / "cost_quality.csv", ("method", "metric",
+                       *_COST_KEYS, "improvement", "stderr"), costs)]
+    if scenario == "survival":
+        points = [(entry["n"], *(float(entry[key]) for key in (
+                      "analytic_var", "true_var", "delta_var",
+                      "ensemble_var")))
+                  for entry in sorted(metrics["per_n"].values(),
+                                      key=lambda e: e["n"])]
+        return [_write_csv(out / "convergence.csv", (
+            "n", "analytic_var", "true_var", "delta_var", "ensemble_var"),
+            points)]
+    return []
 
 
 def _provenance(scenario: Scenario, extra: Mapping) -> dict:
@@ -717,7 +758,9 @@ _RUNNERS = {"survival": _run_survival, "dynamics": _run_dynamics,
 
 
 def run_scenario(scenario: Scenario, out_dir=None) -> dict:
-    """Run one scenario; optionally write its deterministic report files.
+    """Run one scenario; optionally write its deterministic report files
+    (report.csv, metrics.json, provenance.json; the plot tables of
+    emit_plotdata are left to the caller).
 
     Returns {"rows", "metrics", "provenance"}. The report rows always follow
     REPORT_COLUMNS order and float cells use shortest round-trip decimals, so

@@ -11,7 +11,6 @@ never changes any computed value).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -25,14 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import (Scenario, cost_report, finetune_report, gen_dynamics,
-                    make_scenario, run_scenario, survival_dataset,
-                    write_report)
+from .bench import (Scenario, cost_report, emit_plotdata, finetune_report,
+                    gen_dynamics, make_scenario, run_scenario,
+                    survival_dataset, write_report)
 from .covariance import (canonical_sigma, laplace_sigma, load_covariance,
                          sandwich, save_covariance)
 from .autodiff import ParameterVector
 from .delta_variance import GradientDelta, delta_variance
-from .evaluation import retention_curve
 from .exceptions import ConfigError, DeltaVarError, StructuralError
 from .models import Dataset, Model, TrainConfig, make_model, train
 from .oracles import (adversarial_shift, eps_loo_variance,
@@ -225,15 +223,14 @@ def _build_model(spec) -> Model:
     spec = dict(spec)
     kind = spec.pop("kind")
     opts = _take(spec, {"d_in": 1, "d_out": 1, "hidden": [32, 32],
-                        "seed": 0, "dropout_rate": 0.0}, "model")
+                        "seed": 0}, "model")
     try:  # an unknown kind or a bad width is a configuration problem
         return make_model(
             kind, d_in=_as(int, opts["d_in"], "model.d_in"),
             d_out=_as(int, opts["d_out"], "model.d_out"),
             hidden=_as(lambda ws: tuple(int(w) for w in ws), opts["hidden"],
                        "model.hidden"),
-            seed=_as(int, opts["seed"], "model.seed"),
-            dropout_rate=_as(float, opts["dropout_rate"], "model.dropout_rate"))
+            seed=_as(int, opts["seed"], "model.seed"))
     except (StructuralError, ValueError) as exc:
         raise ConfigError(f"cannot build the {kind} model: {exc}") from exc
 
@@ -423,14 +420,11 @@ def _cmd_bench(args, cfg) -> int:
     scenario = _scenario_from(cfg, args)
     with _OutputDir(args.out, args.force) as out:
         result = run_scenario(scenario)
-        write_report(out, result["rows"], result["metrics"],
-                     result["provenance"])
-        extras = emit_plotdata(out)
-    final = Path(args.out)
-    names = ["report.csv", "metrics.json", "provenance.json"]
-    names += [p.name for p in extras]
-    for name in names:
-        print(final / name)
+        written = write_report(out, result["rows"], result["metrics"],
+                               result["provenance"])
+        written += emit_plotdata(result, out)
+    for path in written:
+        print(Path(args.out) / path.name)
     return 0
 
 
@@ -446,92 +440,6 @@ def _cmd_cost(args, cfg) -> int:
         with _OutputDir(args.out, args.force) as out:
             (out / "cost.json").write_text(stable_json_dumps(report) + "\n")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# plot data
-# ---------------------------------------------------------------------------
-
-def _write_csv(path: Path, header, rows) -> Path:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_float(x) if isinstance(x, float)
-                             else str(x) for x in row])
-    return path
-
-
-def emit_plotdata(report_dir) -> list:
-    """Tidy plot-ready CSVs derived from a completed scenario report.
-
-    Dynamics reports yield retention.csv (error-retention curves per quantity
-    and method) and cost_quality.csv (counted costs against improvements vs
-    the ensemble, with standard errors). Survival reports yield
-    convergence.csv. Files land next to report.csv; the list of written
-    paths is returned.
-    """
-    report_dir = Path(report_dir)
-    report_file = report_dir / "report.csv"
-    prov_file = report_dir / "provenance.json"
-    metrics_file = report_dir / "metrics.json"
-    for needed in (report_file, prov_file, metrics_file):
-        if not needed.exists():
-            raise ConfigError(f"{report_dir} is not a completed report "
-                              f"directory (missing {needed.name})")
-    provenance = json.loads(prov_file.read_text())
-    metrics = json.loads(metrics_file.read_text())
-    scenario = provenance.get("scenario")
-    written = []
-
-    if scenario == "dynamics":
-        groups: dict = {}
-        with open(report_file) as fh:
-            for row in csv.DictReader(fh):
-                key = (row["qoi_id"], row["method"])
-                groups.setdefault(key, []).append(
-                    (float(row["value"]), float(row["error"])))
-        rows = []
-        for qoi_id, method in sorted(groups):
-            pairs = groups[(qoi_id, method)]
-            tail_means = retention_curve([pair[1] for pair in pairs],
-                                         [pair[0] for pair in pairs])
-            for i in range(len(pairs)):
-                rows.append((qoi_id, method, i / len(pairs),
-                             float(tail_means[i])))
-        written.append(_write_csv(
-            report_dir / "retention.csv",
-            ("qoi_id", "method", "fraction_removed", "mean_abs_error"), rows))
-
-        rows = []
-        for method in sorted(metrics["aggregate"]):
-            entry = metrics["aggregate"][method]
-            for metric in ("auc", "corr", "loglik"):
-                rows.append((method, metric,
-                             float(entry["cost_train_overhead"]),
-                             float(entry["cost_inference_evals"]),
-                             float(entry["cost_inference_grads"]),
-                             float(entry["cost_memory_factor"]),
-                             float(entry[f"improvement_{metric}_mean"]),
-                             float(entry[f"improvement_{metric}_stderr"])))
-        written.append(_write_csv(
-            report_dir / "cost_quality.csv",
-            ("method", "metric", "train_overhead", "inference_evals",
-             "inference_grads", "memory_factor", "improvement", "stderr"),
-            rows))
-
-    elif scenario == "survival":
-        rows = []
-        for entry in sorted(metrics["per_n"].values(), key=lambda e: e["n"]):
-            rows.append((entry["n"], float(entry["analytic_var"]),
-                         float(entry["true_var"]), float(entry["delta_var"]),
-                         float(entry["ensemble_var"])))
-        written.append(_write_csv(
-            report_dir / "convergence.csv",
-            ("n", "analytic_var", "true_var", "delta_var", "ensemble_var"),
-            rows))
-
-    return written
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,7 @@ class Model:
 
 
 def make_model(kind: str, d_in: int = 1, d_out: int = 1,
-               hidden: Sequence[int] = (32, 32), seed: int = 0,
-               dropout_rate: float = 0.0) -> Model:
+               hidden: Sequence[int] = (32, 32), seed: int = 0) -> Model:
     """Construct an untrained model with a deterministic initialization."""
     if kind == "bernoulli-rate":
         if d_out != 1:
@@ -140,7 +139,7 @@ def make_model(kind: str, d_in: int = 1, d_out: int = 1,
                        (f"layer{layer}.b", s1, s2 - s1)]
         params = ParameterVector(theta, tuple(blocks))
         hyper = {"d_in": d_in, "d_out": d_out, "widths": widths,
-                 "dropout_rate": float(dropout_rate), "init_seed": int(seed)}
+                 "init_seed": int(seed)}
     else:
         raise StructuralError(f"unknown model kind {kind!r}")
     return Model(kind=kind, params=params, hyper=hyper)
@@ -186,13 +185,13 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
 
 
 def predict(model: Model, x, rng: np.random.Generator | None = None,
-            dropout_rate: float | None = None, theta=None) -> np.ndarray:
+            dropout_rate: float = 0.0, theta=None) -> np.ndarray:
     """Model outputs for x of shape (d_in,) or (n, d_in); a raw parameter
     vector theta, if given, stands in for the model's (unvalidated).
 
-    If rng is given and the effective dropout rate is positive, hidden
-    activations of the mlp are masked with fresh inverted-dropout samples
-    (the post-hoc insertion used by the dropout baseline).
+    If rng is given and dropout_rate is positive, hidden activations of
+    the mlp are masked with fresh inverted-dropout samples (the post-hoc
+    insertion used by the dropout baseline).
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -208,11 +207,11 @@ def predict(model: Model, x, rng: np.random.Generator | None = None,
     elif model.kind == "logistic":
         out = _sigmoid(xb @ theta)[:, None]
     else:
-        rate = model.hyper.get("dropout_rate", 0.0) if dropout_rate is None else dropout_rate
-        masks = None if rng is None or rate <= 0.0 else [
-            (rng.random((xb.shape[0], width)) >= rate).astype(np.float64)
+        masks = None if rng is None or dropout_rate <= 0.0 else [
+            (rng.random((xb.shape[0], width)) >= dropout_rate).astype(np.float64)
             for width in model.hyper["widths"][1:-1]]
-        out, _, _ = _mlp_forward_cache(model, xb, theta, masks=masks, rate=rate)
+        out, _, _ = _mlp_forward_cache(model, xb, theta, masks=masks,
+                                       rate=dropout_rate)
     return out[0] if single else out
 
 

@@ -32,6 +32,7 @@ ROLLOUT_FUNCTIONALS = ("power", "mean", "max")
 EXPLICIT_KINDS = ("power", "set-product", "rollout")
 EIGEN_GAP_TOL = 1e-8
 EIGEN_SIZE_CAP = 64
+_DRAW_STACK_BYTES = 1 << 24  # mlp activations per stack of parameter draws
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +349,6 @@ def _stacked_forward(model: Model, thetas: np.ndarray):
     generalized linear kinds serve only the scalar quantities here, as one
     closed-form product over all rows and inputs.
     """
-    if thetas.ndim != 2 or thetas.shape[1] != model.params.dim:
-        raise StructuralError(
-            f"parameter rows of shape {thetas.shape} do not fit the "
-            f"{model.kind} model's parameters of shape "
-            f"{model.params.data.shape}")
     if model.kind == "mlp":
         return lambda xs: _mlp_forward_cache(model, xs, thetas)[0]
 
@@ -455,12 +451,12 @@ def value_batch_params(u: QuantityOfInterest, thetas: np.ndarray,
     """Quantity values at many parameter points, one per row of thetas
     (posterior draws, leave-one-out and down-weighted retrains).
 
-    Explicit kinds run one stacked forward over all rows (_stacked_forward)
-    and read z as qoi_value does: power and rollouts at its first row,
-    set-product over all rows. On the mlp each value has the bits of
-    qoi_value on the model rebound to its row. Eigenvalue chains take one
-    batched eigensolve and refuse a z; fixed points re-bind the problem per
-    row.
+    Explicit kinds run a stacked forward over the rows (_stacked_forward;
+    on the mlp in chunks of rows, which bounds the activations) and read z
+    as qoi_value does: power and rollouts at its first row, set-product
+    over all rows. On the mlp each value has the bits of qoi_value on the
+    model rebound to its row. Eigenvalue chains take one batched eigensolve
+    and refuse a z; fixed points re-bind the problem per row.
     """
     _no_input(u, z)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
@@ -478,16 +474,30 @@ def value_batch_params(u: QuantityOfInterest, thetas: np.ndarray,
             values[i] = qoi_value(
                 QuantityOfInterest(u.kind, None, {"problem": rebound}), z)
         return values
+    if thetas.ndim != 2 or thetas.shape[1] != u.model.params.dim:
+        raise StructuralError(
+            f"parameter rows of shape {thetas.shape} do not fit the "
+            f"{u.model.kind} model's parameters of shape "
+            f"{u.model.params.data.shape}")
     zb = input_rows(u.model, z)
-    forward = _stacked_forward(u.model, thetas)
-    if u.kind == "set-product":
-        return _values_of_rows(u, zb, forward)[:, 0]
-    if u.model.kind != "mlp":
-        # the closed forms take every row of z in one product, whose first
-        # column keeps its bits; a one-row product can round differently
-        outs = forward(zb)[:, :1]
-        forward = lambda _: outs
-    return _values_of_rows(u, zb[:1], forward)[:, 0]
+    if u.kind != "set-product":
+        zb = zb[:1]
+    step = max(len(thetas), 1)
+    if u.model.kind == "mlp":
+        # rows are independent in the stacked forward, so draws taken in
+        # chunks keep their bits; a chunk's activations, (chunk, n, width)
+        # per layer plus two temporaries of the widest layer and a
+        # rollout's states, stay within _DRAW_STACK_BYTES
+        widths = u.model.hyper["widths"]
+        per_draw = 8 * len(zb) * (sum(widths) + 2 * max(widths)
+                                  + u.config.get("horizon", 0) * widths[-1])
+        step = max(1, _DRAW_STACK_BYTES // per_draw)
+    values = np.empty(len(thetas))
+    for start in range(0, len(thetas), step):
+        rows = slice(start, start + step)
+        values[rows] = _values_of_rows(
+            u, zb, _stacked_forward(u.model, thetas[rows]))[:, 0]
+    return values
 
 
 # ---------------------------------------------------------------------------

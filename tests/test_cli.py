@@ -1,4 +1,6 @@
 """Command line tests: subcommands, exit codes, files and determinism."""
+import csv
+import io
 import json
 import math
 import subprocess
@@ -9,12 +11,14 @@ import numpy as np
 import pytest
 
 from deltavar import cli
-from deltavar.cli import emit_plotdata, load_model_dir, main
+from deltavar.bench import make_scenario, run_scenario
+from deltavar.cli import load_model_dir, main
 from deltavar.covariance import canonical_sigma, load_covariance
 from deltavar.delta_variance import delta_variance
-from deltavar.exceptions import ConfigError
-from deltavar.models import TrainConfig, mean_loglik_grad
+from deltavar.evaluation import retention_curve
+from deltavar.models import TrainConfig, mean_loglik_grad, predict
 from deltavar.qoi import make_qoi, qoi_value_and_delta
+from deltavar.util import format_float
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +301,9 @@ MLP_TRAIN = ["train", "--set", "model.kind=mlp", "--set", "model.d_in=3",
     ["bench", "--set", "scenario=eigen", "--set", "params.mc_samples=lots"],
     ["bench", "--set", "scenario=eigen", "--set", "params.masses=5"],
     ["bench", "--set", "scenario=[]"],
+    MLP_TRAIN + ["--set", "model.dropout_rate=0.1"],
 ], ids=["steps", "batch-zero", "batch-negative", "steps-negative", "samples",
-        "masses", "scenario"])
+        "masses", "scenario", "dropout-rate"])
 def test_unconvertible_settings_exit_2_before_writing(tmp_path, capsys, argv):
     """Values that raised a raw ValueError or TypeError, a negative batch
     (which looped forever) and a negative step count (which trained
@@ -307,6 +312,36 @@ def test_unconvertible_settings_exit_2_before_writing(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_model_json_with_a_stored_dropout_rate_predicts_the_same(tmp_path,
+                                                                  capsys):
+    """Model files once stored an unused mlp dropout_rate in hyper; such a
+    file still loads, and its model predicts and answers the same bits."""
+    new = tmp_path / "new"
+    assert main(MLP_TRAIN + ["--out", str(new)]) == 0
+    old = tmp_path / "old"
+    old.mkdir()
+    obj = json.loads((new / "model.json").read_text())
+    assert "dropout_rate" not in obj["hyper"]
+    obj["hyper"]["dropout_rate"] = 0.1
+    (old / "model.json").write_text(json.dumps(obj))
+    (old / "data.npz").write_bytes((new / "data.npz").read_bytes())
+    zs = np.random.default_rng(0).standard_normal((5, 3))
+    outs = {}
+    for name, directory in (("new", new), ("old", old)):
+        model, _ = load_model_dir(directory)
+        outs[name] = predict(model, zs).tobytes()
+        # an rng without a rate masks nothing
+        assert predict(model, zs, rng=np.random.default_rng(1)).tobytes() \
+            == outs[name]
+        capsys.readouterr()
+        assert main(["deltavar", "--model", str(directory), "--sigma",
+                     "fisher-diag", "--qoi", "rollout:functional=mean,horizon=2",
+                     "--input", "0.1,0.2,0.3"]) == 0
+        outs[name + " nu"] = capsys.readouterr().out
+    assert outs["old"] == outs["new"]
+    assert outs["old nu"] == outs["new nu"]
 
 
 @pytest.mark.parametrize("sets", [
@@ -555,36 +590,117 @@ class TestCostCommand:
         assert not out.exists()
 
 
-class TestPlotdata:
-    def test_incomplete_directory_is_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_plotdata(tmp_path)
+def _plot_tables_read_back(report_dir) -> dict:
+    """The plot CSVs rebuilt by parsing a written report directory's
+    report.csv and metrics.json, the way the tables were once derived:
+    {file name: text}."""
+    def table(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_float(x) if isinstance(x, float) else str(x)
+                          for x in row] for row in rows)
+        return buf.getvalue()
 
-    def test_retention_starts_at_the_overall_mean(self, tmp_path):
-        out = tmp_path / "dyn"
-        code = main(["bench", "--set", "scenario=dynamics",
-                     "--set", "params.n_pairs=500",
-                     "--set", "params.train_steps=600",
-                     "--set", "params.horizons=[1]",
-                     "--set", "params.members=4",
-                     "--set", "params.selection_steps=60",
-                     "--set", "params.calibration_steps=300",
-                     "--seed", "5", "--out", str(out)])
-        assert code == 0
-        import csv as csvmod
+    metrics = json.loads((report_dir / "metrics.json").read_text())
+    if "per_n" in metrics:
+        return {"convergence.csv": table(
+            ("n", "analytic_var", "true_var", "delta_var", "ensemble_var"),
+            [(e["n"], float(e["analytic_var"]), float(e["true_var"]),
+              float(e["delta_var"]), float(e["ensemble_var"]))
+             for e in sorted(metrics["per_n"].values(),
+                             key=lambda e: e["n"])])}
+    groups: dict = {}
+    with open(report_dir / "report.csv") as fh:
+        for row in csv.DictReader(fh):
+            groups.setdefault((row["qoi_id"], row["method"]), []).append(
+                (float(row["value"]), float(row["error"])))
+    retention = []
+    for key in sorted(groups):
+        pairs = groups[key]
+        tail = retention_curve([p[1] for p in pairs], [p[0] for p in pairs])
+        retention += [(*key, i / len(pairs), float(tail[i]))
+                      for i in range(len(pairs))]
+    costs = []
+    for method in sorted(metrics["aggregate"]):
+        entry = metrics["aggregate"][method]
+        for metric in ("auc", "corr", "loglik"):
+            costs.append((method, metric,
+                          float(entry["cost_train_overhead"]),
+                          float(entry["cost_inference_evals"]),
+                          float(entry["cost_inference_grads"]),
+                          float(entry["cost_memory_factor"]),
+                          float(entry[f"improvement_{metric}_mean"]),
+                          float(entry[f"improvement_{metric}_stderr"])))
+    return {
+        "retention.csv": table(("qoi_id", "method", "fraction_removed",
+                                "mean_abs_error"), retention),
+        "cost_quality.csv": table(
+            ("method", "metric", "train_overhead", "inference_evals",
+             "inference_grads", "memory_factor", "improvement", "stderr"),
+            costs)}
+
+
+@pytest.fixture(scope="module")
+def dynamics_bench(tmp_path_factory):
+    """A small dynamics bench directory shared by the plot-data tests."""
+    out = tmp_path_factory.mktemp("plot") / "dyn"
+    code = main(["bench", "--set", "scenario=dynamics",
+                 "--set", "params.n_pairs=500",
+                 "--set", "params.train_steps=600",
+                 "--set", "params.horizons=[1]",
+                 "--set", "params.members=4",
+                 "--set", "params.selection_steps=60",
+                 "--set", "params.calibration_steps=300",
+                 "--seed", "5", "--out", str(out)])
+    assert code == 0
+    return out
+
+
+class TestPlotdata:
+    def test_tables_equal_the_report_read_back(self, dynamics_bench,
+                                               tmp_path, capsys):
+        """The plot CSVs, built from the run's own rows and metrics, have
+        the bytes of the tables parsed back from the written report, and
+        bench prints every file it wrote."""
+        capsys.readouterr()
+        survival = tmp_path / "surv"
+        assert main(["bench", "--set", "scenario=survival",
+                     "--set", "params.n_grid=[10,100]",
+                     "--set", "params.members=3",
+                     "--seed", "2", "--out", str(survival)]) == 0
+        printed = capsys.readouterr().out.split()
+        for out in (dynamics_bench, survival):
+            expected = _plot_tables_read_back(out)
+            for name, text in expected.items():
+                assert (out / name).read_text() == text
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                ["report.csv", "metrics.json", "provenance.json", *expected])
+        assert printed == [str(survival / name) for name in (
+            "report.csv", "metrics.json", "provenance.json",
+            "convergence.csv")]
+
+    def test_retention_starts_at_the_overall_mean(self, dynamics_bench):
+        out = dynamics_bench
         with open(out / "report.csv") as fh:
-            rows = [r for r in csvmod.DictReader(fh)
-                    if r["method"] == "delta"]
+            rows = [r for r in csv.DictReader(fh) if r["method"] == "delta"]
         qoi = rows[0]["qoi_id"]
         errors = [float(r["error"]) for r in rows if r["qoi_id"] == qoi]
         with open(out / "retention.csv") as fh:
-            ret = [r for r in csvmod.DictReader(fh)
+            ret = [r for r in csv.DictReader(fh)
                    if r["method"] == "delta" and r["qoi_id"] == qoi]
         assert float(ret[0]["fraction_removed"]) == 0.0
         assert float(ret[0]["mean_abs_error"]) \
             == pytest.approx(np.mean(errors), rel=1e-12)
         fractions = [float(r["fraction_removed"]) for r in ret]
         assert fractions == sorted(fractions)
+
+    def test_run_scenario_writes_the_three_report_files_only(self, tmp_path):
+        run_scenario(make_scenario("survival", seed=1, n_grid=(10,),
+                                   members=2, train_steps=200),
+                     out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["metrics.json", "provenance.json", "report.csv"]
 
 
 def test_dynamics_run_never_imports_scipy_optimize():

@@ -239,24 +239,30 @@ def test_mlp_batch_params_equal_per_draw_values_bit_for_bit(case, k, seed):
        st.integers(0, 2**16))
 def test_closed_form_batch_params_keep_the_product_over_every_row(kind, seed):
     """On the generalized linear kinds the draws' outputs come from one
-    closed-form product over all rows of z (thetas @ z.T): set-product
-    multiplies its rows and power reads its first column, bit for bit. A
-    product of the first row alone can round differently."""
+    closed-form product (thetas @ z.T): set-product multiplies the outputs
+    over every row of z, bit for bit, and power reads z[:1] as qoi_value
+    does, so rows after the first change no bit of it."""
     rng = np.random.default_rng(seed)
     d_in, n, k = (int(v) for v in rng.integers(1, 7, 3))
     model = make_model(kind, d_in=d_in)
     thetas = (rng.uniform(0.05, 0.95, (k, 1)) if kind == "bernoulli-rate"
               else rng.standard_normal((k, model.params.dim)))
     zs = rng.standard_normal((n, d_in))
-    outs = (np.broadcast_to(thetas, (k, n)) if kind == "bernoulli-rate"
-            else thetas @ zs.T)
-    if kind == "logistic":
-        outs = _sigmoid(outs)
+
+    def outputs(z):
+        outs = (np.broadcast_to(thetas, (k, len(z))) if kind == "bernoulli-rate"
+                else thetas @ z.T)
+        return _sigmoid(outs) if kind == "logistic" else outs
+
     for p in (1.0, 2.0, 3.0):
         u = make_qoi("power", model, exponent=p)
-        assert same_bits(value_batch_params(u, thetas, zs), outs[:, 0] ** p)
+        values = value_batch_params(u, thetas, zs)
+        assert same_bits(values, outputs(zs[:1])[:, 0] ** p)
+        assert values.tobytes() == value_batch_params(u, thetas,
+                                                      zs[:1]).tobytes()
     assert same_bits(value_batch_params(make_qoi("set-product", model),
-                                        thetas, zs), np.prod(outs, axis=1))
+                                        thetas, zs),
+                     np.prod(outputs(zs), axis=1))
 
 
 @pytest.mark.parametrize("functional", ROLLOUT_FUNCTIONALS)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -714,6 +715,31 @@ class TestBatchParams:
         np.testing.assert_allclose(batch, expected, atol=1e-10)
         with pytest.raises(StructuralError):
             value_batch_params(u, np.ones((2, 5)))
+
+    def test_mlp_draws_hold_a_bounded_stack(self):
+        """A set-product of 200 inputs over 1,000 draws of a (3, 32, 32, 1)
+        mlp keeps (1000, 200, width) activations of over 100 MB, six budgets,
+        in one stack; the draws run in chunks whose peak stays under the
+        budget, and every value keeps the bits of its draw alone."""
+        rng = np.random.default_rng(0)
+        model = make_model("mlp", d_in=3, d_out=1, hidden=(32, 32), seed=0)
+        u = make_qoi("set-product", model)
+        k, n = 1000, 200
+        thetas = model.params.data + 0.1 * rng.standard_normal(
+            (k, model.params.dim))
+        zs = rng.standard_normal((n, 3))
+        budget = qoi_module._DRAW_STACK_BYTES
+        assert 8 * k * n * (32 + 32 + 1) > 6 * budget
+        tracemalloc.start()
+        try:
+            batch = value_batch_params(u, thetas, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget + (1 << 20)
+        alone = [qoi_value(make_qoi("set-product", model.with_params(th)), zs)
+                 for th in thetas]
+        assert batch.tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_draws_of_the_wrong_width_are_refused(self, kind):
