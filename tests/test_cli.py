@@ -673,7 +673,9 @@ class TestPlotdata:
         for out in (dynamics_bench, survival):
             expected = _plot_tables_read_back(out)
             for name, text in expected.items():
-                assert (out / name).read_text() == text
+                # a bool, so a failure skips pytest's slow diff of the text
+                same = (out / name).read_text() == text
+                assert same, name
             assert sorted(p.name for p in out.iterdir()) == sorted(
                 ["report.csv", "metrics.json", "provenance.json", *expected])
         assert printed == [str(survival / name) for name in (
