@@ -32,7 +32,8 @@ from .covariance import (canonical_sigma, laplace_sigma, load_covariance,
 from .autodiff import ParameterVector
 from .delta_variance import GradientDelta, delta_variance
 from .exceptions import ConfigError, DeltaVarError, StructuralError
-from .models import Dataset, Model, TrainConfig, make_model, train
+from .models import (Dataset, Model, TrainConfig, _saturated_fit, make_model,
+                     train)
 from .oracles import (adversarial_shift, eps_loo_variance,
                       gaussian_posterior_mc, loo_variance,
                       mahalanobis_gradient_distance, richardson_eps_loo)
@@ -314,10 +315,13 @@ def _cmd_train(args, cfg) -> int:
         fitted = train(model, data, train_cfg)
         save_model_dir(out, fitted, data)
     diag = fitted.diagnostics
+    saturated = (", saturated: a fitted probability is exactly 0 or 1 with "
+                 "zero curvature, not converged"
+                 if _saturated_fit(fitted, data, np.ones(data.n)) else "")
     print(f"trained {fitted.kind} on {data.n} points: "
           f"final grad norm {format_float(diag['final_grad_norm'])}, "
           f"loss {format_float(diag['final_loss'])}, "
-          f"steps {diag['steps']}")
+          f"steps {diag['steps']}{saturated}")
     return 0
 
 

@@ -36,7 +36,7 @@ class GradientDelta:
         vec = np.asarray(self.vector, dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise StructuralError("gradient must be a nonempty vector")
-        if not np.isfinite(vec).all():
+        if not np.logical_and.reduce(np.isfinite(vec)):
             raise NumericalError("gradient contains non-finite entries")
         object.__setattr__(self, "vector", vec)
 
@@ -61,7 +61,7 @@ def delta_variance(delta: GradientDelta, sigma: CovarianceEstimate) -> float:
             f"gradient has dimension {v.size} but sigma has {values.shape[0]}")
     if values.ndim == 1:
         return float(np.einsum("i,i,i->", v, values, v))
-    return float(v @ (values @ v))
+    return float(v.dot(values.dot(v)))
 
 
 def _off_block_mask(dim: int, blocks) -> np.ndarray:

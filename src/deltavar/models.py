@@ -11,7 +11,7 @@ Gradients and loss Hessians are closed-form vectorized numpy (training,
 Fisher and Hessian accumulation, and the output Jacobians behind the
 explicit quantities of interest). The mlp has one forward pass,
 _mlp_forward_cache, and one backward pass, mlp_vjp, for one parameter
-vector or a stack of them. Training runs damped Newton on the exact loss
+vector or a stack of them, and for the T chained steps of a rollout. Training runs damped Newton on the exact loss
 Hessian for the convex kinds, mini-batch SGD and an L-BFGS polish for the
 mlp (train). An ensemble's mlp members run their SGD in lockstep as one
 stack (_sgd), each on the bits it reaches trained alone.
@@ -269,7 +269,7 @@ def _mlp_forward_cache(model: Model, xb: np.ndarray, theta=None, layers=None,
 
 def mlp_vjp(model: Model, h_ins: list[np.ndarray], layers, gout: np.ndarray,
             per_example: bool = False):
-    """Vector-Jacobian products of the mlp output.
+    """Vector-Jacobian products of the mlp output: the one mlp backward.
 
     gout has shape (n, d_out), or (k, n, d_out) for a stack of k parameter
     vectors, whose leading axis carries through. Returns (gparams, ginput)
@@ -277,33 +277,71 @@ def mlp_vjp(model: Model, h_ins: list[np.ndarray], layers, gout: np.ndarray,
     (..., n, d) when per_example is set, and ginput is (..., n, d_in), or
     None for the summed gradient, which no caller pairs with it.
 
+    A rollout, T chained steps of one parameter vector (step t's output is
+    step t+1's input), is one sweep: per_example, gout the (T, n, d_out)
+    cotangents injected at each step's output and h_ins each layer's inputs
+    as a (T, n, width) stack. The sweep runs only the cotangent recurrence
+    per step, from the last step back, keeping each layer's output
+    cotangents in a (T, n, n_out) stack; when step 0 reaches a layer, its
+    per-example gradient summed over the steps is formed once, a batched
+    matmul (n, n_in, T) @ (n, T, n_out) for the weights and a sum over the
+    steps for the biases. gparams is (n, d) and ginput the first step's
+    input cotangent. One step, or a horizon of 1, takes the einsum outer
+    product instead, which is faster than matmul for a single term.
+
     The summed weight gradient is an einsum over n with the wider factor
     last: einsum's inner loop runs over the last output axis, so a (24, 3)
     gradient is the transpose of a (3, 24) one, about 3x faster at n = 220.
     Either order sums over n in the same order and gives the same bytes,
     alone or in a stack; BLAS (h_in.T @ g) would not.
     """
-    lead, n, g = gout.shape[:-2], gout.shape[-2], gout
+    steps = 1
+    if per_example and gout.ndim == 3 and layers[0][0].ndim == 2:  # a rollout
+        if gout.shape[0] == 1:  # one step: the plain pass
+            gout, h_ins = gout[0], [h[0] for h in h_ins]
+        else:
+            steps = gout.shape[0]
+    lead, n = (gout.shape[:-2] if steps == 1 else ()), gout.shape[-2]
     out = np.empty((*lead, n, model.params.dim) if per_example
                    else (*lead, model.params.dim))
-    layout = _mlp_layout(tuple(model.hyper["widths"]))
-    for layer, (n_in, n_out, s0, s1, s2) in reversed(list(enumerate(layout))):
-        h_in = h_ins[layer]
-        if per_example:
-            out[..., s0:s1] = np.einsum("...ni,...nj->...nij", h_in,
-                                        g).reshape(*lead, n, -1)
-        else:  # a view: reshape splits the contiguous last axis
-            gw = out[..., s0:s1].reshape(*lead, n_in, n_out)
-            if n_in > n_out:
-                gw[...] = np.einsum("...nj,...ni->...ji", g,
-                                    h_in).swapaxes(-1, -2)
-            else:
-                gw[...] = np.einsum("...ni,...nj->...ij", h_in, g)
-        out[..., s1:s2] = g if per_example else np.einsum("...nj->...j", g)
-        if layer > 0 or per_example:
-            g = g @ layers[layer][0].swapaxes(-1, -2)
-        if layer > 0:
-            g = g * (1.0 - h_in * h_in)
+    layout = list(enumerate(_mlp_layout(tuple(model.hyper["widths"]))))
+    if steps > 1:  # each layer's output cotangents, one row per step
+        gs = [np.empty((steps, n, n_out)) for _, (_, n_out, *_) in layout[:-1]]
+        gs.append(gout.copy())
+    g = gout
+    for t in range(steps - 1, -1, -1):
+        if steps > 1:  # injected at step t's output, plus step t+1's input's
+            g = gs[-1][t]
+            if t < steps - 1:
+                g += gin
+        for layer, (n_in, n_out, s0, s1, s2) in reversed(layout):
+            h_in = h_ins[layer]
+            if steps > 1:
+                h_in = h_in[t]
+                if t == 0:  # every step's cotangent of this layer is in
+                    np.matmul(h_ins[layer].transpose(1, 2, 0),
+                              gs[layer].transpose(1, 0, 2),
+                              out=out[:, s0:s1].reshape(n, n_in, n_out))
+                    gs[layer].sum(axis=0, out=out[:, s1:s2])
+            elif per_example:
+                out[..., s0:s1] = np.einsum("...ni,...nj->...nij", h_in,
+                                            g).reshape(*lead, n, -1)
+                out[..., s1:s2] = g
+            else:  # a view: reshape splits the contiguous last axis
+                gw = out[..., s0:s1].reshape(*lead, n_in, n_out)
+                if n_in > n_out:
+                    gw[...] = np.einsum("...nj,...ni->...ji", g,
+                                        h_in).swapaxes(-1, -2)
+                else:
+                    gw[...] = np.einsum("...ni,...nj->...ij", h_in, g)
+                out[..., s1:s2] = np.einsum("...nj->...j", g)
+            if layer > 0 or per_example:
+                g = np.matmul(g, layers[layer][0].swapaxes(-1, -2),
+                              out=gs[layer - 1][t] if steps > 1 and layer
+                              else None)
+            if layer > 0:  # g is the matmul's own array (or a row of gs)
+                g *= 1.0 - h_in * h_in
+        gin = g
     return out, g if per_example else None
 
 
@@ -614,10 +652,26 @@ def train(model: Model, data: Dataset, cfg: TrainConfig | None = None) -> Model:
     weight removes that point). A bernoulli rate whose weighted outcomes
     are all 1 (or all 0) peaks on the domain's boundary, which Newton steps
     only creep toward, one halving search per bit; it is set in 0 steps to
-    1 - 2^-53, the float next to 1 (or to 2^-53).
+    1 - 2^-53, the float next to 1 (or to 2^-53). A saturated logistic fit
+    (see _saturated_fit) is reported as not converged.
     """
     cfg = cfg or TrainConfig()
     return _train_stack([model], [data], cfg, [cfg.seed])[0]
+
+
+def _saturated_fit(model: Model, data: Dataset, weights: np.ndarray,
+                   theta: np.ndarray | None = None) -> bool:
+    """Whether a logistic fit gives a positively weighted example a
+    probability of exactly 0 or 1 on both sides, p and 1 - p as sigmoid(s)
+    and sigmoid(-s): its loss, gradient and curvature terms are then
+    exactly 0, so a zero gradient can mark an optimum at infinity (a
+    separable fit) rather than a finite one. A p that merely rounds to 1
+    (s above about 37) keeps its curvature and does not count."""
+    if model.kind != "logistic":
+        return False
+    theta = model.params.data if theta is None else theta
+    s = data.inputs[weights > 0.0] @ theta
+    return bool(np.any(_sigmoid(s) * _sigmoid(-s) == 0.0))
 
 
 def _train_stack(models: Sequence[Model], datas: Sequence[Dataset],
@@ -679,7 +733,8 @@ def _train_stack(models: Sequence[Model], datas: Sequence[Dataset],
         diagnostics = {"final_grad_norm": result.grad_norm,
                        "final_loss": result.value,
                        "steps": step + result.iterations,
-                       "converged": result.grad_norm <= tol}
+                       "converged": result.grad_norm <= tol and not
+                       _saturated_fit(model, data, weights, result.x)}
         trained.append(replace(model, diagnostics=diagnostics,
                                params=model.params.replace_data(result.x)))
     return trained

@@ -25,8 +25,8 @@ from .exceptions import (
     NumericalError,
     StructuralError,
 )
-from .models import (Model, _mlp_forward_cache, _sigmoid, mlp_vjp,
-                     output_jacobian, predict)
+from .models import (Model, _mlp_forward_cache, _mlp_layers, _sigmoid,
+                     mlp_vjp, output_jacobian, predict)
 
 ROLLOUT_FUNCTIONALS = ("power", "mean", "max")
 EXPLICIT_KINDS = ("power", "set-product", "rollout")
@@ -265,23 +265,26 @@ def _rollout(u: QuantityOfInterest, zb: np.ndarray, forward,
 
 
 def _rollout_values_and_deltas(u: QuantityOfInterest, z_batch: np.ndarray):
-    model = u.model
-    caches = []
+    """Values and per-example deltas of a rollout by one reverse sweep: the
+    forward of each step writes its layer inputs into per-layer (T, n,
+    width) stacks, and one mlp_vjp call runs the steps back and forms each
+    layer's gradient once over the horizon."""
+    model, horizon = u.model, u.config["horizon"]
+    layers = _mlp_layers(model)
+    stacks = [np.empty((horizon, z_batch.shape[0], width))
+              for width in model.hyper["widths"][:-1]]
+    steps = iter(range(horizon))
 
     def forward(x):
-        out, h_ins, layers = _mlp_forward_cache(model, x)
-        caches.append((h_ins, layers))
+        out, h_ins, _ = _mlp_forward_cache(model, x, layers=layers)
+        t = next(steps)
+        for stack, h in zip(stacks, h_ins):
+            stack[t] = h
         return out
 
     values, inject = _rollout(u, z_batch, forward, with_grad=True)
-    g = inject[-1]
-    deltas = np.zeros((z_batch.shape[0], model.params.dim))
-    for t in range(len(caches), 0, -1):
-        h_ins, layers = caches[t - 1]
-        gp, gin = mlp_vjp(model, h_ins, layers, g, per_example=True)
-        deltas += gp
-        g = gin + inject[t - 1]
-    return values, deltas
+    return values, mlp_vjp(model, stacks, layers, inject[1:],
+                           per_example=True)[0]
 
 
 def _power(base: np.ndarray, exponent: float) -> np.ndarray:

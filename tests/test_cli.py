@@ -51,6 +51,34 @@ class TestTrain:
         assert [repr(float(x)) for x in model.params.data] \
             == [repr(float(x)) for x in stored]
 
+    def test_a_saturated_logistic_fit_says_so(self, tmp_path, capsys):
+        """A separable fit ends with probabilities of exactly 0 or 1 and
+        zero curvature: the line says it saturated and the model is not
+        converged. With one label flipped the data are not separable: the
+        fit converges, although some probabilities round to exactly 1."""
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((50, 2))
+        y = (X[:, 0] + 0.3 * X[:, 1] > 0) * 1.0
+        flipped = y.copy()
+        flipped[0] = 1.0 - flipped[0]
+        for name, labels in (("separable", y), ("overlapping", flipped)):
+            np.savez(tmp_path / f"{name}.npz", inputs=X,
+                     targets=labels[:, None])
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({
+                "model": {"kind": "logistic", "d_in": 2},
+                "data": {"kind": "file",
+                         "path": str(tmp_path / f"{name}.npz")}}))
+            out = tmp_path / name
+            assert main(["train", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+            line = capsys.readouterr().out
+            saturated = name == "separable"
+            assert ("saturated: a fitted probability is exactly 0 or 1 "
+                    "with zero curvature" in line) == saturated, line
+            assert load_model_dir(out)[0].diagnostics["converged"] \
+                is not saturated
+
     def test_malformed_config_exits_2_without_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

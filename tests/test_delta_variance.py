@@ -1,6 +1,7 @@
 """The quadratic-form estimator, block decomposition, and scale fine-tuning."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ class TestDeltaVariance:
             GradientDelta(np.array([1.0, np.inf]))
         with pytest.raises(StructuralError):
             GradientDelta(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradients_are_refused_without_a_warning(self, bad):
+        """The finiteness check raises no RuntimeWarning of its own, so
+        the refusal is a NumericalError also when warnings are errors."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError):
+                GradientDelta(np.array([1.0, bad, -2.0]))
+
+    def test_the_largest_finite_entries_are_accepted_without_a_warning(self):
+        """Entries near the float64 limit are finite: a check that squares
+        or sums them would overflow and warn."""
+        vec = np.array([1.7e308, -1.7e308, 1.7e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert GradientDelta(vec).vector.tobytes() == vec.tobytes()
 
 
 def block_parts(delta, sigma):

@@ -113,13 +113,42 @@ class TestTraining:
         assert model.diagnostics["final_grad_norm"] <= 1e-6
 
     def test_separable_logistic_stops_at_finite_parameters(self):
-        """The optimum lies at infinity; Newton still stops, converged."""
+        """The optimum lies at infinity; Newton still stops at finite
+        parameters with a zero gradient (the saturation is reported, see
+        test_separable_logistic_is_reported_as_saturated)."""
         rng = np.random.default_rng(0)
         X = rng.standard_normal((50, 2))
         y = (X[:, 0] + 0.3 * X[:, 1] > 0) * 1.0
         model = train(make_model("logistic", d_in=2), Dataset(X, y))
         assert np.isfinite(model.params.data).all()
         assert model.diagnostics["final_grad_norm"] <= 1e-6
+
+    def test_separable_logistic_is_reported_as_saturated(self):
+        """At theta about (14178, 5824) every fitted probability is exactly
+        0 or 1 and the gradient exactly 0: not converged, although the
+        gradient norm is below grad_tol."""
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((50, 2))
+        y = (X[:, 0] + 0.3 * X[:, 1] > 0) * 1.0
+        model = train(make_model("logistic", d_in=2), Dataset(X, y))
+        p = predict(model, X)[:, 0]
+        assert np.all((p == 0.0) | (p == 1.0))
+        assert model.diagnostics["final_grad_norm"] == 0.0
+        assert model.diagnostics["converged"] is False
+
+    def test_a_zero_weighted_saturated_example_does_not_count(self):
+        """Saturation counts positively weighted examples only: a fit whose
+        one far-out example has weight 0 converges."""
+        data, weights = _zero_weighted_logistic()
+        inputs = data.inputs.copy()
+        dropped = int(np.flatnonzero(weights == 0.0)[0])
+        inputs[dropped] = 1e6
+        model = train(make_model("logistic", d_in=3),
+                      Dataset(inputs, data.targets),
+                      TrainConfig(example_weights=weights))
+        p = predict(model, inputs[dropped])[0]
+        assert p in (0.0, 1.0)
+        assert model.diagnostics["converged"]
 
     def test_zero_weighted_logistic_takes_few_newton_steps(self):
         data, weights = _zero_weighted_logistic()

@@ -63,6 +63,7 @@ from deltavar.qoi import (ROLLOUT_FUNCTIONALS, EigenProblem,
                           values_and_deltas)
 from deltavar.util import as_float_array, damped_newton
 from newton_reference import newton, one_of
+from rollout_reference import rollout_values_and_deltas
 from tape_reference import qoi_tape_delta
 from test_models import PINNED_TRAINING, _pinned_training_cases
 
@@ -295,6 +296,68 @@ def test_rollout_dropout_passes_equal_the_tiled_predict_passes(functional,
                              np.random.default_rng(seed))
     np.testing.assert_array_equal(passes, values.reshape(k, -1))
     assert same_bits(passes, values.reshape(k, -1))
+
+
+@st.composite
+def rollouts(draw):
+    """A rollout quantity on a seeded step mlp with one or two hidden
+    layers: horizon 1-8, any functional (a max window of 1 to the
+    horizon), a batch of 1-130 start states and one row of it."""
+    seed = draw(st.integers(0, 2**16))
+    width = draw(st.integers(1, 3))
+    hidden = tuple(draw(st.lists(st.integers(1, 8), min_size=1,
+                                 max_size=2)))
+    model = make_model("mlp", d_in=width, d_out=width, hidden=hidden,
+                       seed=seed)
+    horizon = draw(st.integers(1, 8))
+    functional = draw(st.sampled_from(ROLLOUT_FUNCTIONALS))
+    config = {"functional": functional, "horizon": horizon}
+    if functional != "mean":
+        config["component"] = draw(st.integers(0, width - 1))
+    if functional == "power":
+        config["exponent"] = draw(st.sampled_from((1.0, 2.0, 3.0)))
+    if functional == "max":
+        config["window"] = draw(st.integers(1, horizon))
+    n = draw(st.integers(1, 130))
+    zs = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, width))
+    row = draw(st.integers(0, n - 1))
+    return make_qoi("rollout", model, **config), zs, row
+
+
+@given(rollouts())
+@example((make_qoi("rollout", make_model("mlp", d_in=3, d_out=3,
+                                         hidden=(24,), seed=1),
+                   functional="max", component=0, window=5, horizon=5),
+          np.random.default_rng(1).uniform(-1.5, 1.5, size=(64, 3)), 63)
+         ).via("the benchmark's step model and a max rollout")
+def test_the_one_sweep_rollout_matches_the_per_step_loop(case):
+    """values_and_deltas of a rollout against the per-step loop of
+    rollout_reference: the values have its bytes, the deltas too at
+    horizon 1 and within 1e-14 of the largest reference entry beyond it,
+    where the steps are summed in another order. A row alone has the
+    reference bytes of that row alone; beside its own batch it agrees to
+    rounding, since BLAS rounds a one-row product apart from a batch's
+    (the per-step loop does the same)."""
+    u, zs, row = case
+    values, deltas = values_and_deltas(u, zs)
+    ref_values, ref_deltas = rollout_values_and_deltas(u, zs)
+    assert same_bits(values, ref_values)
+    if u.config["horizon"] == 1:
+        assert same_bits(deltas, ref_deltas)
+    else:
+        scale = float(np.max(np.abs(ref_deltas)))
+        assert float(np.max(np.abs(deltas - ref_deltas))) <= 1e-14 * scale
+    alone_values, alone_deltas = values_and_deltas(u, zs[row:row + 1])
+    ref_alone_values, ref_alone_deltas = rollout_values_and_deltas(
+        u, zs[row:row + 1])
+    assert same_bits(alone_values, ref_alone_values)
+    if u.config["horizon"] == 1:
+        assert same_bits(alone_deltas, ref_alone_deltas)
+    np.testing.assert_allclose(alone_values, values[row:row + 1],
+                               rtol=1e-12, atol=1e-14)
+    scale = max(1.0, float(np.max(np.abs(deltas[row]))))
+    np.testing.assert_allclose(alone_deltas[0], deltas[row], rtol=0.0,
+                               atol=1e-12 * scale)
 
 
 @given(st.data())

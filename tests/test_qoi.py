@@ -311,6 +311,26 @@ class TestRollout:
             make_qoi("rollout", model, functional="power", component=7,
                      horizon=2)
 
+    @pytest.mark.parametrize("horizon", [1, 5, 40])
+    def test_deltas_peak_within_the_step_stacks(self, horizon):
+        """values_and_deltas of a rollout holds about the (n, d) deltas and
+        two (T, n, width) stacks per layer (inputs and output cotangents):
+        its traced peak stays within 8 n (4 d + 2 T sum(widths)) bytes. A
+        contraction that broadcast a (T, n, n_in, n_out) product over the
+        steps would peak far above it at horizons 5 and 40."""
+        model = make_model("mlp", d_in=3, d_out=3, hidden=(32, 32), seed=0)
+        n, d = 2000, model.params.dim
+        u = make_qoi("rollout", model, functional="mean", horizon=horizon)
+        zs = 0.5 * np.random.default_rng(0).standard_normal((n, 3))
+        tracemalloc.start()
+        try:
+            values_and_deltas(u, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        widths = sum(model.hyper["widths"])
+        assert peak <= 8 * n * (4 * d + 2 * horizon * widths)
+
 
 class TestFixedPoint:
     def linear_problem(self, slope=0.5, offset=2.0):
