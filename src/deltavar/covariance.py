@@ -10,12 +10,24 @@ A full Fisher adds one BLAS syrk per example chunk and a dense inverse is
 L^-T L^-1 from the Cholesky factor L, one more syrk: both exactly symmetric.
 A dense build holds at most about two and a half d x d arrays at once (three
 and a half for the sandwich): each step works in place where the bits allow,
-and a curvature the builder made itself becomes the inverse's scratch.
+and a curvature the builder made itself becomes the inverse's scratch. For
+the canonical sigma that is the build with N >= d examples, no ridge, or a
+badly conditioned Fisher.
+
+With fewer examples than parameters and a ridge, the canonical sigma is held
+in the Woodbury form (Hager 1989) and no d x d array is made: with G the
+(N, d) per-example gradients, K = G G' + N reg I = L L' (N x N) and
+R = L^-1 G, inv(F + reg I) / N = (I - R'R) / (N reg), and the quadratic form
+is (v.v - |R v|^2) / (N reg). That subtraction loses about eps times the
+condition number, which is at most 1 + tr(F) / reg because the largest
+eigenvalue of F is at most its trace; the form is used only while that
+bound is at most WOODBURY_MAX_CONDITION.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -32,6 +44,10 @@ KINDS = ("fisher-full", "fisher-diag", "hessian", "sandwich", "learned")
 # reduction order never depends on thread settings or dataset size.
 _CHUNK = 256
 _LEAF = 64  # triangular blocks this wide or narrower are inverted by one solve
+# largest bound 1 + tr(F) / reg on the condition number of F + reg I for
+# which canonical_sigma takes the Woodbury form: its quadratic form then
+# loses at most about 1e3 eps, relative
+WOODBURY_MAX_CONDITION = 1e3
 
 
 @dataclass(frozen=True)
@@ -44,6 +60,10 @@ class CovarianceEstimate:
     Fisher or Hessian (False). `reg` records any ridge term that was added
     before an inversion. Block layout is carried along so per-block operations
     and serialization stay aligned with the model's ParameterVector.
+
+    With `woodbury` set, `values` is instead a (rank, d) factor R with
+    rank < d, and the covariance is (I - R'R) / (n_points * reg); it needs a
+    positive `reg` and is always inverted.
     """
 
     kind: str
@@ -53,12 +73,21 @@ class CovarianceEstimate:
     inverted: bool = False
     blocks: tuple = ()
     block_scales: dict | None = None
+    woodbury: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise StructuralError(f"unknown covariance kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim == 2 and vals.shape[0] != vals.shape[1]:
+        if self.woodbury:
+            if vals.ndim != 2 or vals.shape[0] >= vals.shape[1]:
+                raise StructuralError(
+                    "a Woodbury factor must be (rank, dim) with rank < dim")
+            if not (self.reg > 0.0 and self.inverted):
+                raise StructuralError(
+                    "a Woodbury estimate is a covariance with a positive "
+                    "regularizer")
+        elif vals.ndim == 2 and vals.shape[0] != vals.shape[1]:
             raise StructuralError("full covariance values must be square")
         if vals.ndim not in (1, 2):
             raise StructuralError("covariance values must be a matrix or a diagonal")
@@ -73,14 +102,25 @@ class CovarianceEstimate:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     @property
     def is_diagonal(self) -> bool:
         return self.values.ndim == 1
 
     def matrix(self) -> np.ndarray:
-        """Dense d x d view of the estimate."""
+        """The estimate as a dense d x d array.
+
+        A full estimate returns its own `values`. A diagonal or Woodbury one
+        is materialized into a new d x d array on every call: no view of the
+        estimate, and not cached, so the estimate itself never holds it.
+        """
+        if self.woodbury:
+            m = self.values.T @ self.values
+            np.negative(m, out=m)
+            m.flat[::m.shape[0] + 1] += 1.0
+            m /= self.n_points * self.reg
+            return m
         return np.diag(self.values) if self.is_diagonal else self.values
 
 
@@ -157,9 +197,20 @@ def _invert_lower(chol: np.ndarray, out: np.ndarray) -> None:
     out[h:, :h] = -(out[h:, h:] @ (chol[h:, :h] @ out[:h, :h]))
 
 
+def _cholesky(work: np.ndarray, reg: float, what: str) -> np.ndarray:
+    """The Cholesky factor of the ridged `work`, which is also the
+    positive-definiteness check."""
+    try:
+        return np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            f"{what} is not positive definite at reg={reg!r}; "
+            "retry with a larger regularizer") from None
+
+
 def _solve_spd(work: np.ndarray, reg: float, what: str) -> np.ndarray:
     """(work + reg*I)^-1 as L^-T L^-1 (one syrk, exactly symmetric) from
-    the Cholesky factor L, which is also the positive-definiteness check.
+    the Cholesky factor L.
 
     `work`, a C-ordered matrix the caller gives up, is ridged in place and
     then holds L^-1, so the solve needs two more d x d arrays, not four.
@@ -167,12 +218,7 @@ def _solve_spd(work: np.ndarray, reg: float, what: str) -> np.ndarray:
     """
     work += 0.0
     work.flat[::work.shape[0] + 1] += reg
-    try:
-        chol = np.linalg.cholesky(work)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            f"{what} is not positive definite at reg={reg!r}; "
-            "retry with a larger regularizer") from None
+    chol = _cholesky(work, reg, what)
     work.fill(0.0)
     _invert_lower(chol, work)
     del chol
@@ -184,19 +230,22 @@ def invert(sigma: CovarianceEstimate, reg: float = 0.0) -> CovarianceEstimate:
 
     The returned estimate flips `inverted` and records the regularizer;
     `sigma` is left as it was. Without a regularizer, an exact zero on the
-    diagonal is refused by name.
+    diagonal is refused by name. A Woodbury estimate is inverted through
+    its matrix() and gives a dense one.
     """
-    return _invert_into(sigma, reg, sigma.values.copy())
+    return _invert_into(sigma, reg, sigma.matrix() if sigma.woodbury
+                        else sigma.values.copy())
 
 
 def _invert_into(sigma: CovarianceEstimate, reg: float,
                  work: np.ndarray) -> CovarianceEstimate:
-    """invert(sigma, reg), with `work` (sigma's values or a C-ordered copy
-    of them) as the dense solve's scratch; a builder passes the values of an
-    estimate it made itself and drops, which saves the copy."""
+    """invert(sigma, reg), with `work` (a C-ordered copy of sigma's dense
+    values, or its diagonal) as the dense solve's scratch; a builder passes
+    the values of an estimate it made itself and drops, which saves the
+    copy."""
     if reg < 0.0:
         raise StructuralError("regularizer must be nonnegative")
-    diag = sigma.values if sigma.is_diagonal else np.diagonal(sigma.values)
+    diag = work if sigma.is_diagonal else np.diagonal(work)
     if reg == 0.0 and not diag.all():
         i = int(np.flatnonzero(diag == 0.0)[0])
         where = next((f"{name}[{i - start}]" for name, start, length
@@ -215,7 +264,8 @@ def _invert_into(sigma: CovarianceEstimate, reg: float,
         inv = 1.0 / ridged
     else:
         inv = _solve_spd(work, reg, f"{sigma.kind} matrix")
-    return replace(sigma, values=inv, reg=reg, inverted=not sigma.inverted)
+    return replace(sigma, values=inv, reg=reg, inverted=not sigma.inverted,
+                   woodbury=False)
 
 
 def sandwich(model: Model, data: Dataset, reg: float = 0.0) -> CovarianceEstimate:
@@ -240,11 +290,57 @@ def sandwich(model: Model, data: Dataset, reg: float = 0.0) -> CovarianceEstimat
 
 def canonical_sigma(model: Model, data: Dataset, mode: str = "full",
                     reg: float = 0.0) -> CovarianceEstimate:
-    """The default posterior surrogate inv(F + reg*I) / N."""
+    """The default posterior surrogate inv(F + reg*I) / N.
+
+    The full mode is built in the Woodbury form (see the module docstring)
+    when N < d, reg > 0 and 1 + tr(F) / reg <= WOODBURY_MAX_CONDITION;
+    every other case is the dense build.
+    """
+    if (mode == "full" and reg > 0.0
+            and data.n < model.params.dim <= HESSIAN_DIM_CAP):
+        sigma = _woodbury_sigma(model, data, reg)
+        if sigma is not None:
+            return sigma
     fisher = empirical_fisher(model, data, mode=mode)
     inv = _invert_into(fisher, reg, fisher.values)
     np.divide(inv.values, data.n, out=inv.values)
     return inv
+
+
+def _woodbury_sigma(model: Model, data: Dataset,
+                    reg: float) -> CovarianceEstimate | None:
+    """inv(F + reg*I) / N as the factor R = L^-1 G of K = G G' + N reg I,
+    or None when the condition bound exceeds WOODBURY_MAX_CONDITION.
+
+    G is filled chunk by chunk, as the Fisher's syrks read it, and R
+    overwrites it in column blocks, so the build holds G, up to two N x N
+    arrays and one (N, 256) block, never a d x d array.
+    """
+    n = data.n
+    if n <= _CHUNK:  # one chunk: its own array
+        grads = loglik_grad_batch(model, data.inputs, data.targets)
+    else:
+        grads = np.empty((n, model.params.dim))
+        for start, (inputs, targets) in zip(range(0, n, _CHUNK),
+                                            _chunks(data)):
+            grads[start:start + len(inputs)] = loglik_grad_batch(
+                model, inputs, targets)
+    bound = 1.0 + float(np.einsum("ni,ni->", grads, grads)) / (n * reg)
+    if not bound <= WOODBURY_MAX_CONDITION:
+        return None
+    gram = grads @ grads.T
+    gram.flat[::n + 1] += n * reg
+    chol = _cholesky(gram, reg, "fisher-full matrix")
+    del gram
+    chol_inv = np.zeros_like(chol)
+    _invert_lower(chol, chol_inv)
+    del chol
+    for start in range(0, model.params.dim, _CHUNK):
+        cols = slice(start, start + _CHUNK)
+        grads[:, cols] = chol_inv @ grads[:, cols]
+    return CovarianceEstimate(kind="fisher-full", values=grads,
+                              n_points=n, reg=reg, inverted=True,
+                              blocks=model.params.blocks, woodbury=True)
 
 
 def laplace_sigma(model: Model, data: Dataset, reg: float = 0.0) -> CovarianceEstimate:
@@ -255,10 +351,12 @@ def laplace_sigma(model: Model, data: Dataset, reg: float = 0.0) -> CovarianceEs
 
 def save_covariance(path, sigma: CovarianceEstimate) -> None:
     """Write a single-line JSON header, a newline, then float64 payload bytes,
-    straight from the array without a bytes copy."""
+    straight from the array without a bytes copy. A Woodbury estimate adds
+    a `rank` key to the header, and its payload is the (rank, dim) factor."""
     header = {
         "kind": sigma.kind,
-        "layout": "diag" if sigma.is_diagonal else "full",
+        "layout": ("woodbury" if sigma.woodbury
+                   else "diag" if sigma.is_diagonal else "full"),
         "dim": sigma.dim,
         "n_points": sigma.n_points,
         "reg": sigma.reg,
@@ -266,6 +364,8 @@ def save_covariance(path, sigma: CovarianceEstimate) -> None:
         "blocks": [[name, start, length] for name, start, length in sigma.blocks],
         "block_scales": sigma.block_scales,
     }
+    if sigma.woodbury:
+        header["rank"] = sigma.values.shape[0]
     payload = np.ascontiguousarray(sigma.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(stable_json_dumps(header).encode("utf-8"))
@@ -276,6 +376,39 @@ def save_covariance(path, sigma: CovarianceEstimate) -> None:
 _HEADER_TYPES = {"kind": (str,), "layout": (str,), "dim": (int,),
                  "n_points": (int,), "reg": (int, float), "inverted": (bool,),
                  "blocks": (list,), "block_scales": (dict, type(None))}
+
+
+def _header_field(header, key: str, types: tuple):
+    if not isinstance(header, dict) or key not in header:
+        raise StructuralError(f"covariance header field {key!r} is missing")
+    value = header[key]
+    if not isinstance(value, types) or (bool not in types
+                                        and isinstance(value, bool)):
+        raise StructuralError(
+            f"covariance header field {key!r} is missing or mistyped")
+    return value
+
+
+def _payload_shape(header: dict) -> tuple:
+    """The payload's array shape, from a header whose typed fields are
+    checked; a Woodbury layout needs 0 <= rank < dim and a positive reg."""
+    layout, dim = header["layout"], header["dim"]
+    if layout not in ("diag", "full", "woodbury"):
+        raise StructuralError(f"unknown covariance layout {layout!r}")
+    if dim < 0:
+        raise StructuralError("covariance header field 'dim' is negative")
+    if layout == "diag":
+        return (dim,)
+    if layout == "full":
+        return (dim, dim)
+    rank = _header_field(header, "rank", (int,))
+    if not 0 <= rank < dim:
+        raise StructuralError(
+            f"covariance header field 'rank' is {rank}, outside [0, {dim})")
+    if not header["reg"] > 0.0:
+        raise StructuralError(
+            "a woodbury covariance needs a positive 'reg' in its header")
+    return (rank, dim)
 
 
 def load_covariance(path) -> CovarianceEstimate:
@@ -291,22 +424,9 @@ def load_covariance(path) -> CovarianceEstimate:
             raise StructuralError(
                 f"covariance header is not valid JSON: {exc}") from exc
         for key, types in _HEADER_TYPES.items():
-            if not isinstance(header, dict) or key not in header:
-                raise StructuralError(
-                    f"covariance header field {key!r} is missing")
-            value = header[key]
-            if not isinstance(value, types) or (bool not in types
-                                                and isinstance(value, bool)):
-                raise StructuralError(
-                    f"covariance header field {key!r} is missing or mistyped")
-        if header["layout"] not in ("diag", "full"):
-            raise StructuralError(
-                f"unknown covariance layout {header['layout']!r}")
-        dim = header["dim"]
-        if dim < 0:
-            raise StructuralError("covariance header field 'dim' is negative")
-        shape = (dim,) if header["layout"] == "diag" else (dim, dim)
-        expected = 8 * (dim if len(shape) == 1 else dim * dim)
+            _header_field(header, key, types)
+        shape = _payload_shape(header)
+        expected = 8 * math.prod(shape)
         start = fh.tell()
         held = fh.seek(0, 2) - start  # whence 2: from the end of the file
         if held != expected:
@@ -322,4 +442,5 @@ def load_covariance(path) -> CovarianceEstimate:
     return CovarianceEstimate(
         kind=header["kind"], values=values, n_points=header["n_points"],
         reg=float(header["reg"]), inverted=header["inverted"], blocks=blocks,
-        block_scales=header["block_scales"])
+        block_scales=header["block_scales"],
+        woodbury=header["layout"] == "woodbury")

@@ -50,17 +50,21 @@ def delta_variance(delta: GradientDelta, sigma: CovarianceEstimate) -> float:
 
     Sigma must already be a covariance (inverted); passing a raw Fisher or
     Hessian estimate is refused because the result would be a curvature form,
-    not a variance. Nonnegative whenever Sigma is positive semidefinite.
+    not a variance. Nonnegative whenever Sigma is positive semidefinite. A
+    Woodbury sigma, (I - R'R) / (N reg), gives (v.v - |R v|^2) / (N reg).
     """
     if not sigma.inverted:
         raise StructuralError(
             "sigma is a raw curvature estimate; invert it into a covariance first")
     v, values = delta.vector, sigma.values
-    if values.shape[0] != v.size:
+    if values.shape[-1] != v.size:
         raise StructuralError(
-            f"gradient has dimension {v.size} but sigma has {values.shape[0]}")
+            f"gradient has dimension {v.size} but sigma has {values.shape[-1]}")
     if values.ndim == 1:
         return float(np.einsum("i,i,i->", v, values, v))
+    if sigma.woodbury:
+        rv = values.dot(v)
+        return float((v.dot(v) - rv.dot(rv)) / (sigma.n_points * sigma.reg))
     return float(v.dot(values.dot(v)))
 
 
@@ -78,7 +82,8 @@ def block_variances(deltas, sigma: CovarianceEstimate) -> np.ndarray:
     block order, and each row sums to that gradient's delta_variance.
     Requires Sigma to carry the parameter block layout and to be block
     diagonal (diagonals always are; full matrices must have exact zeros
-    between blocks).
+    between blocks). A Woodbury sigma is checked and split through its
+    matrix().
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     if not sigma.inverted:
@@ -90,9 +95,10 @@ def block_variances(deltas, sigma: CovarianceEstimate) -> np.ndarray:
         raise StructuralError(
             f"gradients have shape {deltas.shape} but sigma has dimension "
             f"{sigma.dim}")
+    values = sigma.values if sigma.is_diagonal else sigma.matrix()
     if not sigma.is_diagonal:
         off = _off_block_mask(sigma.dim, sigma.blocks)
-        if np.any(sigma.values[off] != 0.0):
+        if np.any(values[off] != 0.0):
             raise StructuralError(
                 "sigma has nonzero entries between blocks; "
                 "the quadratic form does not split per block")
@@ -100,10 +106,10 @@ def block_variances(deltas, sigma: CovarianceEstimate) -> np.ndarray:
     for j, (_, start, length) in enumerate(sigma.blocks):
         seg = deltas[:, start:start + length]
         if sigma.is_diagonal:
-            s = sigma.values[start:start + length]
+            s = values[start:start + length]
             out[:, j] = np.einsum("bi,i,bi->b", seg, s, seg)
         else:
-            m = sigma.values[start:start + length, start:start + length]
+            m = values[start:start + length, start:start + length]
             out[:, j] = np.einsum("bi,bi->b", seg @ m, seg)
     return out
 

@@ -295,54 +295,61 @@ def mlp_vjp(model: Model, h_ins: list[np.ndarray], layers, gout: np.ndarray,
     Either order sums over n in the same order and gives the same bytes,
     alone or in a stack; BLAS (h_in.T @ g) would not.
     """
-    steps = 1
     if per_example and gout.ndim == 3 and layers[0][0].ndim == 2:  # a rollout
-        if gout.shape[0] == 1:  # one step: the plain pass
-            gout, h_ins = gout[0], [h[0] for h in h_ins]
-        else:
-            steps = gout.shape[0]
-    lead, n = (gout.shape[:-2] if steps == 1 else ()), gout.shape[-2]
+        if gout.shape[0] > 1:
+            return _rollout_vjp(model, h_ins, layers, gout)
+        gout, h_ins = gout[0], [h[0] for h in h_ins]  # one step: the plain pass
+    lead, n, g = gout.shape[:-2], gout.shape[-2], gout
     out = np.empty((*lead, n, model.params.dim) if per_example
                    else (*lead, model.params.dim))
+    layout = _mlp_layout(tuple(model.hyper["widths"]))
+    for layer, (n_in, n_out, s0, s1, s2) in reversed(list(enumerate(layout))):
+        h_in = h_ins[layer]
+        if per_example:
+            out[..., s0:s1] = np.einsum("...ni,...nj->...nij", h_in,
+                                        g).reshape(*lead, n, -1)
+            out[..., s1:s2] = g
+        else:  # a view: reshape splits the contiguous last axis
+            gw = out[..., s0:s1].reshape(*lead, n_in, n_out)
+            if n_in > n_out:
+                gw[...] = np.einsum("...nj,...ni->...ji", g,
+                                    h_in).swapaxes(-1, -2)
+            else:
+                gw[...] = np.einsum("...ni,...nj->...ij", h_in, g)
+            out[..., s1:s2] = np.einsum("...nj->...j", g)
+        if layer > 0 or per_example:
+            g = g @ layers[layer][0].swapaxes(-1, -2)
+        if layer > 0:  # g is the product's own array
+            g *= 1.0 - h_in * h_in
+    return out, g if per_example else None
+
+
+def _rollout_vjp(model: Model, h_ins: list[np.ndarray], layers,
+                 gout: np.ndarray):
+    """mlp_vjp's one reverse sweep over the T > 1 steps of a rollout."""
+    steps, n = gout.shape[:2]
+    out = np.empty((n, model.params.dim))
     layout = list(enumerate(_mlp_layout(tuple(model.hyper["widths"]))))
-    if steps > 1:  # each layer's output cotangents, one row per step
-        gs = [np.empty((steps, n, n_out)) for _, (_, n_out, *_) in layout[:-1]]
-        gs.append(gout.copy())
-    g = gout
+    # each layer's output cotangents, one row per step
+    gs = [np.empty((steps, n, n_out)) for _, (_, n_out, *_) in layout[:-1]]
+    gs.append(gout.copy())
     for t in range(steps - 1, -1, -1):
-        if steps > 1:  # injected at step t's output, plus step t+1's input's
-            g = gs[-1][t]
-            if t < steps - 1:
-                g += gin
+        g = gs[-1][t]  # injected at step t's output, plus step t+1's input's
+        if t < steps - 1:
+            g += gin
         for layer, (n_in, n_out, s0, s1, s2) in reversed(layout):
-            h_in = h_ins[layer]
-            if steps > 1:
-                h_in = h_in[t]
-                if t == 0:  # every step's cotangent of this layer is in
-                    np.matmul(h_ins[layer].transpose(1, 2, 0),
-                              gs[layer].transpose(1, 0, 2),
-                              out=out[:, s0:s1].reshape(n, n_in, n_out))
-                    gs[layer].sum(axis=0, out=out[:, s1:s2])
-            elif per_example:
-                out[..., s0:s1] = np.einsum("...ni,...nj->...nij", h_in,
-                                            g).reshape(*lead, n, -1)
-                out[..., s1:s2] = g
-            else:  # a view: reshape splits the contiguous last axis
-                gw = out[..., s0:s1].reshape(*lead, n_in, n_out)
-                if n_in > n_out:
-                    gw[...] = np.einsum("...nj,...ni->...ji", g,
-                                        h_in).swapaxes(-1, -2)
-                else:
-                    gw[...] = np.einsum("...ni,...nj->...ij", h_in, g)
-                out[..., s1:s2] = np.einsum("...nj->...j", g)
-            if layer > 0 or per_example:
-                g = np.matmul(g, layers[layer][0].swapaxes(-1, -2),
-                              out=gs[layer - 1][t] if steps > 1 and layer
-                              else None)
-            if layer > 0:  # g is the matmul's own array (or a row of gs)
+            if t == 0:  # every step's cotangent of this layer is in
+                np.matmul(h_ins[layer].transpose(1, 2, 0),
+                          gs[layer].transpose(1, 0, 2),
+                          out=out[:, s0:s1].reshape(n, n_in, n_out))
+                gs[layer].sum(axis=0, out=out[:, s1:s2])
+            g = np.matmul(g, layers[layer][0].T,
+                          out=gs[layer - 1][t] if layer else None)
+            if layer > 0:  # a row of gs
+                h_in = h_ins[layer][t]
                 g *= 1.0 - h_in * h_in
         gin = g
-    return out, g if per_example else None
+    return out, g
 
 
 def output_jacobian(model: Model, X) -> tuple[np.ndarray, np.ndarray]:

@@ -95,7 +95,8 @@ def gaussian_posterior_mc(u: QuantityOfInterest, mean: np.ndarray,
             raise StructuralError(
                 "the estimate holds a precision matrix; invert it into a "
                 "covariance first")
-        diagonal, cov = cov.is_diagonal, cov.values
+        diagonal = cov.is_diagonal
+        cov = cov.values if diagonal else cov.matrix()
     else:
         diagonal, cov = False, np.asarray(cov, dtype=np.float64)
     if cov.shape != (mean.size,) * (1 if diagonal else 2):

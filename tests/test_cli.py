@@ -14,10 +14,11 @@ from deltavar import cli
 from deltavar.bench import make_scenario, run_scenario
 from deltavar.cli import load_model_dir, main
 from deltavar.covariance import canonical_sigma, load_covariance
-from deltavar.delta_variance import delta_variance
+from deltavar.delta_variance import GradientDelta, delta_variance
 from deltavar.evaluation import retention_curve
 from deltavar.models import TrainConfig, mean_loglik_grad, predict
-from deltavar.qoi import make_qoi, qoi_value_and_delta
+from deltavar.qoi import (make_qoi, parse_qoi, qoi_value_and_delta,
+                          values_and_deltas)
 from deltavar.util import format_float
 
 
@@ -466,6 +467,57 @@ class TestSigmaCommand:
         assert "not empty" in capsys.readouterr().err
         assert main(args + ["--force"]) == 0
         assert not out.with_name(out.name + ".partial").exists()
+
+
+@pytest.fixture(scope="module")
+def wide_mlp_dir(tmp_path_factory):
+    """A dynamics mlp of d = 171 trained on 100 pairs: fewer examples than
+    parameters."""
+    out = tmp_path_factory.mktemp("cli-wide-mlp") / "model"
+    assert main(["train", "--set", "model.kind=mlp", "--set", "model.d_in=3",
+                 "--set", "model.d_out=3", "--set", "model.hidden=[24]",
+                 "--set", "data.kind=dynamics", "--set", "data.n=100",
+                 "--set", "train.steps=200", "--out", str(out)]) == 0
+    return out
+
+
+def test_wide_mlp_fisher_full_round_trip(wide_mlp_dir, tmp_path, capsys):
+    """`sigma --kind fisher-full` on an mlp with N < d writes a Woodbury
+    file, `deltavar` prints the library's nu for it byte for byte, and the
+    posterior-mc oracle accepts it; a factor row too many exits 1."""
+    sigma_dir, qoi_text = tmp_path / "sigma", "rollout:horizon=2"
+    assert main(["sigma", "--model", str(wide_mlp_dir), "--kind",
+                 "fisher-full", "--reg", "1e-3", "--out", str(sigma_dir)]) == 0
+    path = sigma_dir / "sigma.bin"
+    model, data = load_model_dir(wide_mlp_dir)
+    sigma = load_covariance(path)
+    built = canonical_sigma(model, data, mode="full", reg=1e-3)
+    assert sigma.woodbury and sigma.values.shape == (data.n, model.params.dim)
+    assert sigma.values.tobytes() == built.values.tobytes()
+    capsys.readouterr()
+    inputs = ["0.1,-0.2,0.3", "0.5,0.4,-0.6"]
+    assert main(["deltavar", "--model", str(wide_mlp_dir), "--sigma",
+                 str(path), "--qoi", qoi_text,
+                 *(f"--input={z}" for z in inputs)]) == 0
+    u = parse_qoi(qoi_text, model)
+    _, deltas = values_and_deltas(
+        u, np.array([[float(x) for x in z.split(",")] for z in inputs]))
+    assert capsys.readouterr().out == "".join(
+        format_float(delta_variance(GradientDelta(row), sigma)) + "\n"
+        for row in deltas)
+    assert main(["oracle", "--model", str(wide_mlp_dir), "--kind",
+                 "posterior-mc", "--qoi", qoi_text, "--input=0.1,-0.2,0.3",
+                 "--set", "samples=200", "--set", f"sigma={path}"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["count"] == 200 and math.isfinite(report["estimate"])
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header.replace(b'"rank": 100', b'"rank": 171') + b"\n"
+                     + payload)
+    assert main(["deltavar", "--model", str(wide_mlp_dir), "--sigma",
+                 str(path), "--qoi", qoi_text, "--input=0.1,-0.2,0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'rank' is 171" in err
+    assert "Traceback" not in err
 
 
 class TestOracleCommand:

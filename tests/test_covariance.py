@@ -1,5 +1,6 @@
 """Covariance surrogates: Fisher variants, Hessians, sandwich, inversion."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,11 @@ from deltavar.covariance import (
     sandwich,
     save_covariance,
 )
+from deltavar.delta_variance import GradientDelta, block_variances, delta_variance
 from deltavar.models import loglik_grad_batch
+from deltavar.oracles import gaussian_posterior_mc
+from deltavar.qoi import make_qoi
+from deltavar.util import stable_json_dumps
 
 
 def bernoulli_dataset(n, k):
@@ -320,7 +325,10 @@ def peak_in_dxd(build, d: int) -> float:
 def wide_fits():
     """A logistic model of d = 480 and an mlp of d = 353 at seeded
     parameters. Each has fewer examples than parameters, so the (n, d)
-    gradient rows and the R-op's tangents stay small beside one d x d."""
+    gradient rows and the R-op's tangents stay small beside one d x d. At
+    reg 1e-3 their condition bounds 1 + tr(F) / reg (about 1.6e5 and 4.2e3)
+    are past WOODBURY_MAX_CONDITION, so canonical_sigma builds them dense;
+    at reg 1 (about 160 and 5) it takes the Woodbury form."""
     rng = np.random.default_rng(41)
     logistic = make_model("logistic", d_in=480)
     logistic = logistic.with_params(0.05 * rng.standard_normal(480))
@@ -331,16 +339,48 @@ def wide_fits():
             "mlp": (mlp, Dataset(z, np.sin(z[:, 0])))}
 
 
+@pytest.fixture(scope="module")
+def tall_fit():
+    """A logistic model of d = 1000 on 1100 examples, so canonical_sigma
+    is dense whatever the ridge, and its (256, d) gradient chunks stay a
+    quarter of one d x d."""
+    rng = np.random.default_rng(43)
+    model = make_model("logistic", d_in=1000)
+    model = model.with_params(0.05 * rng.standard_normal(1000))
+    x = rng.standard_normal((1100, 1000))
+    return model, Dataset(x, rng.random(1100) < 0.5)
+
+
 class TestBuildMemory:
     """A dense build holds at most about 2.5 d x d arrays at once: the
     curvature (ridged in place, then the factor's inverse), the factor and
-    the halved inverse's blocks; the sandwich adds the Fisher."""
+    the halved inverse's blocks; the sandwich adds the Fisher. A Woodbury
+    build holds no d x d array."""
 
     @pytest.mark.parametrize("fit", ["logistic", "mlp"])
     def test_canonical_sigma_holds_two_and_a_half(self, wide_fits, fit):
         model, data = wide_fits[fit]
         build = lambda: canonical_sigma(model, data, mode="full", reg=1e-3)
+        assert not build().woodbury
         assert peak_in_dxd(build, model.params.dim) <= 2.6
+
+    def test_canonical_sigma_with_n_at_least_d_holds_two_and_a_half(
+            self, tall_fit):
+        model, data = tall_fit
+        build = lambda: canonical_sigma(model, data, mode="full", reg=1e-3)
+        assert peak_in_dxd(build, model.params.dim) <= 2.6
+
+    @pytest.mark.parametrize("fit", ["logistic", "mlp"])
+    def test_woodbury_build_stays_below_one_dxd(self, wide_fits, fit):
+        """G and at most one more (N, d) array (a chunk's gradients, or a
+        column block of R) and two N x N arrays: no d x d."""
+        model, data = wide_fits[fit]
+        n, d = data.n, model.params.dim
+        build = lambda: canonical_sigma(model, data, mode="full", reg=1.0)
+        assert build().woodbury
+        peak = peak_in_dxd(build, d) * d * d
+        assert peak <= 2 * n * d + 2 * n * n
+        assert peak < d * d
 
     @pytest.mark.parametrize("fit", ["logistic", "mlp"])
     def test_laplace_sigma_holds_two_and_a_half(self, wide_fits, fit):
@@ -361,6 +401,213 @@ class TestBuildMemory:
         peak = peak_in_dxd(lambda: invert(fisher, reg=1e-3), model.params.dim)
         assert 1.0 + peak <= 3.6
         assert fisher.values.tobytes() == before.tobytes()
+
+
+@pytest.fixture(scope="module")
+def woodbury_fit(wide_fits):
+    """The wide mlp, its data and its Woodbury sigma at reg 1."""
+    model, data = wide_fits["mlp"]
+    sigma = canonical_sigma(model, data, mode="full", reg=1.0)
+    assert sigma.woodbury
+    return model, data, sigma
+
+
+def dense_reference(model, data, reg: float) -> np.ndarray:
+    """inv(F + reg I) / N from the per-example gradients, by one solve."""
+    g = loglik_grad_batch(model, data.inputs, data.targets)
+    d = model.params.dim
+    fisher = g.T @ g / data.n + reg * np.eye(d)
+    return np.linalg.solve(fisher, np.eye(d)) / data.n
+
+
+class TestWoodbury:
+    """canonical_sigma's (N, d) factor R of inv(F + reg I) / N =
+    (I - R'R) / (N reg), for fewer examples than parameters."""
+
+    def test_the_form_is_taken_only_within_its_regime(self, wide_fits):
+        model, data = wide_fits["mlp"]
+        assert canonical_sigma(model, data, mode="full", reg=1.0).woodbury
+        assert not canonical_sigma(model, data, mode="full",
+                                   reg=1e-3).woodbury
+        diag = canonical_sigma(model, data, mode="diag", reg=1.0)
+        assert diag.is_diagonal and not diag.woodbury
+
+    def test_layout_and_materialized_matrix(self, woodbury_fit):
+        model, data, sigma = woodbury_fit
+        d = model.params.dim
+        assert sigma.values.shape == (data.n, d)
+        assert sigma.dim == d and not sigma.is_diagonal
+        assert sigma.woodbury and sigma.inverted
+        m = sigma.matrix()
+        ref = dense_reference(model, data, 1.0)
+        assert m.shape == (d, d) and np.array_equal(m, m.T)
+        assert np.abs(m - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_matrix_is_a_new_array_on_every_call(self, woodbury_fit):
+        _, _, sigma = woodbury_fit
+        first, second = sigma.matrix(), sigma.matrix()
+        assert first is not second
+        assert not np.shares_memory(first, sigma.values)
+        assert first.tobytes() == second.tobytes()
+        first[...] = 0.0
+        assert sigma.matrix().tobytes() == second.tobytes()
+
+    def test_nu_matches_the_dense_form(self, woodbury_fit):
+        model, data, sigma = woodbury_fit
+        ref = dense_reference(model, data, 1.0)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            v = rng.standard_normal(model.params.dim)
+            nu = delta_variance(GradientDelta(v), sigma)
+            assert nu >= 0.0
+            assert nu == pytest.approx(float(v @ ref @ v), rel=1e-13)
+
+    def test_invert_goes_through_the_matrix(self, woodbury_fit):
+        _, _, sigma = woodbury_fit
+        dense = CovarianceEstimate(kind=sigma.kind, values=sigma.matrix(),
+                                   n_points=sigma.n_points, reg=sigma.reg,
+                                   inverted=True, blocks=sigma.blocks)
+        back = invert(sigma)
+        assert not back.woodbury and not back.inverted
+        assert back.values.tobytes() == invert(dense).values.tobytes()
+
+    def test_block_variances_refuses_between_blocks(self, woodbury_fit):
+        model, _, sigma = woodbury_fit
+        deltas = np.ones((2, model.params.dim))
+        with pytest.raises(StructuralError, match="between blocks"):
+            block_variances(deltas, sigma)
+        one_block = CovarianceEstimate(
+            kind=sigma.kind, values=sigma.values, n_points=sigma.n_points,
+            reg=sigma.reg, inverted=True,
+            blocks=(("all", 0, model.params.dim),), woodbury=True)
+        parts = block_variances(deltas, one_block)
+        assert parts[:, 0] == pytest.approx(
+            delta_variance(GradientDelta(deltas[0]), one_block), rel=1e-12)
+
+    def test_posterior_mc_draws_from_the_matrix(self, woodbury_fit):
+        model, _, sigma = woodbury_fit
+        u = make_qoi("power", model, exponent=2.0)
+        z = np.array([0.3, -0.2, 0.5])
+        dense = CovarianceEstimate(kind=sigma.kind, values=sigma.matrix(),
+                                   n_points=sigma.n_points, reg=sigma.reg,
+                                   inverted=True)
+        a = gaussian_posterior_mc(u, model.params.data, sigma, z,
+                                  samples=300, seed=2)
+        b = gaussian_posterior_mc(u, model.params.data, dense, z,
+                                  samples=300, seed=2)
+        assert a.estimate == b.estimate
+
+    def test_more_examples_than_one_chunk(self):
+        """N = 300 > 256 fills G chunk by chunk."""
+        rng = np.random.default_rng(44)
+        model = make_model("logistic", d_in=400)
+        model = model.with_params(0.05 * rng.standard_normal(400))
+        x = 0.05 * rng.standard_normal((300, 400))
+        data = Dataset(x, rng.random(300) < 0.5)
+        sigma = canonical_sigma(model, data, mode="full", reg=1.0)
+        ref = dense_reference(model, data, 1.0)
+        assert sigma.woodbury and sigma.values.shape == (300, 400)
+        assert np.abs(sigma.matrix() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("change, error", [
+        (dict(values=np.ones((3, 3))), StructuralError),
+        (dict(values=np.ones(3)), StructuralError),
+        (dict(reg=0.0), StructuralError),
+        (dict(inverted=False), StructuralError),
+        (dict(values=np.array([[0.1, np.nan, 0.0]])), NumericalError),
+    ], ids=["rank-equals-dim", "one-dimensional", "no-ridge",
+            "not-inverted", "non-finite"])
+    def test_invalid_estimates_are_refused(self, change, error):
+        fields = dict(kind="fisher-full", values=np.full((1, 3), 0.1),
+                      n_points=4, reg=0.5, inverted=True, woodbury=True)
+        CovarianceEstimate(**fields)
+        with pytest.raises(error):
+            CovarianceEstimate(**{**fields, **change})
+
+
+class TestWoodburyFiles:
+    """`layout: "woodbury"` files: a `rank` header key and the (rank, dim)
+    factor as the payload."""
+
+    def test_round_trip_is_byte_for_byte(self, woodbury_fit, tmp_path):
+        _, data, sigma = woodbury_fit
+        path = tmp_path / "sigma.bin"
+        save_covariance(path, sigma)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        assert meta["layout"] == "woodbury" and meta["rank"] == data.n
+        assert payload == sigma.values.astype("<f8").tobytes()
+        back = load_covariance(path)
+        assert back.woodbury and back.values.tobytes() == sigma.values.tobytes()
+        for field in ("kind", "n_points", "reg", "inverted", "blocks",
+                      "block_scales"):
+            assert getattr(back, field) == getattr(sigma, field)
+        save_covariance(tmp_path / "again.bin", back)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+        v = np.linspace(-1.0, 1.0, sigma.dim)
+        assert (delta_variance(GradientDelta(v), back)
+                == delta_variance(GradientDelta(v), sigma))
+
+    @pytest.mark.parametrize("values", [np.eye(3), np.ones(3)],
+                             ids=["full", "diag"])
+    def test_dense_headers_carry_no_rank(self, tmp_path, values):
+        path = tmp_path / "sigma.bin"
+        save_covariance(path, CovarianceEstimate(
+            kind="fisher-full", values=values, n_points=2, inverted=True))
+        assert "rank" not in json.loads(path.read_bytes().split(b"\n")[0])
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A (2, 3) Woodbury file's header dict and payload bytes, and a
+        writer for variants of them."""
+        sigma = CovarianceEstimate(kind="fisher-full",
+                                   values=np.full((2, 3), 0.25), n_points=5,
+                                   reg=0.5, inverted=True, woodbury=True)
+        path = tmp_path / "sigma.bin"
+        save_covariance(path, sigma)
+        header, payload = path.read_bytes().split(b"\n", 1)
+
+        def write(meta, body=payload):
+            path.write_bytes(stable_json_dumps(meta).encode() + b"\n" + body)
+            return path
+        return json.loads(header), payload, write
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("rank", None, "'rank' is missing"),
+        ("rank", -1, "'rank' is -1"),
+        ("rank", 3, "'rank' is 3"),
+        ("rank", 7, "'rank' is 7"),
+        ("rank", "2", "'rank' is missing or mistyped"),
+        ("rank", True, "'rank' is missing or mistyped"),
+        ("reg", 0.0, "positive 'reg'"),
+        ("reg", -0.5, "positive 'reg'"),
+        ("inverted", False, "positive regularizer"),
+    ])
+    def test_malformed_headers_are_structural_errors(self, saved, key, value,
+                                                     match):
+        meta, _, write = saved
+        meta = dict(meta)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        with pytest.raises(StructuralError, match=match):
+            load_covariance(write(meta))
+
+    @pytest.mark.parametrize("cut", [8, -8, 24])
+    def test_a_wrong_payload_length_names_it(self, saved, cut):
+        meta, payload, write = saved
+        body = payload[:-cut] if cut > 0 else payload + b"\0" * -cut
+        with pytest.raises(StructuralError, match=(
+                f"holds {len(body)} bytes, expected 48")):
+            load_covariance(write(meta, body))
+
+    def test_a_non_finite_factor_is_a_numerical_error(self, saved):
+        meta, payload, write = saved
+        body = np.frombuffer(payload, dtype="<f8").copy()
+        body[4] = np.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            load_covariance(write(meta, body.tobytes()))
 
 
 class TestSerialization:

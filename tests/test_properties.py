@@ -38,7 +38,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from deltavar.cli import main as cli_main
-from deltavar.covariance import (KINDS, CovarianceEstimate, _invert_lower,
+from deltavar.covariance import (KINDS, WOODBURY_MAX_CONDITION,
+                                 CovarianceEstimate, _invert_lower,
                                  canonical_sigma, empirical_fisher, invert,
                                  laplace_sigma, load_covariance, loss_hessian,
                                  sandwich, save_covariance)
@@ -545,19 +546,25 @@ def out_of_place_builders(model, data, reg: float) -> dict:
     """The dense builders as each step made a new array: the curvature sums
     from 0, the ridge as matrix + reg * I, the factor's inverse in a zeroed
     buffer of its own and every scaling out of place. Each entry computes
-    one builder's values or raises LinAlgError."""
+    one builder's values or raises LinAlgError. Where canonical_sigma takes
+    the Woodbury form (N < d, reg > 0, 1 + tr(F) / reg within the bound),
+    its entry is the factor R of out_of_place_woodbury."""
     d = model.params.dim
     chunks = [(data.inputs[s:s + 256], data.targets[s:s + 256])
               for s in range(0, data.n, 256)]
-    diag, fisher = np.zeros(d), np.zeros((d, d))
+    diag, fisher, rows = np.zeros(d), np.zeros((d, d)), []
     for x, y in chunks:
         g = loglik_grad_batch(model, x, y)
+        rows.append(g)
         diag += np.einsum("ni,ni->i", g, g)
         fisher += g.T @ g
     np.fill_diagonal(fisher, diag)
     fisher = fisher / data.n
     hess = sum(nll_hessian(model, x, y) for x, y in chunks)
     hess = (hess + hess.T) / 2.0
+    grads = np.concatenate(rows)
+    woodbury = (reg > 0.0 and data.n < d and 1.0 + np.sum(grads * grads)
+                / (data.n * reg) <= WOODBURY_MAX_CONDITION)
 
     def sandwich_values():
         h_inv = out_of_place_inverse(hess, reg)
@@ -565,7 +572,8 @@ def out_of_place_builders(model, data, reg: float) -> dict:
         return (values + values.T) / 2.0
 
     return {"canonical_sigma":
-            lambda: out_of_place_inverse(fisher, reg) / data.n,
+            (lambda: out_of_place_woodbury(grads, reg)) if woodbury
+            else lambda: out_of_place_inverse(fisher, reg) / data.n,
             "laplace_sigma": lambda: out_of_place_inverse(hess, reg),
             "sandwich": sandwich_values,
             "invert": lambda: out_of_place_inverse(fisher, reg)}
@@ -577,6 +585,18 @@ def out_of_place_inverse(matrix: np.ndarray, reg: float) -> np.ndarray:
     chol_inv = np.zeros_like(chol)
     _invert_lower(chol, chol_inv)
     return chol_inv.T @ chol_inv
+
+
+def out_of_place_woodbury(grads: np.ndarray, reg: float) -> np.ndarray:
+    """R = L^-1 G, with L L' = G G' + N reg I, each step into a new array
+    (the ridge on the Gram's diagonal, as reg * I adds it)."""
+    n = grads.shape[0]
+    gram = grads @ grads.T
+    gram.flat[::n + 1] += n * reg
+    chol = np.linalg.cholesky(gram)
+    chol_inv = np.zeros_like(chol)
+    _invert_lower(chol, chol_inv)
+    return chol_inv @ grads
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -594,9 +614,13 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @example("logistic", 1e-3, 5).via("closed forms, ridged")
 @example("mlp", 0.0, 6).via("the R-op Hessian, no ridge")
 @example("mlp", 1.0, 7).via("the R-op Hessian, ridged")
+@example("mlp", 1.0, 23).via("N < d: the Woodbury factor")
+@example("mlp", 1e-3, 23).via("N < d past the condition bound: dense")
+@example("logistic", 1e-3, 27).via("N < d on a closed-form gradient")
 def test_in_place_builders_keep_every_bit(kind, reg, seed):
     """canonical_sigma, laplace_sigma, sandwich and invert give the bytes of
-    the out-of-place formulas, or both refuse the same matrix."""
+    the out-of-place formulas, or both refuse the same matrix; in the
+    Woodbury regime canonical_sigma's values are the factor R."""
     model, data = seeded_fit(kind, seed)
     built = {
         "canonical_sigma": lambda: canonical_sigma(model, data,
@@ -614,6 +638,84 @@ def test_in_place_builders_keep_every_bit(kind, reg, seed):
                 built[name]()
             continue
         assert same_bits(built[name](), expected), name
+
+
+# the Woodbury nu may be off by at most this many eps per unit of the
+# condition bound 1 + tr(F) / reg, relative
+WOODBURY_SLACK = 16.0
+
+
+@st.composite
+def wide_fits(draw):
+    """A model with more parameters than its 1..d-1 seeded examples, the
+    gradients scaled by 10^-3..10^3 through the targets (the inputs of a
+    logistic model), and a ridge that puts the condition bound
+    1 + tr(F) / reg between about 1 and 10 times WOODBURY_MAX_CONDITION."""
+    kind = draw(st.sampled_from(("linear-regression", "logistic", "mlp")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "mlp":
+        model = make_model("mlp", d_in=int(rng.integers(1, 4)),
+                           d_out=int(rng.integers(1, 3)),
+                           hidden=(int(rng.integers(2, 7)),),
+                           seed=int(rng.integers(2**16)))
+    else:
+        width = int(rng.integers(2, 13))
+        model = make_model(kind, d_in=width,
+                           d_out=int(rng.integers(1, 3))
+                           if kind == "linear-regression" else 1)
+        model = model.with_params(rng.standard_normal(model.params.dim))
+    n = int(rng.integers(1, model.params.dim))
+    x = rng.uniform(-1.5, 1.5, size=(n, model.d_in))
+    if kind == "logistic":
+        x, y = scale * x, rng.random((n, 1)) < 0.5
+    else:
+        y = scale * rng.standard_normal((n, model.d_out))
+    data = Dataset(x, y)
+    grads = loglik_grad_batch(model, data.inputs, data.targets)
+    trace = float(np.sum(grads * grads)) / n
+    assume(trace > 0.0)
+    bound = 1.0 + 10.0 ** rng.uniform(-1.0, 1.0 + math.log10(
+        WOODBURY_MAX_CONDITION))
+    v = rng.standard_normal(model.params.dim) * 10.0 ** rng.uniform(-3, 3)
+    return model, data, grads, trace / (bound - 1.0), v
+
+
+def refined_nu(grads: np.ndarray, reg: float, v: np.ndarray) -> float:
+    """v' inv(G'G / N + reg I) v / N: a dense solve refined against
+    residuals formed from G in extended precision."""
+    n, d = grads.shape
+    dense = grads.T @ grads / n + reg * np.eye(d)
+    g, target = grads.astype(np.longdouble), v.astype(np.longdouble)
+    x = np.linalg.solve(dense, v).astype(np.longdouble)
+    for _ in range(4):
+        resid = target - (g.T @ (g @ x) / n + reg * x)
+        x += np.linalg.solve(dense, resid.astype(np.float64))
+    return float(target @ x / n)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the refined reference needs an extended "
+                           "long double")
+@given(wide_fits())
+def test_woodbury_nu_is_within_its_bound_or_the_build_is_dense(case):
+    """With N < d: while 1 + tr(F) / reg <= WOODBURY_MAX_CONDITION the
+    sigma is the Woodbury factor and nu is >= 0 and within
+    WOODBURY_SLACK * eps * (1 + tr(F) / reg) of a refined solve; past the
+    bound it is the dense build, byte for byte."""
+    model, data, grads, reg, v = case
+    sigma = canonical_sigma(model, data, reg=reg)
+    bound = 1.0 + float(np.sum(grads * grads)) / (data.n * reg)
+    if bound > WOODBURY_MAX_CONDITION:
+        assert not sigma.woodbury
+        expected = out_of_place_builders(model, data, reg)["canonical_sigma"]
+        assert same_bits(sigma.values, expected())
+        return
+    assert sigma.woodbury and sigma.values.shape == grads.shape
+    nu = delta_variance(GradientDelta(v), sigma)
+    ref = refined_nu(grads, reg, v)
+    assert nu >= 0.0
+    assert abs(nu - ref) <= WOODBURY_SLACK * np.finfo(float).eps * bound * ref
 
 
 @given(st.integers(2, 150), st.integers(0, 2**16))
