@@ -335,11 +335,12 @@ def _run_eigen(scenario: Scenario):
         kind="learned", values=np.full(dim, var), n_points=1, inverted=True,
         blocks=(("masses", 0, masses.size),
                 ("stiffnesses", masses.size, stiff.size)))
+    nus = sigma.quadratic_forms(np.stack([
+        eigenvalue_delta(EigenProblem(masses, stiff, index))[1].vector
+        for index in range(masses.size)]))
     rows = []
     per_index = {}
-    for index in range(masses.size):
-        _, delta = eigenvalue_delta(EigenProblem(masses, stiff, index))
-        nu = delta_variance(delta, sigma)
+    for index, nu in enumerate(nus.tolist()):
         draws = spectra[:, index]
         mc = float(np.var(draws, ddof=1))
         mc_se = variance_standard_error(draws)
@@ -403,9 +404,10 @@ def _select_regularizer(fisher_diag: np.ndarray, n_train: int,
     the chosen ridge and the score curve, one [reg, score] pair per grid
     point.
     """
-    nus = np.array([np.einsum("bi,i,bi->b", deltas,
-                              1.0 / ((fisher_diag + reg) * n_train), deltas)
-                    for reg in REG_GRID for deltas in val_deltas])
+    nus = np.array([CovarianceEstimate(
+        kind="fisher-diag", values=1.0 / ((fisher_diag + reg) * n_train),
+        n_points=n_train, reg=reg, inverted=True).quadratic_forms(deltas)
+        for reg in REG_GRID for deltas in val_deltas])
     ys, mus = np.array(val_targets), np.array(val_values)
     stack = len(REG_GRID)
     calibs = fit_laplace_calibration(np.tile(ys, (stack, 1)),
@@ -499,7 +501,8 @@ def cost_report(scenario: Scenario, repeats: int) -> dict:
     """Measured cost profiles of the delta, dropout and ensemble methods.
 
     Runs the dynamics head and trains its ensemble, then times each method's
-    variance queries for the last quantity on up to 32 evaluation inputs
+    variance queries (for delta, the gradients and their forms on the head's
+    sigma) for the last quantity on up to 32 evaluation inputs
     (cost_accounting, the median of `repeats` runs). Returns the batch size,
     the quantity id, one profile per method and a note on the timings.
     """
@@ -515,7 +518,8 @@ def cost_report(scenario: Scenario, repeats: int) -> dict:
     z = head.splits.evaluation.inputs[:batch]
     passes = int(p["dropout_passes"])
     workloads = {
-        "delta": (lambda: values_and_deltas(u, z), passes),
+        "delta": (lambda: head.sigma.quadratic_forms(
+            values_and_deltas(u, z)[1]), passes),
         "dropout": (lambda: dropout_variance_batch(
             head.model, u, z, k=passes, rate=float(p["dropout_rate"]),
             seed=0), passes),
@@ -566,9 +570,8 @@ def _run_dynamics(scenario: Scenario):
         v_val, d_val, v_eval, d_eval = sides[qi]
         err_eval = np.abs(y_eval[qi] - v_eval)
         variances = {}
-        variances["delta"] = (
-            np.einsum("bi,i,bi->b", d_val, sigma.values, d_val),
-            np.einsum("bi,i,bi->b", d_eval, sigma.values, d_eval))
+        variances["delta"] = (sigma.quadratic_forms(d_val),
+                              sigma.quadratic_forms(d_eval))
         contrib_val, scales, finetune_info = _finetune(head, qi)
         contrib_eval = block_variances(d_eval, sigma)
         scale_vec = np.array(list(scales.as_dict().values()))

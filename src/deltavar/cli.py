@@ -4,9 +4,11 @@ Exit codes: 0 on success, 1 for a structured runtime failure (message on
 stderr), 2 for a malformed config or command line (nothing is written).
 Output directories are staged in a sibling ".partial" directory and renamed
 into place on success, so a failed run never leaves a half-written report.
-Floats are printed and serialized with shortest round-trip decimals; the only
-environment variable consulted is DELTAVAR_THREADS (worker pool size, which
-never changes any computed value).
+Floats are printed and serialized with shortest round-trip decimals. The
+package reads one environment variable, DELTAVAR_THREADS (pool size, which
+changes no computed value; not a positive integer: exit 2 before any command
+runs). numpy's BLAS reads its own (OPENBLAS_NUM_THREADS and the like), which
+can move the last bits of a dense covariance and of nu (README, Determinism).
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .bench import (Scenario, cost_report, emit_plotdata, finetune_report,
 from .covariance import (canonical_sigma, laplace_sigma, load_covariance,
                          sandwich, save_covariance)
 from .autodiff import ParameterVector
-from .delta_variance import GradientDelta, delta_variance
 from .exceptions import ConfigError, DeltaVarError, StructuralError
 from .models import (Dataset, Model, TrainConfig, _saturated_fit, make_model,
                      train)
@@ -38,7 +39,7 @@ from .oracles import (adversarial_shift, eps_loo_variance,
                       gaussian_posterior_mc, loo_variance,
                       mahalanobis_gradient_distance, richardson_eps_loo)
 from .qoi import make_qoi, parse_qoi, values_and_deltas
-from .util import format_float, stable_json_dumps
+from .util import format_float, stable_json_dumps, thread_count
 
 _POWER_ALIAS = re.compile(r"^power(\d+)$")
 _SIGMA_KINDS = ("fisher-full", "fisher-diag", "hessian", "sandwich")
@@ -345,8 +346,7 @@ def _cmd_deltavar(args, cfg) -> int:
     sigma = _resolve_sigma(args.sigma, model, data, args.reg)
     zs = np.stack([_parse_input(text, model) for text in args.input])
     _, deltas = values_and_deltas(u, zs)
-    for row in deltas:
-        nu = delta_variance(GradientDelta(row, source=u.qoi_id), sigma)
+    for nu in sigma.quadratic_forms(deltas):
         print(format_float(nu))
     return 0
 
@@ -531,6 +531,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        thread_count()  # a bad DELTAVAR_THREADS fails before any work
         cfg = _load_config(args)
         return _HANDLERS[args.command](args, cfg)
     except ConfigError as exc:

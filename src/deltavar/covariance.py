@@ -48,6 +48,7 @@ _LEAF = 64  # triangular blocks this wide or narrower are inverted by one solve
 # which canonical_sigma takes the Woodbury form: its quadratic form then
 # loses at most about 1e3 eps, relative
 WOODBURY_MAX_CONDITION = 1e3
+_ONE_ROW = (np.ndarray.dot, np.ndarray.dot)  # quadratic_forms' matvec, vecdot
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,54 @@ class CovarianceEstimate:
             m /= self.n_points * self.reg
             return m
         return np.diag(self.values) if self.is_diagonal else self.values
+
+    def quadratic_forms(self, deltas) -> np.ndarray:
+        """nu = delta' Sigma delta of a gradient (d,) or each row of (B, d),
+        checked once: inverted, the width, finite entries (an inf or NaN
+        makes its form inf or NaN, so entries are scanned only then; numpy
+        may warn first). One expression per layout, each row alone, so a row
+        keeps its lone bits in any stack (a gemm's would depend on B); one
+        row spells matvec and vecdot as ndarray.dot, the same BLAS calls."""
+        deltas = np.asarray(deltas, dtype=float)
+        values, ndim = self.values, deltas.ndim
+        if not self.inverted:
+            raise StructuralError("sigma is a raw curvature estimate; "
+                                  "invert it into a covariance first")
+        if ndim not in (1, 2) or deltas.shape[-1] != values.shape[-1]:
+            raise StructuralError(f"gradients of shape {deltas.shape} do not "
+                                  f"fit a sigma of dimension {self.dim}")
+        matvec, vecdot = _ONE_ROW if ndim == 1 else (np.matvec, np.vecdot)
+        if values.ndim == 1:
+            forms = np.einsum("...i,i,...i->...", deltas, values, deltas)
+        elif self.woodbury:
+            r = matvec(values, deltas)
+            forms = ((vecdot(deltas, deltas) - vecdot(r, r))
+                     / (self.n_points * self.reg))
+        else:
+            forms = vecdot(deltas, matvec(values, deltas))
+        finite = math.isfinite(forms) if ndim == 1 else np.isfinite(forms).all()
+        if not finite and not np.isfinite(deltas).all():
+            raise NumericalError("gradient contains non-finite entries")
+        return forms
+
+    def diagonal_blocks(self) -> list:
+        """One estimate per parameter block: sigma's diagonal block there.
+        Refuses a sigma without blocks, or with nonzero entries between
+        blocks, where the quadratic form does not split per block."""
+        if not self.blocks:
+            raise StructuralError("sigma carries no block layout")
+        spans = [slice(start, start + n) for _, start, n in self.blocks]
+        values = self.values if self.is_diagonal else self.matrix()
+        if not self.is_diagonal:
+            off = np.ones(values.shape, dtype=bool)
+            for span in spans:
+                off[span, span] = False
+            if np.any(values[off] != 0.0):
+                raise StructuralError("sigma has nonzero entries between "
+                                      "blocks; the form does not split")
+        return [replace(self, values=values[(span,) * values.ndim],
+                        blocks=((name, 0, n),), woodbury=False)
+                for span, (name, _, n) in zip(spans, self.blocks)]
 
 
 def _chunks(data: Dataset) -> Iterable[tuple[np.ndarray, np.ndarray]]:

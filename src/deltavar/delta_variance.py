@@ -25,7 +25,7 @@ class GradientDelta:
     """Parameter gradient of one scalar quantity at one input.
 
     `source` names the quantity and `input_id` the evaluation point; both are
-    free-form labels carried into reports.
+    free-form labels for the caller, and nothing in the package reads them.
     """
 
     vector: np.ndarray
@@ -33,7 +33,7 @@ class GradientDelta:
     input_id: str = ""
 
     def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.float64)
+        vec = np.asarray(self.vector, dtype=float)
         if vec.ndim != 1 or vec.size == 0:
             raise StructuralError("gradient must be a nonempty vector")
         if not np.logical_and.reduce(np.isfinite(vec)):
@@ -46,72 +46,22 @@ class GradientDelta:
 
 
 def delta_variance(delta: GradientDelta, sigma: CovarianceEstimate) -> float:
-    """The quadratic form Delta' Sigma Delta; exact, no sampling.
-
-    Sigma must already be a covariance (inverted); passing a raw Fisher or
-    Hessian estimate is refused because the result would be a curvature form,
-    not a variance. Nonnegative whenever Sigma is positive semidefinite. A
-    Woodbury sigma, (I - R'R) / (N reg), gives (v.v - |R v|^2) / (N reg).
-    """
-    if not sigma.inverted:
-        raise StructuralError(
-            "sigma is a raw curvature estimate; invert it into a covariance first")
-    v, values = delta.vector, sigma.values
-    if values.shape[-1] != v.size:
-        raise StructuralError(
-            f"gradient has dimension {v.size} but sigma has {values.shape[-1]}")
-    if values.ndim == 1:
-        return float(np.einsum("i,i,i->", v, values, v))
-    if sigma.woodbury:
-        rv = values.dot(v)
-        return float((v.dot(v) - rv.dot(rv)) / (sigma.n_points * sigma.reg))
-    return float(v.dot(values.dot(v)))
-
-
-def _off_block_mask(dim: int, blocks) -> np.ndarray:
-    mask = np.ones((dim, dim), dtype=bool)
-    for _, start, length in blocks:
-        mask[start:start + length, start:start + length] = False
-    return mask
+    """The quadratic form Delta' Sigma Delta, exact: the one-row call of
+    sigma.quadratic_forms, which refuses a raw (not inverted) curvature."""
+    return float(sigma.quadratic_forms(delta.vector))
 
 
 def block_variances(deltas, sigma: CovarianceEstimate) -> np.ndarray:
-    """Per-block contributions of the quadratic form, one row per gradient.
-
-    `deltas` is a (B, d) stack of gradients; the result is (B, n_blocks) in
-    block order, and each row sums to that gradient's delta_variance.
-    Requires Sigma to carry the parameter block layout and to be block
-    diagonal (diagonals always are; full matrices must have exact zeros
-    between blocks). A Woodbury sigma is checked and split through its
-    matrix().
-    """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if not sigma.inverted:
-        raise StructuralError(
-            "sigma is a raw curvature estimate; invert it into a covariance first")
-    if not sigma.blocks:
-        raise StructuralError("sigma carries no block layout")
+    """Per-block contributions of the quadratic form: (B, n_blocks) for a
+    (B, d) stack, in block order, each column the quadratic_forms of one of
+    sigma.diagonal_blocks(), so each row sums to its delta_variance."""
+    deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 2 or deltas.shape[1] != sigma.dim:
-        raise StructuralError(
-            f"gradients have shape {deltas.shape} but sigma has dimension "
-            f"{sigma.dim}")
-    values = sigma.values if sigma.is_diagonal else sigma.matrix()
-    if not sigma.is_diagonal:
-        off = _off_block_mask(sigma.dim, sigma.blocks)
-        if np.any(values[off] != 0.0):
-            raise StructuralError(
-                "sigma has nonzero entries between blocks; "
-                "the quadratic form does not split per block")
-    out = np.empty((deltas.shape[0], len(sigma.blocks)))
-    for j, (_, start, length) in enumerate(sigma.blocks):
-        seg = deltas[:, start:start + length]
-        if sigma.is_diagonal:
-            s = values[start:start + length]
-            out[:, j] = np.einsum("bi,i,bi->b", seg, s, seg)
-        else:
-            m = values[start:start + length, start:start + length]
-            out[:, j] = np.einsum("bi,bi->b", seg @ m, seg)
-    return out
+        raise StructuralError(f"gradients have shape {deltas.shape} but "
+                              f"sigma has dimension {sigma.dim}")
+    return np.stack([part.quadratic_forms(deltas[:, start:start + n])
+                     for part, (_, start, n) in zip(sigma.diagonal_blocks(),
+                                                    sigma.blocks)], axis=1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .exceptions import NumericalError
+from .exceptions import ConfigError, NumericalError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -22,17 +22,14 @@ LBFGS_MEMORY = 10  # curvature pairs the L-BFGS recursion keeps
 
 
 def thread_count() -> int:
-    """Worker pool size: DELTAVAR_THREADS if set, else the logical core count."""
+    """Worker pool size: DELTAVAR_THREADS (a positive integer) or the cores."""
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError(
+            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def ordered_parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:

@@ -805,3 +805,22 @@ def test_dynamics_run_never_imports_scipy_optimize():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_invalid_thread_count_exits_2_before_any_work(threads, monkeypatch,
+                                                      tmp_path, capsys):
+    """A DELTAVAR_THREADS that is not a positive integer is a config error
+    read before the command runs: exit 2, a message naming the variable and
+    no output directory. It used to train first and end in a raw
+    ValueError."""
+    monkeypatch.setenv("DELTAVAR_THREADS", threads)
+    out = tmp_path / "dyn"
+    code = main(["bench", "--set", "scenario=dynamics",
+                 "--set", "params.n_pairs=100",
+                 "--set", "params.train_steps=20",
+                 "--set", "params.horizons=[1]",
+                 "--set", "params.members=2", "--out", str(out)])
+    assert code == 2
+    assert "DELTAVAR_THREADS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -204,6 +204,19 @@ class TestBlockDecompose:
         with pytest.raises(StructuralError):
             block_parts(GradientDelta(np.ones(2)), sigma)
 
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradients_refused(self, diagonal, bad):
+        """As delta_variance refuses such a row: block contributions of
+        nan or inf used to come back as numbers."""
+        sigma = identity_sigma(3, diagonal=diagonal,
+                               blocks=(("a", 0, 2), ("b", 2, 1)))
+        deltas = np.ones((2, 3))
+        deltas[1, 2] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError):
+                block_variances(deltas, sigma)
+
     def test_missing_layout_refused(self):
         with pytest.raises(StructuralError):
             block_parts(GradientDelta(np.ones(2)), identity_sigma(2))

@@ -446,6 +446,64 @@ def test_block_decomposition_sums_to_the_form(case):
                         rel_tol=1e-12, abs_tol=1e-300)
 
 
+def one_row_reference(v, sigma) -> float:
+    """The one-row quadratic form as delta_variance spelled it before
+    CovarianceEstimate.quadratic_forms, one expression per layout."""
+    values = sigma.values
+    if values.ndim == 1:
+        return float(np.einsum("i,i,i->", v, values, v))
+    if sigma.woodbury:
+        rv = values.dot(v)
+        return float((v.dot(v) - rv.dot(rv)) / (sigma.n_points * sigma.reg))
+    return float(v.dot(values.dot(v)))
+
+
+@given(st.sampled_from(("diag", "dense", "woodbury")), st.integers(1, 300),
+       st.integers(1, 70), st.integers(0, 2**16), st.data())
+def test_quadratic_forms_rows_keep_their_lone_bits(layout, d, b, seed, data):
+    """Row i of quadratic_forms, the lone row through quadratic_forms and
+    delta_variance of row i all have the bits of the one-row reference; a
+    non-finite entry is a NumericalError, and a raw curvature or a wrong
+    width a StructuralError."""
+    rng = np.random.default_rng(seed)
+    if layout == "diag":
+        sigma = CovarianceEstimate(kind="fisher-diag", n_points=3,
+                                   values=rng.uniform(0.0, 3.0, d),
+                                   inverted=True)
+    elif layout == "dense" or d == 1:
+        a = rng.standard_normal((d, d))
+        sigma = CovarianceEstimate(kind="fisher-full", values=a @ a.T / d,
+                                   n_points=3, inverted=True)
+    else:
+        rank = data.draw(st.integers(0, d - 1))
+        sigma = CovarianceEstimate(
+            kind="fisher-full", values=0.1 * rng.standard_normal((rank, d)),
+            n_points=rank + 1, reg=1e-3, inverted=True, woodbury=True)
+    deltas = rng.standard_normal((b, d)) * 10.0 ** rng.uniform(-3, 3)
+    forms = sigma.quadratic_forms(deltas)
+    assert forms.shape == (b,)
+    ref = np.array([one_row_reference(v, sigma) for v in deltas])
+    lone = np.array([sigma.quadratic_forms(v) for v in deltas])
+    via = np.array([delta_variance(GradientDelta(v), sigma) for v in deltas])
+    assert forms.tobytes() == ref.tobytes() == lone.tobytes() == via.tobytes()
+
+    bad, row = deltas.copy(), rng.integers(b)
+    bad[row, rng.integers(d)] = data.draw(
+        st.sampled_from((math.nan, math.inf, -math.inf)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for stack in (bad, bad[row]):
+            with pytest.raises(NumericalError):
+                sigma.quadratic_forms(stack)
+    raw = CovarianceEstimate(kind="fisher-full", n_points=3,
+                             values=sigma.matrix() if sigma.woodbury
+                             else sigma.values)
+    for stack, est in ((deltas, raw), (deltas[:, :-1], sigma),
+                       (np.hstack([deltas, deltas[:, :1]]), sigma),
+                       (deltas[None], sigma)):
+        with pytest.raises(StructuralError):
+            est.quadratic_forms(stack)
+
+
 @given(psd_sigmas(), st.data())
 def test_covariance_files_round_trip_bit_exactly(case, data):
     sigma, _ = case

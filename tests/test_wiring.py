@@ -10,6 +10,10 @@ helper that only the tests use belongs in tests/.
 
 The benchmark's tracer (perfbench/tracing.py) wraps package functions by
 name, so each of its TARGETS must still resolve in the package.
+
+A sigma's layout (`woodbury`, `is_diagonal`) is read only in covariance.py,
+which owns it; everywhere else the quadratic form comes from
+CovarianceEstimate.quadratic_forms.
 """
 import ast
 import importlib
@@ -103,3 +107,42 @@ def test_traced_targets_exist():
             missing.append(f"{module_name}.{attr}")
     assert targets and not missing, (
         f"perfbench/tracing.py traces names the package lacks: {missing}")
+
+
+LAYOUT_ATTRS = {"woodbury", "is_diagonal"}
+# Functions outside covariance.py that read a sigma's layout, with the reason.
+LAYOUT_READERS = {
+    ("oracles.py", "gaussian_posterior_mc"):
+        "posterior draws need a factor of sigma, not its quadratic form, "
+        "and no factored draw exists yet (ROADMAP item 6)",
+}
+
+
+def _layout_reads():
+    """(module, innermost enclosing function) of each attribute read, or
+    string naming, of a layout attribute outside covariance.py."""
+    reads = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if ((isinstance(child, ast.Attribute)
+                 and child.attr in LAYOUT_ATTRS)
+                    or (isinstance(child, ast.Constant)
+                        and child.value in LAYOUT_ATTRS)):
+                reads.add((module, where))
+            visit(child, module, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "covariance.py":
+            visit(ast.parse(path.read_text(), filename=str(path)), path.name,
+                  "<module>")
+    return reads
+
+
+def test_only_covariance_reads_the_sigma_layout():
+    """Outside covariance.py only the allowlisted functions read a sigma's
+    layout, and each allowlisted one still does."""
+    assert _layout_reads() == set(LAYOUT_READERS)
