@@ -338,8 +338,7 @@ def _run_eigen(scenario: Scenario):
     nus = sigma.quadratic_forms(np.stack([
         eigenvalue_delta(EigenProblem(masses, stiff, index))[1].vector
         for index in range(masses.size)]))
-    rows = []
-    per_index = {}
+    rows, per_index = [], {}
     for index, nu in enumerate(nus.tolist()):
         draws = spectra[:, index]
         mc = float(np.var(draws, ddof=1))
@@ -404,10 +403,11 @@ def _select_regularizer(fisher_diag: np.ndarray, n_train: int,
     the chosen ridge and the score curve, one [reg, score] pair per grid
     point.
     """
-    nus = np.array([CovarianceEstimate(
+    sigmas = [CovarianceEstimate(
         kind="fisher-diag", values=1.0 / ((fisher_diag + reg) * n_train),
-        n_points=n_train, reg=reg, inverted=True).quadratic_forms(deltas)
-        for reg in REG_GRID for deltas in val_deltas])
+        n_points=n_train, reg=reg, inverted=True) for reg in REG_GRID]
+    nus = np.array([sigma.quadratic_forms(deltas) for sigma in sigmas
+                    for deltas in val_deltas])
     ys, mus = np.array(val_targets), np.array(val_values)
     stack = len(REG_GRID)
     calibs = fit_laplace_calibration(np.tile(ys, (stack, 1)),
@@ -501,10 +501,10 @@ def cost_report(scenario: Scenario, repeats: int) -> dict:
     """Measured cost profiles of the delta, dropout and ensemble methods.
 
     Runs the dynamics head and trains its ensemble, then times each method's
-    variance queries (for delta, the gradients and their forms on the head's
-    sigma) for the last quantity on up to 32 evaluation inputs
-    (cost_accounting, the median of `repeats` runs). Returns the batch size,
-    the quantity id, one profile per method and a note on the timings.
+    variances (delta: gradients and forms on the head's sigma) for the last
+    quantity on up to 32 evaluation inputs (cost_accounting, the median of
+    `repeats` runs). Returns the batch size, the quantity id, one profile
+    per method and a note on the timings.
     """
     if scenario.kind != "dynamics":
         raise ConfigError("cost profiles are measured on the dynamics scenario")
@@ -569,9 +569,8 @@ def _run_dynamics(scenario: Scenario):
         u = qois[qi]
         v_val, d_val, v_eval, d_eval = sides[qi]
         err_eval = np.abs(y_eval[qi] - v_eval)
-        variances = {}
-        variances["delta"] = (sigma.quadratic_forms(d_val),
-                              sigma.quadratic_forms(d_eval))
+        variances = {"delta": (sigma.quadratic_forms(d_val),
+                               sigma.quadratic_forms(d_eval))}
         contrib_val, scales, finetune_info = _finetune(head, qi)
         contrib_eval = block_variances(d_eval, sigma)
         scale_vec = np.array(list(scales.as_dict().values()))

@@ -5,10 +5,10 @@ stderr), 2 for a malformed config or command line (nothing is written).
 Output directories are staged in a sibling ".partial" directory and renamed
 into place on success, so a failed run never leaves a half-written report.
 Floats are printed and serialized with shortest round-trip decimals. The
-package reads one environment variable, DELTAVAR_THREADS (pool size, which
-changes no computed value; not a positive integer: exit 2 before any command
-runs). numpy's BLAS reads its own (OPENBLAS_NUM_THREADS and the like), which
-can move the last bits of a dense covariance and of nu (README, Determinism).
+package reads one environment variable, DELTAVAR_THREADS (pool size, no
+computed value changes; not a positive integer: exit 2 before any command).
+numpy's BLAS reads its own thread settings, which can move last bits of nu
+and a dense sigma (README, Determinism).
 """
 from __future__ import annotations
 

@@ -48,7 +48,6 @@ _LEAF = 64  # triangular blocks this wide or narrower are inverted by one solve
 # which canonical_sigma takes the Woodbury form: its quadratic form then
 # loses at most about 1e3 eps, relative
 WOODBURY_MAX_CONDITION = 1e3
-_ONE_ROW = (np.ndarray.dot, np.ndarray.dot)  # quadratic_forms' matvec, vecdot
 
 
 @dataclass(frozen=True)
@@ -126,32 +125,34 @@ class CovarianceEstimate:
 
     def quadratic_forms(self, deltas) -> np.ndarray:
         """nu = delta' Sigma delta of a gradient (d,) or each row of (B, d),
-        checked once: inverted, the width, finite entries (an inf or NaN
-        makes its form inf or NaN, so entries are scanned only then; numpy
-        may warn first). One expression per layout, each row alone, so a row
-        keeps its lone bits in any stack (a gemm's would depend on B); one
-        row spells matvec and vecdot as ndarray.dot, the same BLAS calls."""
-        deltas = np.asarray(deltas, dtype=float)
-        values, ndim = self.values, deltas.ndim
+        checked once: inverted, the width, finite entries (a stack's first,
+        a lone row's only if its form is not finite). One expression per
+        layout for one row; a dense or Woodbury stack runs it row by row,
+        so a row keeps its lone bits in any stack (a gemm's depends on B)."""
+        deltas, values = np.asarray(deltas, dtype=float), self.values
         if not self.inverted:
             raise StructuralError("sigma is a raw curvature estimate; "
                                   "invert it into a covariance first")
-        if ndim not in (1, 2) or deltas.shape[-1] != values.shape[-1]:
+        if deltas.ndim not in (1, 2) or deltas.shape[-1] != values.shape[-1]:
             raise StructuralError(f"gradients of shape {deltas.shape} do not "
                                   f"fit a sigma of dimension {self.dim}")
-        matvec, vecdot = _ONE_ROW if ndim == 1 else (np.matvec, np.vecdot)
+        if deltas.ndim == 2:
+            if not np.isfinite(deltas).all():
+                raise NumericalError("gradient contains non-finite entries")
+            return (np.einsum("bi,i,bi->b", deltas, values, deltas)
+                    if values.ndim == 1 else
+                    np.array([self.quadratic_forms(row) for row in deltas]))
         if values.ndim == 1:
-            forms = np.einsum("...i,i,...i->...", deltas, values, deltas)
+            form = np.einsum("i,i,i->", deltas, values, deltas)
         elif self.woodbury:
-            r = matvec(values, deltas)
-            forms = ((vecdot(deltas, deltas) - vecdot(r, r))
-                     / (self.n_points * self.reg))
+            r = values.dot(deltas)
+            form = ((deltas.dot(deltas) - r.dot(r))
+                    / (self.n_points * self.reg))
         else:
-            forms = vecdot(deltas, matvec(values, deltas))
-        finite = math.isfinite(forms) if ndim == 1 else np.isfinite(forms).all()
-        if not finite and not np.isfinite(deltas).all():
+            form = deltas.dot(values.dot(deltas))
+        if not math.isfinite(form) and not np.isfinite(deltas).all():
             raise NumericalError("gradient contains non-finite entries")
-        return forms
+        return form
 
     def diagonal_blocks(self) -> list:
         """One estimate per parameter block: sigma's diagonal block there.

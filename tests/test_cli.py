@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +595,22 @@ def test_posterior_mc_with_another_models_sigma_exits_1(
                  "--kind", "posterior-mc", "--qoi", "power2",
                  "--input", "0.1,0.2,0.3", "--set", "samples=100",
                  "--set", f"sigma={kind}"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["fisher-full", "fisher-diag"])
+@pytest.mark.parametrize("text", ["inf,0.1,0.2", "0.1,nan,0.2"])
+def test_non_finite_input_exits_1_without_a_warning(linear_dirs, capsys,
+                                                    kind, text):
+    """An input whose gradient holds an inf or NaN is refused before any
+    form is computed: exit 1 with a message, and no numpy RuntimeWarning,
+    which warnings set to errors would turn into a traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["deltavar", "--model", str(linear_dirs[3]), "--sigma",
+                     kind, "--qoi", "power1", f"--input={text}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "non-finite" in captured.err
 
 
 class TestBenchCommand:
